@@ -297,9 +297,9 @@ def cs_strategy(
     red = cs_reduction(w, params, eco)
     if t > red.T:
         raise ValueError(f"t = {t} is past the terminal time T = {red.T}")
-    G, L, _ = glh_state(t, red, quad)
+    G, L, H = glh_state(t, red, quad)
     u = 2.0 * G * m + L
-    g = math.exp(G * m * m + L * m + coeff_H(t, red, quad))
+    g = math.exp(G * m * m + L * m + H)
     return strategy_from_ratio(t, x, m, u, g, eco.base.k, eco)
 
 
@@ -366,7 +366,7 @@ class CsSolver:
             raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
         if t > self._red.T:
             raise ValueError(f"t = {t} is past the terminal time T = {self._red.T}")
-        G, L, _ = glh_state(t, self._red, self.quad)
+        G, L, H = glh_state(t, self._red, self.quad)
         u = 2.0 * G * m + L
-        g = math.exp(G * m * m + L * m + coeff_H(t, self._red, self.quad))
+        g = math.exp(G * m * m + L * m + H)
         return strategy_from_ratio(t, x, m, u, g, self._eco.base.k, self._eco)

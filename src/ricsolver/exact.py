@@ -11,29 +11,42 @@ where (A, B, C) solve, backward in t with A = B = C = 0 at t = s,
     dB/dt = (kappa + 2 beta^2 C) B - 2 h2_0 C + h1_1
     dA/dt = -(1/2) beta^2 B^2 + beta^2 C + h2_0 B - h1_0.
 
-C has the usual Riccati closed form; B and A are reduced to quadratures
-using the analytic antiderivative of C (coeff_C_integral below), so the
-integrating factor exp(-int (kappa + 2 beta^2 C)) is evaluated in closed
-form and only the outer integrals are numerical. Inner layers use fixed
-64-node Gauss-Legendre (the integrands are entire in the integration
-variable, so 64 nodes are converged far past the adaptive tolerances);
-the outermost integral of every public quantity is adaptive and honors
-the QuadratureConfig passed in.
+Every coefficient of these ODEs is constant, so A, B and C depend on the
+lag tau = s - t only.  C has the usual Riccati closed form.  g is built on
+a lag table (LagTable), made once per ExactCoeffs at the first g it is
+asked for: Chebyshev interpolants on tau in [0, T] of B-hat(tau) = B(0, tau),
+sampled by one fixed 64-node Gauss-Legendre layer whose integrating factor
+is closed form (coeff_C_integral), and of A-hat(tau) = A(0, tau), the exact
+Chebyshev antiderivative of the A right-hand side.  The interpolant degree
+is doubled until the trailing coefficients are negligible.  g and its
+derivatives are then one adaptive integral over the lag that honors the
+QuadratureConfig passed in.
+
+coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise by
+adaptive quadrature, independently of the table; the verification layer
+and the tests use them as the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .errors import NonpositiveWealth
+from .errors import NonpositiveWealth, QuadratureBudgetExceeded
 from .params import DerivedCoeffs, ModelParams, derive_coeffs
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss, gauss_rule_01
 
 _UNIT_PHI_TOL = 1e-9
 _INNER_N = 64
+# Lag-table node counts: start, doubling cap, and the trailing-coefficient
+# level below which the interpolants count as converged.
+_TABLE_MIN_NODES = 16
+_TABLE_MAX_NODES = 1024
+_TABLE_TAIL_TOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -56,6 +69,37 @@ class ExactCoeffs:
     delta_phi: float
     beta: float
     T: float
+
+    @cached_property
+    def lag_table(self) -> "LagTable":
+        """A-hat and B-hat on [0, T]; built at first use, then shared."""
+        return _build_lag_table(self)
+
+
+@dataclass(frozen=True)
+class LagTable:
+    """Chebyshev interpolants of A-hat(tau) = A(0, tau) and B-hat(tau) =
+    B(0, tau) in the lag tau in [0, span].
+
+    coef[:, 0] and coef[:, 1] are their Chebyshev coefficients in
+    y = 2 tau / span - 1.  tail, the error estimate, is the largest of the
+    highest-degree eighth of either column relative to max(1, that
+    column's largest coefficient): an absolute measure for the O(1)
+    exponents that enter h.
+    """
+
+    span: float
+    coef: np.ndarray
+    tail: float
+
+    def __call__(self, tau) -> np.ndarray:
+        """(A-hat, B-hat) at the lags tau; shape tau.shape + (2,).
+
+        The basis is cos(j arccos y) directly: numpy's chebval is a Python
+        loop over the degree and would cost more than the rest of g.
+        """
+        y = np.clip(2.0 * np.asarray(tau, dtype=float) / self.span - 1.0, -1.0, 1.0)
+        return _cheb_basis(np.arccos(y), self.coef.shape[0]) @ self.coef
 
 
 @dataclass(frozen=True)
@@ -217,18 +261,6 @@ def _B_gl(t_lo, s, co: ExactCoeffs, x01: np.ndarray, w01: np.ndarray):
     return span * (f @ w01)
 
 
-def _A_gl(t_lo, s, co: ExactCoeffs, x01: np.ndarray, w01: np.ndarray):
-    """A(t_lo, s) by two nested fixed layers, broadcast over inputs."""
-    t_lo, s = np.broadcast_arrays(np.asarray(t_lo, float), np.asarray(s, float))
-    span = s - t_lo
-    tau = t_lo[..., None] + span[..., None] * x01
-    s_b = s[..., None]
-    B = _B_gl(tau, s_b, co, x01, w01)
-    C = coeff_C(tau, s_b, co)
-    f = 0.5 * co.beta**2 * B * B - co.beta**2 * C - co.h2_0 * B
-    return span * (f @ w01) + co.h1_0 * span
-
-
 def coeff_B(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
     """B(t, s) = int_t^s (2 h2_0 C(u,s) - h1_1) e^{-int_t^u (kappa+2 beta^2 C)} du.
 
@@ -288,16 +320,48 @@ def h_eval(
 
 
 # ---------------------------------------------------------------- #
-# g and everything built on it
+# the lag table
 
-def _abc_panel(t: float, s_arr: np.ndarray, co: ExactCoeffs):
-    """(A, B, C) at fixed t for an array of upper limits s."""
+def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
+    """T_j(cos theta) = cos(j theta) for j < n; shape theta.shape + (n,)."""
+    return np.cos(theta[..., None] * np.arange(n))
+
+
+def _build_lag_table(co: ExactCoeffs) -> LagTable:
+    """Sample B-hat at n Chebyshev points of [0, T], doubling n until both
+    interpolants have converged; A-hat is the antiderivative of its
+    right-hand side, so it needs no nested layer."""
+    span = co.T
     x01, w01 = gauss_rule_01(_INNER_N)
-    A = _A_gl(t, s_arr, co, x01, w01)
-    B = _B_gl(t, s_arr, co, x01, w01)
-    C = coeff_C(t, s_arr, co)
-    return A, B, C
+    n = _TABLE_MIN_NODES
+    while True:
+        theta = np.pi * (np.arange(n) + 0.5) / n
+        tau = 0.5 * span * (1.0 + np.cos(theta))
+        B = _B_gl(0.0, tau, co, x01, w01)
+        C = coeff_C(0.0, tau, co)
+        dA = 0.5 * co.beta**2 * B * B - co.beta**2 * C - co.h2_0 * B
+        c_dA, c_B = (2.0 / n) * (_cheb_basis(theta, n).T @ np.stack([dA, B], axis=-1)).T
+        c_dA[0] *= 0.5
+        c_B[0] *= 0.5
+        c_A = chebyshev.chebint(c_dA, lbnd=-1.0, scl=0.5 * span)
+        c_A[:2] += 0.5 * span * co.h1_0  # h1_0 tau = h1_0 span (1 + y) / 2
+        coef = np.stack([c_A, np.append(c_B, 0.0)], axis=-1)
+        tail = max(
+            float(np.max(np.abs(col[-(n // 8):])) / max(1.0, float(np.max(np.abs(col)))))
+            for col in coef.T
+        )
+        if tail <= _TABLE_TAIL_TOL:
+            return LagTable(span=span, coef=coef, tail=tail)
+        if 2 * n > _TABLE_MAX_NODES:
+            raise QuadratureBudgetExceeded(
+                f"lag table on [0, {span}] not converged at {n} nodes: "
+                f"trailing coefficient {tail:.3e} > {_TABLE_TAIL_TOL:g}"
+            )
+        n *= 2
 
+
+# ---------------------------------------------------------------- #
+# g and everything built on it
 
 def g_eval(
     t: float, m: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
@@ -314,43 +378,48 @@ def g_eval(
 def g_bundle(
     t: float, m: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> GBundle:
-    """g with g_m, g_mm, g_t in one adaptive pass.
+    """g with g_m, g_mm, g_t in one adaptive pass."""
+    g, g_m, g_mm, g_t = g_bundle_array(t, np.array([m], dtype=float), co, quad)[:, 0]
+    return GBundle(g=float(g), g_m=float(g_m), g_mm=float(g_mm), g_t=float(g_t))
 
-    All derivatives are differentiation under the integral; g_t uses the
-    backward-ODE right-hand sides for (A_t, B_t, C_t) plus the boundary
-    term -delta^phi from the moving lower limit (h(t, m; t) = 1).
+
+def g_bundle_array(
+    t: float, m: np.ndarray, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
+) -> np.ndarray:
+    """Rows g, g_m, g_mm, g_t at one t for a 1-d array of m; shape (4, m.size).
+
+    One adaptive integral over the lag tau in [0, T - t] covers every m; its
+    error control is the max-norm over all 4 m.size columns.  A-hat and
+    B-hat come from the lag table.  All derivatives are differentiation
+    under the integral; g_t uses the backward-ODE right-hand sides for
+    (A_t, B_t, C_t) plus the boundary term -delta^phi from the moving lower
+    limit (h(t, m; t) = 1).
     """
     T = co.T
     if t > T:
         raise ValueError(f"t = {t} is past the terminal time T = {T}")
+    if t < 0.0:
+        raise ValueError(f"t = {t} is before 0; the lag table covers t in [0, T = {T}]")
+    table = co.lag_table
 
-    def columns(s_arr: np.ndarray) -> np.ndarray:
-        A, B, C = _abc_panel(t, s_arr, co)
+    def columns(tau: np.ndarray) -> np.ndarray:
+        AB = table(tau)
+        A, B = AB[:, :1], AB[:, 1:]
+        C = coeff_C(0.0, tau, co)[:, None]
         h = np.exp(A - B * m - C * m * m)
         lin = B + 2.0 * C * m
         dA, dB, dC = abc_rhs(A, B, C, co)
-        return np.stack(
-            [
-                h,
-                -h * lin,
-                h * (lin * lin - 2.0 * C),
-                h * (dA - m * dB - m * m * dC),
-            ],
+        return np.concatenate(
+            [h, -h * lin, h * (lin * lin - 2.0 * C), h * (dA - m * dB - m * m * dC)],
             axis=-1,
         )
 
-    if t == T:
-        ints = np.zeros(4)
-    else:
-        ints = adaptive_gauss(columns, t, T, quad)
-    term = columns(np.array([T]))[0]
-    dp = co.delta_phi
-    return GBundle(
-        g=float(dp * ints[0] + term[0]),
-        g_m=float(dp * ints[1] + term[1]),
-        g_mm=float(dp * ints[2] + term[2]),
-        g_t=float(dp * (ints[3] - 1.0) + term[3]),
-    )
+    span = T - t
+    ints = adaptive_gauss(columns, 0.0, span, quad)
+    term = columns(np.array([span]))[0]
+    out = (co.delta_phi * ints + term).reshape(4, m.size)
+    out[3] -= co.delta_phi
+    return out
 
 
 def value_function(
@@ -422,7 +491,8 @@ def strategy_from_ratio(
     t: float, x: float, m: float, u: float, g: float, k: float, co: ExactCoeffs
 ) -> StrategyPoint:
     """Strategy formulas given u = g_m/g; the log-linearized mode reuses
-    them with its own (u, g)."""
+    them with its own (u, g).  Elementwise, so broadcastable arrays of
+    (t, x, m, u, g) give arrays of ratios (TabulatedStrategy's grid)."""
     mk, ins, pf = co.params.market, co.params.insurance, co.params.preference
     pg = pf.Phi + pf.gamma
     one_g = 1.0 - pf.gamma

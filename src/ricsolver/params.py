@@ -180,10 +180,12 @@ class DerivedCoeffs:
 def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     """Derive (k, phi) from (gamma, Phi, rho1).
 
-    Raises DegenerateK when the k denominator is within 1e-14 of zero and
-    ValueError if the linearization identity k(1-phi)/(1-gamma) = -1 fails
-    beyond 1e-12 (cannot happen for finite well-scaled inputs; the check is
-    a guard against catastrophic cancellation).
+    Raises DegenerateK when the k denominator is within 1e-14 of zero, or
+    when the identity k(1-phi)/(1-gamma) = -1 fails beyond 1e-12.  The
+    identity holds algebraically, but next to derived phi = 1 the k
+    denominator and 1 - phi both pass through zero, each computed with
+    cancellation, so the product loses digits (Phi = 0.8, rho1 = -0.5 puts
+    phi = 1 at gamma = 0.2; gamma = 0.2001 already fails the check).
     """
     if gamma == 1.0:
         raise ValueError("gamma = 1 is excluded; use the unit-EIS solver for phi = 1")
@@ -197,7 +199,10 @@ def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     phi = 2.0 - gamma - Phi + (one_g - Phi) ** 2 * rho1**2 / (Phi + gamma)
     identity = k * (1.0 - phi) / one_g + 1.0
     if abs(identity) > 1e-12:
-        raise ValueError(f"k(1-phi)/(1-gamma) + 1 = {identity:.3e} exceeds 1e-12")
+        raise DegenerateK(
+            f"k(1-phi)/(1-gamma) + 1 = {identity:.3e} exceeds 1e-12; "
+            f"derived phi = {phi!r} is too close to 1"
+        )
     return k, phi
 
 

@@ -17,11 +17,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.interpolate import RegularGridInterpolator
 
 from .errors import NonpositiveWealth
-from .exact import coeff_A, coeff_B, coeff_C, exact_coeffs, strategy_from_ratio
+from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
 from .params import ModelParams
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
@@ -434,12 +433,12 @@ class TabulatedStrategy:
     """Closed-form strategy ratios tabulated on a (t, m) grid.
 
     Pointwise evaluation of the exact ratios costs a quadrature per call,
-    far too slow inside a path loop.  The coefficient triple behind g
-    depends only on s - t, so g and g_m on the whole grid come from one
-    cumulative pass over a fine tau mesh; ratio surfaces are then bilinear
-    interpolants, queries clipped to the grid box.  Interpolation error is
-    O(grid step squared), well under the Euler discretization error for
-    the default grid.
+    far too slow inside a path loop.  g and g_m at every m node of one t
+    row come from one vector-valued quadrature on the exact mode's lag
+    table, and the strategy formulas run on the whole grid at once; ratio
+    surfaces are then bilinear interpolants, queries clipped to the grid
+    box.  Interpolation error is O(grid step squared), well under the Euler
+    discretization error for the default grid.
     """
 
     def __init__(self, t_nodes, m_nodes, pi_grid, c_grid, q_ratio, xi1_grid,
@@ -466,47 +465,18 @@ class TabulatedStrategy:
         n_t: int = 65,
         n_m: int = 121,
         m_max: float = 4.0,
-        refine: int = 8,
         quad: QuadratureConfig = DEFAULT_QUAD,
     ) -> "TabulatedStrategy":
         co = exact_coeffs(params)
-        t0, T = params.horizon.t0, params.horizon.T
-        t_nodes = np.linspace(t0, T, n_t)
+        t_nodes = np.linspace(params.horizon.t0, params.horizon.T, n_t)
         m_nodes = np.linspace(-m_max, m_max, n_m)
-        n_tau = refine * (n_t - 1) + 1
-        tau = np.linspace(0.0, T - t0, n_tau)
-        A = np.array([coeff_A(0.0, s, co, quad) for s in tau])
-        B = np.array([coeff_B(0.0, s, co, quad) for s in tau])
-        C = np.array([coeff_C(0.0, s, co) for s in tau])
-
-        mm = m_nodes[None, :]
-        F = np.exp(A[:, None] - B[:, None] * mm - C[:, None] * mm**2)
-        Fm = F * (-(B[:, None] + 2.0 * C[:, None] * mm))
-        h_tau = tau[1] - tau[0]
-        cum = cumulative_trapezoid(F, dx=h_tau, axis=0, initial=0.0)
-        cum_m = cumulative_trapezoid(Fm, dx=h_tau, axis=0, initial=0.0)
-
-        dp = co.delta_phi
-        pi_grid = np.empty((n_t, n_m))
-        c_grid = np.empty((n_t, n_m))
-        xi1_grid = np.empty((n_t, n_m))
-        xi2_grid = np.empty((n_t, n_m))
-        q_ratio = xi3 = None
-        for i, t in enumerate(t_nodes):
-            j = refine * (n_t - 1 - i)  # tau index of T - t
-            g_row = dp * cum[j] + F[j]
-            gm_row = dp * cum_m[j] + Fm[j]
-            for jm, m in enumerate(m_nodes):
-                sp = strategy_from_ratio(
-                    t, 1.0, m, gm_row[jm] / g_row[jm], g_row[jm], co.base.k, co
-                )
-                pi_grid[i, jm] = sp.pi_over_x
-                c_grid[i, jm] = sp.c_over_x
-                xi1_grid[i, jm] = sp.xi1
-                xi2_grid[i, jm] = sp.xi2
-                q_ratio, xi3 = sp.q_over_x, sp.xi3
-        return cls(t_nodes, m_nodes, pi_grid, c_grid, q_ratio,
-                   xi1_grid, xi2_grid, xi3)
+        rows = np.array([g_bundle_array(t, m_nodes, co, quad)[:2] for t in t_nodes])
+        g, g_m = rows[:, 0], rows[:, 1]
+        sp = strategy_from_ratio(
+            t_nodes[:, None], 1.0, m_nodes[None, :], g_m / g, g, co.base.k, co
+        )
+        return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
+                   sp.xi1, sp.xi2, sp.xi3)
 
     def _pts(self, t, m):
         m = np.asarray(m, dtype=float)

@@ -343,8 +343,7 @@ def unit_strategy(
     mk, ins, pf = co.params.market, co.params.insurance, co.params.preference
     pg = pf.Phi + pf.gamma
     one_g = 1.0 - pf.gamma
-    G, L, _ = glh_state(t, co.red, quad)
-    u = 2.0 * G * m + L
+    u = 2.0 * coeff_G(t, co.red) * m + coeff_L(t, co.red, quad)
     R = mk.sigma * m + mk.a - mk.r
     pi_over_x = (R + co.c_pi * u) / (pg * mk.sigma**2)
     q_over_x = ins.theta1 * ins.mu1 / (pg * ins.mu2)

@@ -259,7 +259,9 @@ def pde_residual(
     central differences with steps (h_t, h_m), chosen so the evaluation
     noise of g_like stays well below the truncation error.  Rows with
     t + h_t > T cannot be centered in time and contribute the terminal
-    condition residual |g(T, m) - 1| instead.
+    condition residual |g(T, m) - 1| instead; rows with t - h_t < 0 take
+    the one-sided second-order difference in t, because g is defined on
+    [0, T] only.
     """
     res_fn = _residual_ops(equation_id, params, w)
     T = params.horizon.T
@@ -273,7 +275,12 @@ def pde_residual(
                 worst = max(worst, abs(g_T - 1.0) / max(abs(g_T), 1.0))
                 continue
             g0 = g_like(t, m)
-            g_t = (g_like(t + h_t, m) - g_like(t - h_t, m)) / (2.0 * h_t)
+            if t - h_t < 0.0:
+                g_t = (-3.0 * g0 + 4.0 * g_like(t + h_t, m) - g_like(t + 2.0 * h_t, m)) / (
+                    2.0 * h_t
+                )
+            else:
+                g_t = (g_like(t + h_t, m) - g_like(t - h_t, m)) / (2.0 * h_t)
             gp = g_like(t, m + h_m)
             gn = g_like(t, m - h_m)
             g_m = (gp - gn) / (2.0 * h_m)

@@ -8,9 +8,13 @@ from ricsolver import (
     ExactSolver,
     FixedPointDivergence,
     ModelParams,
+    StrategyPoint,
     cs_reduction,
     steady_state_w,
+    unit_coeffs,
 )
+from ricsolver.cs import cs_strategy
+from ricsolver.uniteis import unit_strategy
 
 # fixed point of the steady consumption-wealth map at the comparison
 # calibration (gamma=1.3, alpha=7, Phi=0, sigma=0.8), frozen
@@ -101,3 +105,39 @@ def test_fixed_point_diverges_gracefully():
         assert math.isfinite(w)  # converging anyway is also acceptable
     except (FixedPointDivergence, ValueError):
         pass
+
+
+# StrategyPoints of the cs and unit-EIS rules at the default calibration
+# (cs pinned at w = 0.1), frozen at full precision from the implementation
+# that recomputed H (cs) or computed an unused H (unit EIS); reusing H and
+# dropping the unused one must leave every bit in place.
+_CS_FROZEN = {
+    (0.5, 1.0, 0.0): StrategyPoint(
+        pi=0.6321677688440498, q=0.08, c=0.6458075409837901, xi1=0.09885315698495203,
+        xi2=0.003972780740737168, xi3=0.07155417527999328, pi_over_x=0.6321677688440498,
+        q_over_x=0.08, c_over_x=0.6458075409837901),
+    (0.73, 2.5, -1.4): StrategyPoint(
+        pi=-7.22413124659235, q=0.2, c=1.7358396052984766, xi1=-0.4576556002180893,
+        xi2=-0.008121239071045012, xi3=0.07155417527999328, pi_over_x=-2.88965249863694,
+        q_over_x=0.08, c_over_x=0.6943358421193906),
+}
+_UNIT_FROZEN = {
+    (0.5, 1.0, 0.0): StrategyPoint(
+        pi=0.6321900494106666, q=0.08, c=0.08, xi1=0.09884959209429335,
+        xi2=0.003985129884225733, xi3=0.07155417527999328, pi_over_x=0.6321900494106666,
+        q_over_x=0.08, c_over_x=0.08),
+    (0.73, 2.5, -1.4): StrategyPoint(
+        pi=-7.224183194621333, q=0.2, c=0.2, xi1=-0.4576522755442344,
+        xi2=-0.008132756079115726, xi3=0.07155417527999328, pi_over_x=-2.8896732778485332,
+        q_over_x=0.08, c_over_x=0.08),
+}
+
+
+def test_strategies_bit_identical(base_params):
+    cs = CsSolver(base_params, w=0.1)
+    unit = unit_coeffs(base_params)
+    for (t, x, m), sp in _CS_FROZEN.items():
+        assert cs.strategy(t, x, m) == sp
+        assert cs_strategy(t, x, m, 0.1, base_params) == sp
+    for (t, x, m), sp in _UNIT_FROZEN.items():
+        assert unit_strategy(t, x, m, unit) == sp

@@ -1,11 +1,15 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+import ricsolver.exact as exact_mod
 from ricsolver import (
     ExactSolver,
     NonpositiveWealth,
+    QuadratureBudgetExceeded,
+    QuadratureConfig,
     abc_rhs,
     coeff_A,
     coeff_B,
@@ -13,6 +17,7 @@ from ricsolver import (
     exact_coeffs,
     g_eval,
     h_eval,
+    simulate_factor,
 )
 
 # values recomputed by hand / by the oracles below and frozen
@@ -177,3 +182,96 @@ def test_strategy_amounts_scale_with_wealth(base_params):
     assert s3.pi_over_x == pytest.approx(s1.pi_over_x, rel=1e-12)
     # distortions are per-unit-noise quantities, not wealth amounts
     assert s3.xi1 == pytest.approx(s1.xi1, rel=1e-12)
+
+
+# ---------------------------------------------------------------- #
+# lag-table kernel
+
+_TIGHT = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-14, max_subdivisions=2000)
+
+
+def _with_horizon(params, t0, T):
+    return dataclasses.replace(params, horizon=dataclasses.replace(params.horizon, t0=t0, T=T))
+
+
+def _oracle_bundle(co, t, ms, n=24):
+    """(g, g_m, g_mm, g_t) for each m from the pointwise coefficients.
+
+    h = exp(A - B m - C m^2) with A, B, C from coeff_A / coeff_B / coeff_C
+    at tight tolerances (what h_eval evaluates), integrated over s in [t, T]
+    by n-node Gauss-Legendre on panels growing geometrically from s = t,
+    where the transients of A and B sit.  g_m and g_mm differentiate h in m;
+    g_t comes from the reduced equation
+    g_t + beta^2 g_mm / 2 + H2 g_m + H1 g + delta^phi = 0.
+    """
+    T = co.T
+    edges = np.unique(np.clip(t + np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0]), t, T))
+    x, w = np.polynomial.legendre.leggauss(n)
+    panels = list(zip(edges, edges[1:]))
+    s = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in panels] + [[T]])
+    ws = np.concatenate([0.5 * (b - a) * w for a, b in panels] + [np.empty(0)])
+    A = np.array([coeff_A(t, si, co, _TIGHT) for si in s])
+    B = np.array([coeff_B(t, si, co, _TIGHT) for si in s])
+    C = np.array([coeff_C(t, si, co) for si in s])
+    rows = []
+    for m in ms:
+        h = np.exp(A - B * m - C * m * m)
+        lin = B + 2.0 * C * m
+        g, g_m, g_mm = (
+            co.delta_phi * (ws @ col[:-1]) + col[-1]
+            for col in (h, -h * lin, h * (lin * lin - 2.0 * C))
+        )
+        H1 = co.h1_0 + co.h1_1 * m - co.base.b0 * m * m
+        H2 = co.h2_0 - co.base.kappa * m
+        g_t = -(0.5 * co.beta**2 * g_mm + H2 * g_m + H1 * g + co.delta_phi)
+        rows.append((g, g_m, g_mm, g_t))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("t0, T", [(0.5, 1.0), (0.0, 10.0), (0.0, 50.0)])
+def test_kernel_bundle_matches_pointwise_oracle(base_params, t0, T):
+    # every field within 1e-12 of g; measured at most 5.2e-14 (g_t at T = 50)
+    co = exact_coeffs(_with_horizon(base_params, t0, T))
+    ms = (-4.0, -1.3, 0.0, 2.2, 4.0)
+    for t in (t0, t0 + 0.37 * (T - t0), T):
+        ref = _oracle_bundle(co, t, ms)
+        for m, row in zip(ms, ref):
+            gb = exact_mod.g_bundle(t, m, co)
+            got = np.array([gb.g, gb.g_m, gb.g_mm, gb.g_t])
+            assert np.all(np.abs(got - row) <= 1e-12 * abs(row[0])), (t, m, got, row)
+
+
+def test_lag_table_built_once_per_coeffs(base_params, monkeypatch):
+    builds = []
+    build = exact_mod._build_lag_table
+
+    def counting(co):
+        builds.append(co)
+        return build(co)
+
+    monkeypatch.setattr(exact_mod, "_build_lag_table", counting)
+    solver = ExactSolver(base_params)
+    simulate_factor(base_params, measure="FK_tilde", dt=0.01, n_paths=2)
+    assert builds == []  # nothing that stops short of g pays for the table
+    rng = np.random.default_rng(3)
+    for t, m in zip(rng.uniform(0.5, 1.0, 8), rng.uniform(-2.0, 2.0, 8)):
+        solver.strategy(t, 1.0, m)
+        solver.value_derivs(t, 1.3, m)
+        g_eval(t, m, solver.coeffs)
+    assert builds == [solver.coeffs]
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0, 50.0])
+def test_lag_table_tail_estimate(base_params, T):
+    table = exact_coeffs(_with_horizon(base_params, 0.0, T)).lag_table
+    assert 0.0 <= table.tail <= exact_mod._TABLE_TAIL_TOL
+    assert table.span == T
+
+
+def test_lag_table_budget_and_domain(base_params, monkeypatch):
+    co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
+    with pytest.raises(ValueError, match="before 0"):
+        g_eval(-1e-3, 0.0, co)
+    monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
+    with pytest.raises(QuadratureBudgetExceeded):
+        g_eval(0.0, 0.0, co)

@@ -5,10 +5,12 @@ import pytest
 
 from ricsolver import (
     DegenerateK,
+    ExactSolver,
     ModelParams,
     NonadmissibleValueSign,
     derive_coeffs,
     derive_k_phi,
+    SolverError,
     psi_eval,
     validate,
     wealth_offset,
@@ -58,6 +60,17 @@ def test_k_phi_degenerate():
     # rho1 = 0 and Phi = 1 - gamma zero the k denominator exactly
     with pytest.raises(DegenerateK):
         derive_k_phi(0.4, 0.6, 0.0)
+
+
+def test_k_phi_near_unit_phi_is_typed(base_params):
+    # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma = 0.2; just above
+    # it the k(1-phi)/(1-gamma) = -1 identity loses digits to cancellation
+    p = repl(base_params, Phi=0.8, rho1=-0.5, gamma=0.2001)
+    with pytest.raises(DegenerateK):
+        derive_k_phi(0.2001, 0.8, -0.5)
+    with pytest.raises(SolverError):
+        ExactSolver(p)
+    assert not validate(p).ok
 
 
 def test_derived_coeffs_default(base_params):

@@ -205,6 +205,22 @@ def test_tabulated_matches_pointwise_rule(base_params):
     assert worst < 5e-4  # measured 1.5e-5 on the default node counts
 
 
+def test_tabulated_exact_at_grid_nodes(base_params):
+    # at the grid nodes the table holds the pointwise rule itself; only the
+    # bilinear interpolation between nodes is approximate
+    tab = TabulatedStrategy.from_exact(base_params, n_t=9, n_m=11)
+    solver = ExactSolver(base_params)
+    t_nodes = np.linspace(base_params.horizon.t0, base_params.horizon.T, 9)
+    m_nodes = np.linspace(-4.0, 4.0, 11)
+    for t in t_nodes[::2]:
+        pi, _, c = tab.strategy_fn(t, np.ones(11), m_nodes)
+        xi1, xi2, _ = tab.distortion_fn(t, m_nodes)
+        for j, m in enumerate(m_nodes):
+            sp = solver.strategy(t, 1.0, m)
+            for got, ref in ((pi[j], sp.pi), (c[j], sp.c), (xi1[j], sp.xi1), (xi2[j], sp.xi2)):
+                assert got == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+
 def test_tabulated_clips_outside_box(base_params):
     tab = TabulatedStrategy.from_exact(base_params, m_max=2.0)
     inside = tab.strategy_fn(0.7, np.array([1.0]), np.array([2.0]))

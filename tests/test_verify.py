@@ -127,9 +127,14 @@ def test_fd_second_order_in_space_and_time():
 
 def test_pde_residual_exact(base_params):
     grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
-    solver = ExactSolver(base_params)
-    r = pde_residual(lambda t, m: solver.g(t, m).g, "g1", grid, base_params)
-    assert r < 1e-4
+    # t0 = 0 puts the first row at the lower end of g's domain [0, T]
+    from_zero = dataclasses.replace(
+        base_params, horizon=dataclasses.replace(base_params.horizon, t0=0.0)
+    )
+    for params in (base_params, from_zero):
+        solver = ExactSolver(params)
+        r = pde_residual(lambda t, m: solver.g(t, m).g, "g1", grid, params)
+        assert r < 1e-4
 
 
 def test_pde_residual_unit(base_params):
