@@ -53,13 +53,7 @@ from .uniteis import (
 __all__ = [
     "CsCoeffs",
     "CsSolver",
-    "cs_coeffs",
-    "cs_g",
-    "cs_g_bundle",
     "cs_reduction",
-    "cs_strategy",
-    "cs_value",
-    "cs_value_derivs",
     "steady_state_w",
 ]
 
@@ -129,20 +123,6 @@ def cs_reduction(w: float, params: ModelParams, eco: ExactCoeffs | None = None) 
         beta=mk.beta,
         T=params.horizon.T,
     )
-
-
-def cs_coeffs(
-    t: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> CsCoeffs:
-    """CsCoeffs at time t; requires t <= T and w > 0."""
-    red = cs_reduction(w, params)
-    if t > red.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {red.T}")
-    G, L, H = glh_state(t, red, quad)
-    return CsCoeffs(w=w, t=t, G=G, L=L, H=H, red=red)
 
 
 def _log_ratio_mean(
@@ -215,94 +195,6 @@ def steady_state_w(
     )
 
 
-# ---------------------------------------------------------------- #
-# g, value, strategy
-
-def cs_g(
-    t: float,
-    m: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> GValue:
-    """g(t, m) and g_m = (2 G m + L) g under the log-linearized closed form."""
-    b = cs_g_bundle(t, m, w, params, quad)
-    return GValue(g=b.g, g_m=b.g_m)
-
-
-def cs_g_bundle(
-    t: float,
-    m: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> GBundle:
-    """g with g_m, g_mm, g_t."""
-    red = cs_reduction(w, params)
-    if t > red.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {red.T}")
-    return _glh_bundle(t, m, red, quad)
-
-
-def cs_value(
-    t: float,
-    x: float,
-    m: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
-    """v(t, x, m) = x^(1-gamma) g^k / (1-gamma) with the approximate g."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    eco = exact_coeffs(params)
-    g = cs_g(t, m, w, params, quad).g
-    gamma = params.preference.gamma
-    return x ** (1.0 - gamma) * g**eco.base.k / (1.0 - gamma)
-
-
-def cs_value_derivs(
-    t: float,
-    x: float,
-    m: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> ValueDerivs:
-    """ValueDerivs of the approximate value function."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gb = cs_g_bundle(t, m, w, params, quad)
-    eco = exact_coeffs(params)
-    return derivs_from_g(x, params.preference.gamma, eco.base.k, gb)
-
-
-def cs_strategy(
-    t: float,
-    x: float,
-    m: float,
-    w: float,
-    params: ModelParams,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> StrategyPoint:
-    """Controls under the approximate g; q/x coincides with the exact mode.
-
-    The consumption ratio delta^phi / g uses the approximate g, and the
-    ratio u = g_m/g collapses to 2 G m + L, which is how the approximation
-    sidesteps the integral representation.
-    """
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    eco = exact_coeffs(params)
-    red = cs_reduction(w, params, eco)
-    if t > red.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {red.T}")
-    G, L, H = glh_state(t, red, quad)
-    u = 2.0 * G * m + L
-    g = math.exp(G * m * m + L * m + H)
-    return strategy_from_ratio(t, x, m, u, g, eco.base.k, eco)
-
-
 class CsSolver:
     """Convenience wrapper; resolves w once and binds it.
 
@@ -334,7 +226,7 @@ class CsSolver:
         return float(coeff_G(t, self._red))
 
     def L(self, t: float) -> float:
-        return coeff_L(t, self._red, self.quad)
+        return float(coeff_L(t, self._red))
 
     def H(self, t: float) -> float:
         return coeff_H(t, self._red, self.quad)
@@ -368,5 +260,5 @@ class CsSolver:
             raise ValueError(f"t = {t} is past the terminal time T = {self._red.T}")
         G, L, H = glh_state(t, self._red, self.quad)
         u = 2.0 * G * m + L
-        g = math.exp(G * m * m + L * m + H)
-        return strategy_from_ratio(t, x, m, u, g, self._eco.base.k, self._eco)
+        c_over_x = self._eco.delta_phi / math.exp(G * m * m + L * m + H)
+        return strategy_from_ratio(t, x, m, u, c_over_x, self._eco.base.k, self._eco)

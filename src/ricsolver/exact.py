@@ -12,19 +12,20 @@ where (A, B, C) solve, backward in t with A = B = C = 0 at t = s,
     dA/dt = -(1/2) beta^2 B^2 + beta^2 C + h2_0 B - h1_0.
 
 Every coefficient of these ODEs is constant, so A, B and C depend on the
-lag tau = s - t only.  C has the usual Riccati closed form.  g is built on
-a lag table (LagTable), made once per ExactCoeffs at the first g it is
-asked for: Chebyshev interpolants on tau in [0, T] of B-hat(tau) = B(0, tau),
-sampled by one fixed 64-node Gauss-Legendre layer whose integrating factor
-is closed form (coeff_C_integral), and of A-hat(tau) = A(0, tau), the exact
-Chebyshev antiderivative of the A right-hand side.  The interpolant degree
-is doubled until the trailing coefficients are negligible.  g and its
-derivatives are then one adaptive integral over the lag that honors the
-QuadratureConfig passed in.
+lag tau = s - t only.  In tau, C is the zero-initial-value Riccati kernel of
+riccati.py and B its linear companion (riccati_linear_zero_ic), both closed
+form; A is one adaptive quadrature of its right-hand side over the lag.
+g is built on a lag table (LagTable), made once per ExactCoeffs at the
+first g it is asked for: Chebyshev interpolants on tau in [0, T] of
+B-hat(tau) = B(0, tau), sampled from the closed form, and of A-hat(tau) =
+A(0, tau), the exact Chebyshev antiderivative of the A right-hand side.
+The interpolant degree is doubled until the trailing coefficients are
+negligible.  g and its derivatives are then one adaptive integral over the
+lag that honors the QuadratureConfig passed in.
 
-coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise by
-adaptive quadrature, independently of the table; the verification layer
-and the tests use them as the reference.
+coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
+independently of the table; the verification layer and the tests use them
+as the reference.
 """
 
 from __future__ import annotations
@@ -38,10 +39,10 @@ from numpy.polynomial import chebyshev
 
 from .errors import NonpositiveWealth, QuadratureBudgetExceeded
 from .params import DerivedCoeffs, ModelParams, derive_coeffs
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss, gauss_rule_01
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
+from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 _UNIT_PHI_TOL = 1e-9
-_INNER_N = 64
 # Lag-table node counts: start, doubling cap, and the trailing-coefficient
 # level below which the interpolants count as converged.
 _TABLE_MIN_NODES = 16
@@ -197,107 +198,49 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
 # ---------------------------------------------------------------- #
 # A, B, C
 
-def coeff_C(t, s, co: ExactCoeffs):
-    """C(t, s), vectorized over broadcastable t and s (requires t <= s).
+def _lag_C(tau, co: ExactCoeffs):
+    """C at lag tau: y' = -2 beta^2 y^2 - 2 kappa y + b0, y(0) = 0."""
+    return riccati_zero_ic(tau, -2.0 * co.beta**2, -2.0 * co.base.kappa, co.base.b0)
 
-    Written in terms of E = exp(-Delta (s-t)) in (0, 1] so no growing
-    exponential ever appears.
-    """
+
+def _lag_B(tau, co: ExactCoeffs):
+    """B at lag tau: z' = -(kappa + 2 beta^2 C) z + 2 h2_0 C - h1_1, z(0) = 0."""
+    base = co.base
+    return riccati_linear_zero_ic(
+        tau, -2.0 * co.beta**2, -2.0 * base.kappa, base.b0, base.kappa, 2.0 * co.h2_0, -co.h1_1
+    )
+
+
+def _lag(t, s) -> np.ndarray:
     tau = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
     if np.any(tau < 0.0):
-        raise ValueError("coeff_C needs t <= s")
-    base = co.base
-    E = np.exp(-base.Delta * tau)
-    P = 2.0 * base.kappa + base.Delta
-    Q = base.Delta - 2.0 * base.kappa
-    out = 2.0 * base.b0 * (1.0 - E) / (P + Q * E)
-    return out if out.ndim else float(out)
+        raise ValueError("the coefficients need t <= s")
+    return tau
 
 
-def coeff_C_integral(theta, co: ExactCoeffs):
-    """int_0^theta C(s - u, s) du as a function of the lag theta = s - t.
-
-    Closed form; the (2/Q) log term is evaluated through log1p and switched
-    to its series when |Q z| is tiny, so the near-cancellation at Delta ~
-    2 kappa costs no precision.
-    """
-    th = np.asarray(theta, dtype=float)
-    if np.any(th < 0.0):
-        raise ValueError("coeff_C_integral needs theta >= 0")
-    base = co.base
-    P = 2.0 * base.kappa + base.Delta
-    Q = base.Delta - 2.0 * base.kappa
-    z = np.expm1(-base.Delta * th) / (P + Q)
-    qz = Q * z
-    small = np.abs(qz) < 1e-8
-    safe_q = np.where(small, 1.0, Q)
-    term = np.where(
-        small,
-        2.0 * z * (1.0 - 0.5 * qz + qz * qz / 3.0),
-        2.0 * np.log1p(np.where(small, 0.0, qz)) / safe_q,
-    )
-    out = (2.0 * base.b0 / P) * (th + term)
-    return out if out.ndim else float(out)
+def coeff_C(t, s, co: ExactCoeffs):
+    """C(t, s), vectorized over broadcastable t and s (requires t <= s)."""
+    return _lag_C(_lag(t, s), co)
 
 
-def _decay_exponent(t_lo, u, s, co: ExactCoeffs):
-    """int_{t_lo}^{u} (kappa + 2 beta^2 C(w, s)) dw, all arrays broadcastable."""
-    ic_lo = coeff_C_integral(np.asarray(s, float) - np.asarray(t_lo, float), co)
-    ic_u = coeff_C_integral(np.asarray(s, float) - np.asarray(u, float), co)
-    return co.base.kappa * (np.asarray(u, float) - np.asarray(t_lo, float)) + 2.0 * co.beta**2 * (
-        ic_lo - ic_u
-    )
+def coeff_B(t, s, co: ExactCoeffs):
+    """B(t, s), vectorized over broadcastable t and s (requires t <= s)."""
+    return _lag_B(_lag(t, s), co)
 
 
-def _B_gl(t_lo, s, co: ExactCoeffs, x01: np.ndarray, w01: np.ndarray):
-    """B(t_lo, s) by one fixed Gauss-Legendre layer, broadcast over inputs."""
-    t_lo, s = np.broadcast_arrays(np.asarray(t_lo, float), np.asarray(s, float))
-    span = s - t_lo
-    u = t_lo[..., None] + span[..., None] * x01
-    s_b = s[..., None]
-    C = coeff_C(u, s_b, co)
-    decay = np.exp(-_decay_exponent(t_lo[..., None], u, s_b, co))
-    f = (2.0 * co.h2_0 * C - co.h1_1) * decay
-    return span * (f @ w01)
-
-
-def coeff_B(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """B(t, s) = int_t^s (2 h2_0 C(u,s) - h1_1) e^{-int_t^u (kappa+2 beta^2 C)} du.
-
-    Adaptive in the (single) outer variable; the integrating factor is
-    closed-form via coeff_C_integral.
-    """
-    if s < t:
-        raise ValueError("coeff_B needs t <= s")
-    if s == t:
-        return 0.0
-
-    def f(u: np.ndarray) -> np.ndarray:
-        C = coeff_C(u, s, co)
-        return (2.0 * co.h2_0 * C - co.h1_1) * np.exp(-_decay_exponent(t, u, s, co))
-
-    return float(adaptive_gauss(f, t, s, quad))
+def _dA_dtau(tau, co: ExactCoeffs):
+    """Lag derivative of A less its constant h1_0: beta^2 B^2/2 - beta^2 C - h2_0 B."""
+    B = _lag_B(tau, co)
+    return 0.5 * co.beta**2 * B * B - co.beta**2 * _lag_C(tau, co) - co.h2_0 * B
 
 
 def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """A(t, s) = int_t^s [beta^2 B^2/2 - beta^2 C - h2_0 B] du + h1_0 (s-t).
+    """A(t, s) = int_0^{s-t} [beta^2 B^2/2 - beta^2 C - h2_0 B](tau) dtau + h1_0 (s-t).
 
-    Adaptive outer integral; B at the outer nodes comes from the fixed
-    inner layer (_B_gl), which is converged to machine precision for these
-    entire integrands.
+    One adaptive integral over the lag; B and C are closed form at its nodes.
     """
-    if s < t:
-        raise ValueError("coeff_A needs t <= s")
-    if s == t:
-        return 0.0
-    x01, w01 = gauss_rule_01(_INNER_N)
-
-    def f(tau: np.ndarray) -> np.ndarray:
-        B = _B_gl(tau, s, co, x01, w01)
-        C = coeff_C(tau, s, co)
-        return 0.5 * co.beta**2 * B * B - co.beta**2 * C - co.h2_0 * B
-
-    return float(adaptive_gauss(f, t, s, quad)) + co.h1_0 * (s - t)
+    tau = float(_lag(t, s))
+    return float(adaptive_gauss(lambda u: _dA_dtau(u, co), 0.0, tau, quad)) + co.h1_0 * tau
 
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
@@ -314,7 +257,7 @@ def h_eval(
 ) -> float:
     """h(t, m; s) = exp(A - B m - C m^2)."""
     A = coeff_A(t, s, co, quad)
-    B = coeff_B(t, s, co, quad)
+    B = coeff_B(t, s, co)
     C = coeff_C(t, s, co)
     return math.exp(A - B * m - C * m * m)
 
@@ -330,16 +273,14 @@ def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
 def _build_lag_table(co: ExactCoeffs) -> LagTable:
     """Sample B-hat at n Chebyshev points of [0, T], doubling n until both
     interpolants have converged; A-hat is the antiderivative of its
-    right-hand side, so it needs no nested layer."""
+    right-hand side."""
     span = co.T
-    x01, w01 = gauss_rule_01(_INNER_N)
     n = _TABLE_MIN_NODES
     while True:
         theta = np.pi * (np.arange(n) + 0.5) / n
         tau = 0.5 * span * (1.0 + np.cos(theta))
-        B = _B_gl(0.0, tau, co, x01, w01)
-        C = coeff_C(0.0, tau, co)
-        dA = 0.5 * co.beta**2 * B * B - co.beta**2 * C - co.h2_0 * B
+        B = _lag_B(tau, co)
+        dA = _dA_dtau(tau, co)
         c_dA, c_B = (2.0 / n) * (_cheb_basis(theta, n).T @ np.stack([dA, B], axis=-1)).T
         c_dA[0] *= 0.5
         c_B[0] *= 0.5
@@ -405,7 +346,7 @@ def g_bundle_array(
     def columns(tau: np.ndarray) -> np.ndarray:
         AB = table(tau)
         A, B = AB[:, :1], AB[:, 1:]
-        C = coeff_C(0.0, tau, co)[:, None]
+        C = _lag_C(tau, co)[:, None]
         h = np.exp(A - B * m - C * m * m)
         lin = B + 2.0 * C * m
         dA, dB, dC = abc_rhs(A, B, C, co)
@@ -483,23 +424,25 @@ def strategy(
     if x <= 0.0:
         raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
     gv = g_eval(t, m, co, quad)
-    u = gv.g_m / gv.g
-    return strategy_from_ratio(t, x, m, u, gv.g, co.base.k, co)
+    return strategy_from_ratio(t, x, m, gv.g_m / gv.g, co.delta_phi / gv.g, co.base.k, co)
 
 
 def strategy_from_ratio(
-    t: float, x: float, m: float, u: float, g: float, k: float, co: ExactCoeffs
+    t: float, x: float, m: float, u: float, c_over_x: float, k: float, co
 ) -> StrategyPoint:
-    """Strategy formulas given u = g_m/g; the log-linearized mode reuses
-    them with its own (u, g).  Elementwise, so broadcastable arrays of
-    (t, x, m, u, g) give arrays of ratios (TabulatedStrategy's grid)."""
+    """Strategy formulas given u = g_m/g and the consumption ratio c/x.
+
+    Every mode shares them: the exact and log-linearized modes pass
+    c/x = delta^phi / g, the unit-EIS mode delta with k = 1.  co is any
+    coefficient bundle with params and c_pi.  Elementwise, so broadcastable
+    arrays of (t, x, m, u, c_over_x) give arrays of ratios
+    (TabulatedStrategy's grid)."""
     mk, ins, pf = co.params.market, co.params.insurance, co.params.preference
     pg = pf.Phi + pf.gamma
     one_g = 1.0 - pf.gamma
     R = mk.sigma * m + mk.a - mk.r
     pi_over_x = (R + co.c_pi * u) / (pg * mk.sigma**2)
     q_over_x = ins.theta1 * ins.mu1 / (pg * ins.mu2)
-    c_over_x = co.delta_phi / g
     xi1 = pf.Phi * R / (pg * mk.sigma) + pf.Phi * k * mk.beta * mk.rho1 * u / (one_g * pg)
     xi2 = pf.Phi * k * mk.beta * math.sqrt(1.0 - mk.rho1**2) * u / one_g
     xi3 = pf.Phi * ins.theta1 * ins.mu1 * math.sqrt(ins.lam) / (pg * math.sqrt(ins.mu2))
@@ -530,7 +473,7 @@ class ExactSolver:
         return float(coeff_C(t, s, self.coeffs))
 
     def B(self, t: float, s: float) -> float:
-        return coeff_B(t, s, self.coeffs, self.quad)
+        return float(coeff_B(t, s, self.coeffs))
 
     def A(self, t: float, s: float) -> float:
         return coeff_A(t, s, self.coeffs, self.quad)

@@ -55,28 +55,6 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         return pair
 
 
-def gauss_rule_01(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes/weights mapped to [0, 1] (weights sum to 1).
-
-    Intended for building fixed-order nested layers by hand: the integral
-    over [a, b] is (b-a) * sum(w * f(a + (b-a)*x)).
-    """
-    x, w = _rule(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def fixed_gauss(f: Callable[[np.ndarray], np.ndarray], a: float, b: float, n: int = 64):
-    """Single Gauss-Legendre panel with n nodes; no error control."""
-    if b == a:
-        probe = np.asarray(f(np.array([a])))
-        return 0.0 if probe.ndim == 1 else np.zeros(probe.shape[1])
-    x, w = _rule(n)
-    half = 0.5 * (b - a)
-    y = np.asarray(f(0.5 * (a + b) + half * x))
-    out = half * np.tensordot(w, y, axes=(0, 0))
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def _panel(f, lo: float, hi: float, n_lo: int, n_hi: int):
     """Evaluate the low/high pair on one panel; returns (I_hi, err)."""
     half = 0.5 * (hi - lo)

@@ -473,7 +473,7 @@ class TabulatedStrategy:
         rows = np.array([g_bundle_array(t, m_nodes, co, quad)[:2] for t in t_nodes])
         g, g_m = rows[:, 0], rows[:, 1]
         sp = strategy_from_ratio(
-            t_nodes[:, None], 1.0, m_nodes[None, :], g_m / g, g, co.base.k, co
+            t_nodes[:, None], 1.0, m_nodes[None, :], g_m / g, co.delta_phi / g, co.base.k, co
         )
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)

@@ -13,7 +13,9 @@ zero terminal values,
     L' = [G1 G + (disc - d1)] L - (2 h2_0 G + h1_src),
     H' = disc H - [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0].
 
-G has the closed Riccati form, L and H are single quadratures on top of it.
+In the lag tau = T - t, G is the zero-initial-value Riccati kernel of
+riccati.py and L its linear companion (riccati_linear_zero_ic), both closed
+form; H is one adaptive quadrature on top of them.
 The log-linearized mode reduces to the same three equations with its own
 constants and discount rate, so the reduction machinery below is written
 against the neutral coefficient container ExpQuadCoeffs and shared.
@@ -27,22 +29,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonpositiveWealth
-from .exact import GBundle, GValue, StrategyPoint, ValueDerivs, derivs_from_g
-from .params import ModelParams
-from .quadrature import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
-    adaptive_gauss,
-    gauss_rule_01,
+from .exact import (
+    GBundle,
+    GValue,
+    StrategyPoint,
+    ValueDerivs,
+    derivs_from_g,
+    strategy_from_ratio,
 )
-from .riccati import riccati_zero_ic, riccati_zero_ic_integral
+from .params import ModelParams
+from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
+from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 __all__ = [
     "ExpQuadCoeffs",
     "UnitEisCoeffs",
     "UnitEisSolver",
     "coeff_G",
-    "coeff_G_integral",
     "coeff_L",
     "coeff_H",
     "glh_rhs",
@@ -55,8 +58,6 @@ __all__ = [
     "unit_value",
     "unit_value_derivs",
 ]
-
-_INNER_N = 64
 
 
 # ---------------------------------------------------------------- #
@@ -96,56 +97,35 @@ def coeff_G(t, co: ExpQuadCoeffs):
     return riccati_zero_ic(tau, a, b, c)
 
 
-def coeff_G_integral(t, s, co: ExpQuadCoeffs):
-    """int_t^s G(u) du for t <= s <= T, vectorized."""
+def _lag_L(tau, co: ExpQuadCoeffs):
+    """L at lag tau = T - t: z' = -(disc - d1 - G1 G) z + 2 h2_0 G + h1_src."""
     a, b, c = co.kernel_abc()
-    iy_t = riccati_zero_ic_integral(co.T - np.asarray(t, float), a, b, c)
-    iy_s = riccati_zero_ic_integral(co.T - np.asarray(s, float), a, b, c)
-    return iy_t - iy_s
+    return riccati_linear_zero_ic(tau, a, b, c, co.disc - co.d1, 2.0 * co.h2_0, co.h1_src)
 
 
-def _L_integrand(t, s, co: ExpQuadCoeffs):
-    """Integrand of L at outer time t, broadcast over s."""
-    G = coeff_G(s, co)
-    expo = (co.d1 - co.disc) * (np.asarray(s, float) - np.asarray(t, float))
-    expo = expo - co.G1 * coeff_G_integral(t, s, co)
-    return (2.0 * co.h2_0 * G + co.h1_src) * np.exp(expo)
-
-
-def coeff_L(t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """L(t) = int_t^T (2 h2_0 G + h1_src) e^{(d1-disc)(s-t) - G1 int_t^s G} ds."""
-    if t > co.T:
+def coeff_L(t, co: ExpQuadCoeffs):
+    """L(t), vectorized over t (requires t <= T)."""
+    t = np.asarray(t, dtype=float)
+    if np.any(t > co.T):
         raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
-    if t == co.T:
-        return 0.0
-    return float(adaptive_gauss(lambda s: _L_integrand(t, s, co), t, co.T, quad))
-
-
-def _L_gl(t_arr: np.ndarray, co: ExpQuadCoeffs, x01: np.ndarray, w01: np.ndarray):
-    """L at an array of times by one fixed Gauss-Legendre layer."""
-    t_arr = np.asarray(t_arr, dtype=float)
-    span = co.T - t_arr
-    s = t_arr[..., None] + span[..., None] * x01
-    f = _L_integrand(t_arr[..., None], s, co)
-    return span * (f @ w01)
+    return _lag_L(co.T - t, co)
 
 
 def coeff_H(t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """H(t), quadrature over s of the discounted L/G quadratic form.
+    """H(t), one adaptive quadrature over s of the discounted L/G quadratic form.
 
     H(t) = int_t^T e^{-disc (s-t)} [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G] ds
            + p0 (1 - e^{-disc (T-t)}) / disc,
     with the affine term switching to its disc -> 0 limit p0 (T-t) when disc
-    is tiny.  L at the inner nodes comes from the fixed layer _L_gl.
+    is tiny.  L and G are closed form at the nodes.
     """
     if t > co.T:
         raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
     if t == co.T:
         return 0.0
-    x01, w01 = gauss_rule_01(_INNER_N)
 
     def f(s: np.ndarray) -> np.ndarray:
-        L = _L_gl(s, co, x01, w01)
+        L = _lag_L(co.T - s, co)
         G = coeff_G(s, co)
         quad_form = (0.5 * co.beta**2 + co.G0) * L * L + co.h2_0 * L + co.beta**2 * G
         return np.exp(-co.disc * (s - t)) * quad_form
@@ -172,7 +152,7 @@ def glh_state(
     t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> tuple[float, float, float]:
     """(G, L, H) at time t."""
-    return float(coeff_G(t, co)), coeff_L(t, co, quad), coeff_H(t, co, quad)
+    return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co, quad)
 
 
 def _glh_bundle(
@@ -330,38 +310,15 @@ def unit_value_derivs(
     return derivs_from_g(x, co.params.preference.gamma, 1.0, gb)
 
 
-def unit_strategy(
-    t: float,
-    x: float,
-    m: float,
-    co: UnitEisCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> StrategyPoint:
-    """Optimal controls and worst-case distortions; c*/x = delta exactly."""
+def unit_strategy(t: float, x: float, m: float, co: UnitEisCoeffs) -> StrategyPoint:
+    """Optimal controls and worst-case distortions; c*/x = delta exactly.
+
+    Needs only G and L, both closed form, so no quadrature is involved.
+    """
     if x <= 0.0:
         raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    mk, ins, pf = co.params.market, co.params.insurance, co.params.preference
-    pg = pf.Phi + pf.gamma
-    one_g = 1.0 - pf.gamma
-    u = 2.0 * coeff_G(t, co.red) * m + coeff_L(t, co.red, quad)
-    R = mk.sigma * m + mk.a - mk.r
-    pi_over_x = (R + co.c_pi * u) / (pg * mk.sigma**2)
-    q_over_x = ins.theta1 * ins.mu1 / (pg * ins.mu2)
-    c_over_x = pf.delta
-    xi1 = pf.Phi * R / (pg * mk.sigma) + pf.Phi * mk.beta * mk.rho1 * u / (one_g * pg)
-    xi2 = pf.Phi * mk.beta * math.sqrt(1.0 - mk.rho1**2) * u / one_g
-    xi3 = pf.Phi * ins.theta1 * ins.mu1 * math.sqrt(ins.lam) / (pg * math.sqrt(ins.mu2))
-    return StrategyPoint(
-        pi=pi_over_x * x,
-        q=q_over_x * x,
-        c=c_over_x * x,
-        xi1=xi1,
-        xi2=xi2,
-        xi3=xi3,
-        pi_over_x=pi_over_x,
-        q_over_x=q_over_x,
-        c_over_x=c_over_x,
-    )
+    u = 2.0 * coeff_G(t, co.red) * m + coeff_L(t, co.red)
+    return strategy_from_ratio(t, x, m, u, co.params.preference.delta, 1.0, co)
 
 
 class UnitEisSolver:
@@ -378,7 +335,7 @@ class UnitEisSolver:
         return float(coeff_G(t, self.coeffs.red))
 
     def L(self, t: float) -> float:
-        return coeff_L(t, self.coeffs.red, self.quad)
+        return float(coeff_L(t, self.coeffs.red))
 
     def H(self, t: float) -> float:
         return coeff_H(t, self.coeffs.red, self.quad)
@@ -396,4 +353,4 @@ class UnitEisSolver:
         return unit_value_derivs(t, x, m, self.coeffs, self.quad)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
-        return unit_strategy(t, x, m, self.coeffs, self.quad)
+        return unit_strategy(t, x, m, self.coeffs)

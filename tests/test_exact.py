@@ -211,7 +211,7 @@ def _oracle_bundle(co, t, ms, n=24):
     s = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in panels] + [[T]])
     ws = np.concatenate([0.5 * (b - a) * w for a, b in panels] + [np.empty(0)])
     A = np.array([coeff_A(t, si, co, _TIGHT) for si in s])
-    B = np.array([coeff_B(t, si, co, _TIGHT) for si in s])
+    B = np.array([coeff_B(t, si, co) for si in s])
     C = np.array([coeff_C(t, si, co) for si in s])
     rows = []
     for m in ms:

@@ -7,26 +7,8 @@ from ricsolver import (
     QuadratureBudgetExceeded,
     QuadratureConfig,
     adaptive_gauss,
-    fixed_gauss,
     gauss_hermite_mean,
 )
-
-
-def test_fixed_gauss_exponential():
-    val = fixed_gauss(np.exp, 0.0, 1.0, n=32)
-    assert val == pytest.approx(math.e - 1.0, rel=1e-14)
-
-
-def test_fixed_gauss_empty_interval():
-    assert fixed_gauss(np.exp, 0.3, 0.3) == 0.0
-
-
-def test_fixed_gauss_vector_integrand():
-    def f(x):
-        return np.stack([x, x**2], axis=-1)
-
-    out = fixed_gauss(f, 0.0, 2.0, n=16)
-    assert np.allclose(out, [2.0, 8.0 / 3.0], rtol=1e-13)
 
 
 def test_adaptive_gauss_oscillatory():

@@ -1,7 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
-from ricsolver import ComplexDiscriminant, riccati_zero_ic, riccati_zero_ic_integral
+from ricsolver import (
+    ComplexDiscriminant,
+    Horizon,
+    ModelParams,
+    abc_rhs,
+    coeff_B,
+    cs_reduction,
+    exact_coeffs,
+    glh_rhs,
+    riccati_zero_ic,
+    riccati_zero_ic_integral,
+    unit_coeffs,
+)
+from ricsolver.uniteis import coeff_L
 
 
 def rk4(f, y0, taus):
@@ -61,3 +77,54 @@ def test_vectorized_tau():
 def test_complex_discriminant_raises():
     with pytest.raises(ComplexDiscriminant):
         riccati_zero_ic(0.5, 1.0, 0.0, 1.0)  # b^2 - 4ac = -4
+
+
+# ---------------------------------------------------------------- #
+# linear companion: B (exact mode) and L (unit-EIS and cs reductions)
+
+_LAGS = np.array([0.3, 1.0, 3.0, 10.0, 50.0, 200.0])
+
+
+def _model(beta, gamma):
+    base = ModelParams()
+    return dataclasses.replace(
+        base,
+        market=dataclasses.replace(base.market, beta=beta),
+        preference=dataclasses.replace(base.preference, gamma=gamma),
+        horizon=Horizon(t0=0.0, T=float(_LAGS[-1])),
+    )
+
+
+def _lag_ode(rhs):
+    """(quadratic, linear) coefficient pair at _LAGS by DOP853 on the lag ODE."""
+    sol = solve_ivp(
+        lambda tau, y: -np.asarray(rhs(*y)), (0.0, _LAGS[-1]), [0.0, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=_LAGS,
+    )
+    assert sol.success
+    return sol.y[1]
+
+
+@pytest.mark.parametrize("reduction", ["exact", "unit", "cs"])
+@pytest.mark.parametrize("gamma", [0.5, 1.2, 3.0])
+@pytest.mark.parametrize("beta", [0.0, 1e-6, 0.25])
+def test_linear_coefficient_matches_solve_ivp(beta, gamma, reduction):
+    # lags up to 200, far past the transient of the integrating factor;
+    # beta -> 0 drives Delta -> 2 kappa, and beta = 0 zeroes the Riccati a
+    params = _model(beta, gamma)
+    if reduction == "exact":
+        co = exact_coeffs(params)
+        got = coeff_B(0.0, _LAGS, co)
+
+        def rhs(C, B):
+            _, dB, dC = abc_rhs(0.0, B, C, co)
+            return dC, dB
+
+        ref = _lag_ode(rhs)
+    else:
+        red = unit_coeffs(params).red if reduction == "unit" else cs_reduction(
+            params.preference.delta, params
+        )
+        got = coeff_L(red.T - _LAGS, red)
+        ref = _lag_ode(lambda G, L: glh_rhs(G, L, 0.0, red)[:2])
+    assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)
