@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import KNOWN_KEYS, resolve, resolved_items
-from .cs import CsSolver, steady_state_w
+from .cs import CsSolver
 from .errors import SolverError
 from .exact import ExactSolver
 from .params import ModelParams, validate
@@ -117,7 +117,7 @@ def cmd_solve(args) -> int:
     v = solver.value(t, x, m)
     extras = [f"mode = {args.mode}"]
     if args.mode == "cs":
-        extras.append(f"w = {solver.w:.9g}")
+        extras += [f"w = {solver.w:.9g}", _root_diag(solver.w)]
     _emit(
         args.out,
         params,
@@ -213,11 +213,16 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _root_diag(w, where: str = "") -> str:
+    """Deterministic comment line: how the cs steady level's root was found."""
+    return f"diag cs_root{where}: evaluations = {w.evaluations}, ln_w_bracket = {w.bracket:.3g}"
+
+
 def run_table2(config_path=None, sets=()):
     """(params, w per sigma, rows) for the sigma table.
 
     Rows: (sigma, pi_cs_over_x, pi_star_over_x, error) at t = t0, m = 0,
-    the steady consumption level w resolved by fixed point per sigma.
+    the steady consumption level w resolved by its root per sigma.
     """
     preset = [f"{k}={v}" for k, v in TABLE2_PRESET]
     rows = []
@@ -240,8 +245,9 @@ def run_table2(config_path=None, sets=()):
 def cmd_table2(args) -> int:
     params, w_used, rows = run_table2(args.config, args.set)
     extras = ["preset: " + ", ".join(f"{k} = {v}" for k, v in TABLE2_PRESET),
-              "evaluation: t = t0, m = 0, w from fixed point per sigma"]
-    extras += [f"w(sigma = {s:.9g}) = {w:.9g}" for (s, *_), w in zip(rows, w_used)]
+              "evaluation: t = t0, m = 0, w from the level-equation root per sigma"]
+    for (s, *_), w in zip(rows, w_used):
+        extras += [f"w(sigma = {s:.9g}) = {w:.9g}", _root_diag(w, f"(sigma = {s:.9g})")]
     _emit(
         args.out,
         params,

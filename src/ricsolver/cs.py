@@ -15,8 +15,9 @@ The steady level itself solves ln w = E[ln z(t0, m_inf)], where m_inf is
 the stationary factor level.  The expectation is taken under the baseline
 stationary law Normal(0, beta^2/(2 alpha)) and evaluated at t0; both
 choices are conventions of this implementation, recorded here because the
-reference formulas leave them open.  A damped fixed-point iteration
-resolves w; w = delta reproduces the common one-shot approximation.
+reference formulas leave them open.  The expectation of the quadratic
+exponent is exact, so w is a scalar root in ln w; w = delta reproduces the
+common one-shot approximation.
 
 The reinsurance ratio q/x is untouched by the approximation and stays
 identical to the exact mode's at machine precision.
@@ -25,7 +26,6 @@ identical to the exact mode's at machine precision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import FixedPointDivergence, NonpositiveWealth
 from .exact import (
@@ -39,7 +39,7 @@ from .exact import (
     strategy_from_ratio,
 )
 from .params import ModelParams
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, gauss_hermite_mean
+from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .uniteis import (
     ExpQuadCoeffs,
     _glh_bundle,
@@ -51,45 +51,15 @@ from .uniteis import (
 )
 
 __all__ = [
-    "CsCoeffs",
     "CsSolver",
+    "SteadyLevel",
     "cs_reduction",
     "steady_state_w",
 ]
 
-_GH_NODES = 64
-_GH_SELF_CHECK = 1e-9
-_FP_TOL = 1e-10
-_FP_MAX_ITER = 200
-_FP_DAMPING = 0.5
-
-
-@dataclass(frozen=True)
-class CsCoeffs:
-    """Reduction constants and (G, L, H) evaluated at one time t."""
-
-    w: float
-    t: float
-    G: float
-    L: float
-    H: float
-    red: ExpQuadCoeffs
-
-    @property
-    def G0(self) -> float:
-        return self.red.G0
-
-    @property
-    def G1(self) -> float:
-        return self.red.G1
-
-    @property
-    def G2(self) -> float:
-        return self.red.G2
-
-    @property
-    def G3(self) -> float:
-        return self.red.G3
+_ROOT_TOL = 1e-13  # final width of the ln w bracket
+_MAX_STEP = 64.0  # largest bracket-expansion step in ln w
+_MAX_EVALUATIONS = 100
 
 
 def cs_reduction(w: float, params: ModelParams, eco: ExactCoeffs | None = None) -> ExpQuadCoeffs:
@@ -125,21 +95,14 @@ def cs_reduction(w: float, params: ModelParams, eco: ExactCoeffs | None = None) 
     )
 
 
-def _log_ratio_mean(
-    red: ExpQuadCoeffs,
-    t0: float,
-    phi_log_delta: float,
-    std: float,
-    quad: QuadratureConfig,
-    n: int,
-) -> float:
-    """E[ln z(t0, m_inf)] = phi ln delta - E[G m^2 + L m + H] over m_inf."""
-    G, L, H = glh_state(t0, red, quad)
+class SteadyLevel(float):
+    """w, with its root's residual evaluations and final ln w bracket width
+    (0.0 when the residual vanished exactly; 0 and 0.0 for a pinned w)."""
 
-    def f(m):
-        return phi_log_delta - (G * m * m + L * m + H)
-
-    return gauss_hermite_mean(f, std, n)
+    def __new__(cls, w: float, evaluations: int = 0, bracket: float = 0.0):
+        level = super().__new__(cls, w)
+        level.evaluations, level.bracket = evaluations, bracket
+        return level
 
 
 def steady_state_w(
@@ -147,58 +110,71 @@ def steady_state_w(
     mode: str = "fixed_point",
     value: float | None = None,
     quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+) -> SteadyLevel:
     """Steady consumption-wealth level w.
 
-    mode "fixed" returns the user-pinned value.  mode "fixed_point" solves
-    ln w = E[ln z(t0, m_inf)] by damped iteration w <- (1-eta) w + eta
-    exp(E[ln z]) with eta = 0.5, starting from w = delta; the expectation
-    uses 64 Gauss-Hermite nodes over Normal(0, beta^2/(2 alpha)) and must
-    agree with the node-doubled value to 1e-9, else the iterate is deemed
-    untrustworthy and the iteration aborts.
+    mode "fixed" returns the user-pinned value.  mode "fixed_point" finds
+    the root in y = ln w of F(y) = y - (phi ln delta - G s^2 - H), with
+    (G, H) at t0 for w = e^y and s^2 = beta^2/(2 alpha).  F rises with slope
+    about 1 below the root and tends to 1 far above it, so steps of 1, 2,
+    4, ... from ln delta against the sign of F expand a bracket, and
+    Illinois regula falsi shrinks it below 1e-13.  Raises
+    FixedPointDivergence when F keeps its sign within 127 of ln delta, is
+    not finite, or the bracket is still open after 100 evaluations.
     """
     if mode == "fixed":
         if value is None:
             raise ValueError('mode "fixed" needs an explicit value')
         if value <= 0.0:
             raise ValueError(f"pinned w = {value!r} must be positive")
-        return float(value)
+        return SteadyLevel(value)
     if mode != "fixed_point":
         raise ValueError(f'unknown mode {mode!r}; expected "fixed" or "fixed_point"')
 
     mk, pf = params.market, params.preference
     eco = exact_coeffs(params)
     phi_log_delta = eco.base.phi * math.log(pf.delta)
-    std = mk.beta / math.sqrt(2.0 * mk.alpha)
-    t0 = params.horizon.t0
-    w = pf.delta
-    for _ in range(_FP_MAX_ITER):
-        red = cs_reduction(w, params, eco)
-        mean = _log_ratio_mean(red, t0, phi_log_delta, std, quad, _GH_NODES)
-        check = _log_ratio_mean(red, t0, phi_log_delta, std, quad, 2 * _GH_NODES)
-        if abs(mean - check) > _GH_SELF_CHECK * max(1.0, abs(mean)):
-            raise FixedPointDivergence(
-                f"node-doubling moved E[ln z] by {abs(mean - check):.3e} "
-                f"(> {_GH_SELF_CHECK:g}); the expectation is not converged"
-            )
-        w_next = (1.0 - _FP_DAMPING) * w + _FP_DAMPING * math.exp(mean)
-        if not math.isfinite(w_next) or w_next <= 0.0:
-            raise FixedPointDivergence(
-                f"iterate left the admissible domain: w = {w_next!r}"
-            )
-        if abs(w_next - w) < _FP_TOL:
-            return w_next
-        w = w_next
-    raise FixedPointDivergence(
-        f"|w_(n+1) - w_n| >= {_FP_TOL:g} after {_FP_MAX_ITER} iterations "
-        f"(last iterate {w!r})"
-    )
+    s2 = mk.beta**2 / (2.0 * mk.alpha)
+    evaluations = 0
+
+    def residual(y: float) -> float:
+        nonlocal evaluations
+        evaluations += 1
+        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), params, eco), quad)
+        r = y - (phi_log_delta - G * s2 - H)
+        if not math.isfinite(r):
+            raise FixedPointDivergence(f"level residual is {r!r} at ln w = {y!r}")
+        return r
+
+    a = math.log(pf.delta)
+    fa = residual(a)
+    step = -1.0 if fa > 0.0 else 1.0
+    b, fb = a + step, residual(a + step)
+    while fa * fb > 0.0:
+        if abs(step) >= _MAX_STEP:
+            raise FixedPointDivergence(f"level residual keeps its sign out to ln w = {b!r}")
+        step *= 2.0
+        a, fa, b, fb = b, fb, b + step, residual(b + step)
+    # Illinois: a secant step inside [a, b]; when the same end survives
+    # twice its residual is halved, so both ends close in on the root.
+    while fb != 0.0 and abs(b - a) > _ROOT_TOL:
+        if evaluations >= _MAX_EVALUATIONS:
+            raise FixedPointDivergence(f"ln w bracket still {abs(b - a):.3e} wide")
+        c = (a * fb - b * fa) / (fb - fa)
+        fc = residual(c)
+        if fc * fb < 0.0:
+            a, fa = b, fb
+        else:
+            fa *= 0.5
+        b, fb = c, fc
+    return SteadyLevel(math.exp(b), evaluations, 0.0 if fb == 0.0 else abs(b - a))
 
 
 class CsSolver:
     """Convenience wrapper; resolves w once and binds it.
 
-    w may be a positive number (pinned) or the string "fixed_point".
+    w may be a positive number (pinned) or the string "fixed_point"; the
+    bound w is a SteadyLevel.
     """
 
     aggregator = "power"
@@ -217,10 +193,6 @@ class CsSolver:
             self.w = steady_state_w(params, mode="fixed", value=float(w), quad=quad)
         self._eco = exact_coeffs(params)
         self._red = cs_reduction(self.w, params, self._eco)
-
-    def coeffs(self, t: float) -> CsCoeffs:
-        G, L, H = glh_state(t, self._red, self.quad)
-        return CsCoeffs(w=self.w, t=t, G=G, L=L, H=H, red=self._red)
 
     def G(self, t: float) -> float:
         return float(coeff_G(t, self._red))

@@ -17,6 +17,10 @@ class ComplexDiscriminant(SolverError):
     """A Riccati discriminant went negative; no real closed form exists."""
 
 
+class FiniteTimeBlowup(SolverError):
+    """2 kappa + Delta <= 0: the C-Riccati blows up in finite time."""
+
+
 class NonadmissibleValueSign(SolverError):
     """(1-gamma)*v <= 0, so the ambiguity scaling Psi is undefined."""
 
@@ -30,7 +34,7 @@ class QuadratureBudgetExceeded(SolverError):
 
 
 class FixedPointDivergence(SolverError):
-    """The damped fixed-point iteration for w failed to converge."""
+    """The cs steady level w has no bracketed root, or its residual is not finite."""
 
 
 class StabilityViolation(SolverError):

@@ -37,7 +37,7 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import NonpositiveWealth, QuadratureBudgetExceeded
+from .errors import DegenerateK, NonpositiveWealth, QuadratureBudgetExceeded
 from .params import DerivedCoeffs, ModelParams, derive_coeffs
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
@@ -158,14 +158,9 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
     """Assemble every constant of the closed form; validates applicability."""
     base = derive_coeffs(params)
     if abs(base.phi - 1.0) <= _UNIT_PHI_TOL:
-        raise ValueError(
+        raise DegenerateK(
             f"derived phi = {base.phi!r} is within {_UNIT_PHI_TOL} of 1; "
             "this mode has a removable singularity there, use the unit-EIS solver"
-        )
-    if 2.0 * base.kappa + base.Delta <= 0.0:
-        raise ValueError(
-            f"2*kappa + Delta = {2.0 * base.kappa + base.Delta:.6e} <= 0; "
-            "C(t, s) blows up in finite time for these parameters"
         )
     mk, ins, pf = params.market, params.insurance, params.preference
     one_g = 1.0 - pf.gamma

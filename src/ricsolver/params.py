@@ -28,7 +28,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ComplexDiscriminant, DegenerateK, NonadmissibleValueSign
+from .errors import ComplexDiscriminant, DegenerateK, FiniteTimeBlowup, NonadmissibleValueSign
 
 # Division guard shared by every (Phi+gamma) denominator.
 _PHI_GAMMA_FLOOR = 1e-12
@@ -211,7 +211,8 @@ def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
 
     Raises ComplexDiscriminant when kappa^2 + 2*beta^2*b0 < 0 (then the
     C-Riccati has no real solution on the horizon and the closed form does
-    not exist for these parameters).
+    not exist for these parameters), and FiniteTimeBlowup when
+    2*kappa + Delta <= 0 (C(t, s) blows up in finite time).
     """
     mk, pf, ins = params.market, params.preference, params.insurance
     gamma, Phi, rho1 = pf.gamma, pf.Phi, mk.rho1
@@ -227,6 +228,11 @@ def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
             f"kappa^2 + 2 beta^2 b0 = {disc:.6e} < 0; no real closed form"
         )
     Delta = 2.0 * math.sqrt(disc)
+    if 2.0 * kappa + Delta <= 0.0:
+        raise FiniteTimeBlowup(
+            f"2*kappa + Delta = {2.0 * kappa + Delta:.6e} <= 0; "
+            "C(t, s) blows up in finite time for these parameters"
+        )
 
     # Bound constants. b1 scales the B bound; A1 = -h2_0*b1 and A2 is the
     # constant drift of A minus the C-bound tail. The drift must include the
@@ -473,8 +479,8 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
             )
         except ComplexDiscriminant as exc:
             add("discriminant_real", False, "error", str(exc))
-        except ValueError as exc:
-            add("discriminant_real", False, "error", str(exc))
+        except FiniteTimeBlowup as exc:
+            add("c_no_blowup", False, "error", str(exc))
     if coeffs is not None and pf.gamma > 1.0:
         add("b0_positive", coeffs.b0 > 0.0, "warning", f"b0 = {coeffs.b0:.10g} (gamma > 1)")
 

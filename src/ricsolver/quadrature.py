@@ -112,19 +112,3 @@ def adaptive_gauss(
             heapq.heappush(heap, (-e, tiebreak, sub_lo, sub_hi, v, e))
             tiebreak += 1
         splits += 1
-
-
-# ---------------------------------------------------------------- #
-# Gauss-Hermite expectation against a centered normal law
-
-def gauss_hermite_mean(f: Callable[[np.ndarray], np.ndarray], std: float, n: int = 64) -> float:
-    """E[f(Z)] for Z ~ Normal(0, std^2) by n-point Gauss-Hermite.
-
-    Exact for polynomial f up to degree 2n-1; std=0 collapses to f(0).
-    """
-    if std < 0.0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    if std == 0.0:
-        return float(np.asarray(f(np.zeros(1)))[0])
-    x, w = np.polynomial.hermite.hermgauss(n)
-    return float(np.dot(w, np.asarray(f(np.sqrt(2.0) * std * x))) / np.sqrt(np.pi))

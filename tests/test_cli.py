@@ -57,6 +57,22 @@ def test_solve_rejects_unknown_mode(capsys):
     assert "mode" in err
 
 
+@pytest.mark.parametrize("mode", ["exact", "cs"])
+@pytest.mark.parametrize("sets", [
+    ("gamma=0.5", f"Phi={0.5 - 2.0**-40!r}", "rho1=-0.5"),  # derived phi = 1 + 2^-40
+    ("gamma=0.5", "Phi=0", "alpha=-5"),  # 2 kappa + Delta < 0
+    ("gamma=0.5", "Phi=0", "alpha=0", "beta=0"),  # 2 kappa + Delta = 0
+])
+def test_solve_reports_typed_coefficient_errors(capsys, mode, sets):
+    argv = ["solve", "--mode", mode]
+    for s in sets:
+        argv += ["--set", s]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ")
+
+
 def test_set_rejects_unknown_key(capsys):
     rc = main(["solve", "--set", "x=1"])
     assert rc == 1

@@ -1,8 +1,11 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ricsolver.cs
 from ricsolver import (
     CsSolver,
     ExactSolver,
@@ -10,18 +13,55 @@ from ricsolver import (
     ModelParams,
     StrategyPoint,
     cs_reduction,
+    exact_coeffs,
+    glh_rhs,
     steady_state_w,
     unit_coeffs,
 )
 from ricsolver.uniteis import unit_strategy
 
-# fixed point of the steady consumption-wealth map at the comparison
-# calibration (gamma=1.3, alpha=7, Phi=0, sigma=0.8), frozen
-W_STAR = 0.15601697269681997
+# root of the level equation at the comparison calibration (gamma=1.3,
+# alpha=7, Phi=0, sigma=0.8), frozen from _level_residual's own root
+W_STAR = 0.1560169727613442
+
+
+def _replace(params, group, **kw):
+    return dataclasses.replace(params, **{group: dataclasses.replace(getattr(params, group), **kw)})
+
+
+def _level_residual(params, w):
+    """ln w - (phi ln delta - G s^2 - H) at t0, s^2 = beta^2/(2 alpha).
+
+    (G, L, H) come from DOP853 on glh_rhs, integrated from T back to t0, so
+    neither the closed forms nor the quadrature in H enter.
+    """
+    red = cs_reduction(w, params)
+    hz, mk, pf = params.horizon, params.market, params.preference
+    sol = solve_ivp(
+        lambda t, y: np.asarray(glh_rhs(*y, red)), (hz.T, hz.t0), [0.0, 0.0, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-16,
+    )
+    assert sol.success
+    G, _, H = sol.y[:, -1]
+    phi = exact_coeffs(params).base.phi
+    return math.log(w) - (phi * math.log(pf.delta) - G * mk.beta**2 / (2.0 * mk.alpha) - H)
 
 
 def test_fixed_point_frozen(loglin_params):
     assert steady_state_w(loglin_params) == pytest.approx(W_STAR, rel=1e-10)
+
+
+def test_steady_state_solves_level_equation(loglin_params):
+    # sigma x gamma around the comparison calibration, and delta = 60, where
+    # the root sits far from ln delta (w = 7.25)
+    cases = [loglin_params, _replace(ModelParams(), "preference", delta=60.0)]
+    for sigma in (0.25, 0.8):
+        for gamma in (0.5, 3.0):
+            cases.append(_replace(_replace(loglin_params, "market", sigma=sigma),
+                                  "preference", gamma=gamma))
+    for params in cases:
+        w = steady_state_w(params)
+        assert abs(_level_residual(params, w)) <= 1e-12, (params, w)
 
 
 def test_fixed_point_is_self_consistent(loglin_params):
@@ -102,8 +142,27 @@ def test_fixed_point_diverges_gracefully():
     try:
         w = steady_state_w(bad)
         assert math.isfinite(w)  # converging anyway is also acceptable
-    except (FixedPointDivergence, ValueError):
+    except FixedPointDivergence:
         pass
+
+
+def test_nonfinite_residual_is_typed(loglin_params, monkeypatch):
+    # a NaN in H must stop the root with the typed error, not hang or
+    # come back as w = nan
+    def nan_h(t, red, quad):
+        return 0.0, 0.0, math.nan
+
+    monkeypatch.setattr(ricsolver.cs, "glh_state", nan_h)
+    with pytest.raises(FixedPointDivergence, match="residual is nan"):
+        steady_state_w(loglin_params)
+
+
+def test_root_diagnostics(loglin_params):
+    w = CsSolver(loglin_params).w
+    assert 2 <= w.evaluations <= 30
+    assert 0.0 <= w.bracket <= 1e-13
+    pinned = CsSolver(loglin_params, w=0.2).w
+    assert (pinned.evaluations, pinned.bracket) == (0, 0.0)
 
 
 # StrategyPoints of the cs and unit-EIS rules at the default calibration

@@ -6,10 +6,12 @@ import pytest
 from ricsolver import (
     DegenerateK,
     ExactSolver,
+    FiniteTimeBlowup,
     ModelParams,
     NonadmissibleValueSign,
     derive_coeffs,
     derive_k_phi,
+    exact_coeffs,
     SolverError,
     psi_eval,
     validate,
@@ -71,6 +73,29 @@ def test_k_phi_near_unit_phi_is_typed(base_params):
     with pytest.raises(SolverError):
         ExactSolver(p)
     assert not validate(p).ok
+
+
+def test_exact_coeffs_unit_phi_is_typed(base_params):
+    # 1 - gamma - Phi = 2^-40 exactly, so derive_k_phi's identity holds, but
+    # derived phi = 1 + 2^-40 lies inside exact_coeffs' 1e-9 band around 1
+    Phi = 0.5 - 2.0**-40
+    p = repl(base_params, gamma=0.5, Phi=Phi, rho1=-0.5)
+    _, phi = derive_k_phi(0.5, Phi, -0.5)
+    assert 0.0 < phi - 1.0 <= 1e-9
+    with pytest.raises(DegenerateK):
+        exact_coeffs(p)
+    assert "phi_not_unit" in [c.name for c in validate(p).hard_failures]
+
+
+@pytest.mark.parametrize("kw", [dict(alpha=-5.0), dict(alpha=0.0, beta=0.0)])
+def test_finite_time_blowup_is_typed(base_params, kw):
+    # gamma < 1 gives b0 < 0, and alpha <= 0 then makes kappa <= -Delta/2;
+    # alpha = beta = 0 puts 2 kappa + Delta at exactly 0, which the bound
+    # constants divide by
+    p = repl(base_params, gamma=0.5, Phi=0.0, **kw)
+    with pytest.raises(FiniteTimeBlowup):
+        exact_coeffs(p)
+    assert "c_no_blowup" in [c.name for c in validate(p).hard_failures]
 
 
 def test_derived_coeffs_default(base_params):
