@@ -14,7 +14,6 @@ the report, which is the product; argparse returns 2 for usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import io
 import math
 import sys
@@ -27,7 +26,6 @@ from .cs import CsSolver
 from .errors import SolverError
 from .exact import ExactSolver
 from .params import ModelParams, validate
-from .quadrature import DEFAULT_QUAD
 from .simulate import (
     TabulatedStrategy,
     simulate_factor,
@@ -35,18 +33,10 @@ from .simulate import (
     simulate_wealth,
 )
 from .uniteis import UnitEisSolver
-from .verify import (
-    CheckRow,
-    Grid2D,
-    abc_bounds_margin,
-    abc_ode_residual,
-    fd_solve_g,
-    hjbi_saddle_check,
-    mc_g,
-    pde_residual,
-)
+from .verify import SUITES
 
-MODES = ("exact", "unit_eis", "cs")
+SOLVERS = {"exact": ExactSolver, "unit_eis": UnitEisSolver, "cs": CsSolver}
+MODES = tuple(SOLVERS)
 
 # table2 regime: the comparison of the log-linearized and exact rules is
 # stated for gamma = 1.3, alpha = 7, Phi = 0 with sigma swept row by row.
@@ -78,14 +68,10 @@ def _emit(out_path, params: ModelParams, extras, header, rows) -> None:
         sys.stdout.write(text)
 
 
-def _solver(params: ModelParams, mode: str, quad=DEFAULT_QUAD):
-    if mode == "exact":
-        return ExactSolver(params, quad)
-    if mode == "unit_eis":
-        return UnitEisSolver(params, quad)
-    if mode == "cs":
-        return CsSolver(params, quad=quad)
-    raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+def _solver(params: ModelParams, mode: str):
+    if mode not in SOLVERS:
+        raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+    return SOLVERS[mode](params)
 
 
 def _point(args, params: ModelParams) -> tuple[float, float, float]:
@@ -259,169 +245,12 @@ def cmd_table2(args) -> int:
 
 
 # ---------------------------------------------------------------- #
-# verify suites
-
-def _rows_ode(params, seed, quad) -> list[CheckRow]:
-    rng = np.random.default_rng(seed)
-    T = params.horizon.T
-    rows = []
-    for i in range(50):
-        t = rng.uniform(0.0, T - 0.02)
-        s = rng.uniform(t + 0.01, T)
-        r = abc_ode_residual(params, t, s, quad=quad)
-        rows.append(CheckRow("abc_ode_residual", f"t={t:.4f} s={s:.4f}",
-                             r, 1e-4, r <= 1e-4))
-    return rows
-
-
-def _rows_bounds(seed, quad) -> list[CheckRow]:
-    """Coefficient bounds at random gamma > 1 draws, rho1 <= 0."""
-    rng = np.random.default_rng(seed)
-    rows = []
-    draws = 0
-    while draws < 20:
-        base = ModelParams()
-        params = dataclasses.replace(
-            base,
-            market=dataclasses.replace(
-                base.market,
-                sigma=rng.uniform(0.15, 1.0),
-                beta=rng.uniform(0.1, 0.6),
-                alpha=rng.uniform(1.0, 8.0),
-                rho1=rng.uniform(-0.95, 0.0),
-            ),
-            preference=dataclasses.replace(
-                base.preference,
-                gamma=rng.uniform(1.05, 2.5),
-                Phi=rng.uniform(0.0, 1.2),
-                delta=rng.uniform(0.02, 0.2),
-            ),
-            insurance=dataclasses.replace(
-                base.insurance, theta1=rng.uniform(0.1, 1.0)
-            ),
-        )
-        try:
-            worst = math.inf
-            for _ in range(50):
-                t = rng.uniform(0.0, params.horizon.T - 0.02)
-                s = rng.uniform(t + 0.01, params.horizon.T)
-                worst = min(worst, abc_bounds_margin(params, t, s, quad=quad))
-        except SolverError:
-            continue
-        draws += 1
-        pf, mk = params.preference, params.market
-        rows.append(CheckRow(
-            "abc_bounds_margin",
-            f"draw {draws}: gamma={pf.gamma:.3f} Phi={pf.Phi:.3f} "
-            f"rho1={mk.rho1:.3f} over 50 pairs",
-            worst, 0.0, worst >= -1e-12,
-        ))
-    return rows
-
-
-def _rows_pde(params, quad) -> list[CheckRow]:
-    grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
-    rows = []
-    ex = ExactSolver(params, quad)
-    r = pde_residual(lambda t, m: ex.g(t, m).g, "g1", grid, params)
-    rows.append(CheckRow("pde_residual_g1", "10x10 grid |m|<=2", r, 1e-4, r <= 1e-4))
-    try:
-        un = UnitEisSolver(params, quad)
-        r = pde_residual(lambda t, m: un.g(t, m).g, "unit", grid, params)
-        rows.append(CheckRow("pde_residual_unit", "10x10 grid", r, 1e-4, r <= 1e-4))
-    except (SolverError, ValueError) as exc:
-        rows.append(CheckRow("pde_residual_unit", f"error: {exc}", math.nan, 1e-4, False))
-    try:
-        cs = CsSolver(params, quad=quad)
-        r = pde_residual(lambda t, m: cs.g(t, m).g, "cs", grid, params, w=cs.w)
-        rows.append(CheckRow("pde_residual_cs", f"10x10 grid w={cs.w:.6g}",
-                             r, 1e-4, r <= 1e-4))
-    except (SolverError, ValueError) as exc:
-        rows.append(CheckRow("pde_residual_cs", f"error: {exc}", math.nan, 1e-4, False))
-    # negative control: the unit-mode g must NOT satisfy the linear equation
-    try:
-        un = UnitEisSolver(params, quad)
-        r = pde_residual(lambda t, m: un.g(t, m).g, "g1", grid, params)
-        rows.append(CheckRow("pde_negative_control", "unit g against g1",
-                             r, 1e-2, r > 1e-2))
-    except (SolverError, ValueError) as exc:
-        rows.append(CheckRow("pde_negative_control", f"error: {exc}",
-                             math.nan, 1e-2, False))
-    return rows
-
-
-def _rows_fd(params, quad) -> list[CheckRow]:
-    grid = Grid2D(n_t=400, n_m=401, m_max=4.0)
-    gv = fd_solve_g(params, grid)
-    tn = grid.t_nodes(params.horizon.t0, params.horizon.T)
-    mn = grid.m_nodes()
-    ex = ExactSolver(params, quad)
-    rng = np.random.default_rng(7)
-    rows = []
-    for _ in range(20):
-        i = int(rng.integers(0, grid.n_t - 1))
-        j = int(rng.integers(0, grid.n_m))
-        while abs(mn[j]) > 2.0:
-            j = int(rng.integers(0, grid.n_m))
-        closed = ex.g(tn[i], mn[j]).g
-        rel = abs(gv[i, j] - closed) / abs(closed)
-        rows.append(CheckRow("fd_vs_closed_g", f"t={tn[i]:.4f} m={mn[j]:.4f}",
-                             rel, 1e-4, rel <= 1e-4))
-    return rows
-
-
-def _rows_saddle(params, samples, seed, quad) -> list[CheckRow]:
-    t0, T = params.horizon.t0, params.horizon.T
-    ts = t0 + (T - t0) * (np.arange(10) + 0.5) / 10.0
-    ms = np.linspace(-2.0, 2.0, 10)
-    ex = ExactSolver(params, quad)
-    rows = []
-    for i, t in enumerate(ts):
-        for j, m in enumerate(ms):
-            rep = hjbi_saddle_check(ex, (float(t), 1.0, float(m)),
-                                    samples=samples, seed=seed + 31 * i + j)
-            rows.append(CheckRow(
-                "saddle_violations",
-                f"t={t:.4f} m={m:.4f}",
-                float(len(rep.violations)), 0.0, rep.passed,
-            ))
-    return rows
-
-
-def _rows_mc(params, n_paths, seed, quad) -> list[CheckRow]:
-    t0 = params.horizon.t0
-    m0 = params.market.m0
-    est, se = mc_g(params, t0, m0, n_paths=n_paths, dt=1e-3, seed=seed)
-    closed = ExactSolver(params, quad).g(t0, m0).g
-    z = abs(est - closed) / se if se > 0 else math.inf
-    rows = [CheckRow("mc_g_z_score",
-                     f"t={t0:.4f} m={m0:.4f} paths={n_paths} est={est:.8f} "
-                     f"closed={closed:.8f} se={se:.2e}",
-                     z, 3.0, z <= 3.0)]
-    return rows
-
+# verify
 
 def cmd_verify(args) -> int:
     params, _ = resolve(args.config, args.set)
-    quad = DEFAULT_QUAD
-    suites = ("ode", "bounds", "pde", "fd", "saddle", "mc") \
-        if args.suite == "all" else (args.suite,)
-    rows: list[CheckRow] = []
-    for suite in suites:
-        if suite == "ode":
-            rows += _rows_ode(params, args.seed, quad)
-        elif suite == "bounds":
-            rows += _rows_bounds(args.seed, quad)
-        elif suite == "pde":
-            rows += _rows_pde(params, quad)
-        elif suite == "fd":
-            rows += _rows_fd(params, quad)
-        elif suite == "saddle":
-            rows += _rows_saddle(params, args.samples, args.seed, quad)
-        elif suite == "mc":
-            rows += _rows_mc(params, args.n_paths, args.seed, quad)
-        else:
-            raise ValueError(f"unknown suite {suite!r}")
+    names = tuple(SUITES) if args.suite == "all" else (args.suite,)
+    rows = [row for name in names for row in SUITES[name](params, args)]
     n_fail = sum(not r.passed for r in rows)
     _emit(
         args.out,
@@ -547,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="numerical verification suites")
     common(p)
     p.add_argument("--suite", default="all",
-                   choices=["all", "ode", "bounds", "pde", "fd", "saddle", "mc"])
+                   choices=["all", *SUITES])
     p.add_argument("--samples", type=int, default=20,
                    help="perturbations per saddle point")
     p.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")

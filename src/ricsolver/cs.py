@@ -27,28 +27,19 @@ from __future__ import annotations
 
 import math
 
-from .errors import FixedPointDivergence, NonpositiveWealth
+from .errors import FixedPointDivergence
 from .exact import (
     ExactCoeffs,
     GBundle,
-    GValue,
     StrategyPoint,
-    ValueDerivs,
-    derivs_from_g,
+    _check_wealth,
+    _Surface,
     exact_coeffs,
     strategy_from_ratio,
 )
 from .params import ModelParams
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
-from .uniteis import (
-    ExpQuadCoeffs,
-    _glh_bundle,
-    coeff_G,
-    coeff_H,
-    coeff_L,
-    glh_state,
-    quadratic_noise_coeff,
-)
+from .uniteis import ExpQuadCoeffs, _glh_bundle, glh_state, quadratic_noise_coeff
 
 __all__ = [
     "CsSolver",
@@ -170,8 +161,8 @@ def steady_state_w(
     return SteadyLevel(math.exp(b), evaluations, 0.0 if fb == 0.0 else abs(b - a))
 
 
-class CsSolver:
-    """Convenience wrapper; resolves w once and binds it.
+class CsSolver(_Surface):
+    """The log-linearized mode bound to one parameter set; resolves w once.
 
     w may be a positive number (pinned) or the string "fixed_point"; the
     bound w is a SteadyLevel.
@@ -179,58 +170,23 @@ class CsSolver:
 
     aggregator = "power"
 
-    def __init__(
-        self,
-        params: ModelParams,
-        w: float | str = "fixed_point",
-        quad: QuadratureConfig = DEFAULT_QUAD,
-    ):
+    def __init__(self, params: ModelParams, w: float | str = "fixed_point"):
         self.params = params
-        self.quad = quad
         if isinstance(w, str):
-            self.w = steady_state_w(params, mode=w, quad=quad)
+            self.w = steady_state_w(params, mode=w)
         else:
-            self.w = steady_state_w(params, mode="fixed", value=float(w), quad=quad)
+            self.w = steady_state_w(params, mode="fixed", value=float(w))
         self._eco = exact_coeffs(params)
         self._red = cs_reduction(self.w, params, self._eco)
-
-    def G(self, t: float) -> float:
-        return float(coeff_G(t, self._red))
-
-    def L(self, t: float) -> float:
-        return float(coeff_L(t, self._red))
-
-    def H(self, t: float) -> float:
-        return coeff_H(t, self._red, self.quad)
-
-    def g(self, t: float, m: float) -> GValue:
-        b = self.g_full(t, m)
-        return GValue(g=b.g, g_m=b.g_m)
+        self.k = self._eco.base.k
 
     def g_full(self, t: float, m: float) -> GBundle:
-        if t > self._red.T:
-            raise ValueError(f"t = {t} is past the terminal time T = {self._red.T}")
-        return _glh_bundle(t, m, self._red, self.quad)
-
-    def value(self, t: float, x: float, m: float) -> float:
-        if x <= 0.0:
-            raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-        g = self.g(t, m).g
-        gamma = self.params.preference.gamma
-        return x ** (1.0 - gamma) * g**self._eco.base.k / (1.0 - gamma)
-
-    def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
-        if x <= 0.0:
-            raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-        gb = self.g_full(t, m)
-        return derivs_from_g(x, self.params.preference.gamma, self._eco.base.k, gb)
+        return _glh_bundle(t, m, self._red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
-        if x <= 0.0:
-            raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-        if t > self._red.T:
-            raise ValueError(f"t = {t} is past the terminal time T = {self._red.T}")
-        G, L, H = glh_state(t, self._red, self.quad)
+        """Reads u = 2 G m + L and c/x = delta^phi / g off (G, L, H) at t."""
+        _check_wealth(x)
+        G, L, H = glh_state(t, self._red)
         u = 2.0 * G * m + L
         c_over_x = self._eco.delta_phi / math.exp(G * m * m + L * m + H)
-        return strategy_from_ratio(t, x, m, u, c_over_x, self._eco.base.k, self._eco)
+        return strategy_from_ratio(t, x, m, u, c_over_x, self.k, self._eco)

@@ -9,6 +9,11 @@ class SolverError(Exception):
     """Base class for all errors raised by this package."""
 
 
+class InadmissibleParameter(SolverError):
+    """A parameter sits where the closed forms are undefined: sigma = 0,
+    gamma = 1, or Phi + gamma at or below its positive floor."""
+
+
 class DegenerateK(SolverError):
     """The denominator defining the exponent k is numerically zero."""
 

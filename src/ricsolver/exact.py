@@ -299,18 +299,6 @@ def _build_lag_table(co: ExactCoeffs) -> LagTable:
 # ---------------------------------------------------------------- #
 # g and everything built on it
 
-def g_eval(
-    t: float, m: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> GValue:
-    """g(t, m) and g_m(t, m), sharing one pass over the s-integral.
-
-    g_m is obtained by differentiating under the integral sign: each h
-    contributes h * (-(B + 2 C m)).
-    """
-    bundle = g_bundle(t, m, co, quad)
-    return GValue(g=bundle.g, g_m=bundle.g_m)
-
-
 def g_bundle(
     t: float, m: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> GBundle:
@@ -358,21 +346,6 @@ def g_bundle_array(
     return out
 
 
-def value_function(
-    t: float,
-    x: float,
-    m: float,
-    co: ExactCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
-    """v(t, x, m) = x^(1-gamma) g^k / (1-gamma); requires x > 0."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gamma = co.params.preference.gamma
-    g = g_eval(t, m, co, quad).g
-    return x ** (1.0 - gamma) * g**co.base.k / (1.0 - gamma)
-
-
 def derivs_from_g(x: float, gamma: float, k: float, gb: GBundle) -> ValueDerivs:
     """Partial derivatives of v = x^(1-gamma) g^k / (1-gamma) from a g-bundle.
 
@@ -392,34 +365,6 @@ def derivs_from_g(x: float, gamma: float, k: float, gb: GBundle) -> ValueDerivs:
         v_mm=v * (k * (k - 1.0) * (gb.g_m / gb.g) ** 2 + k * gb.g_mm / gb.g),
         v_xm=x ** (-gamma) * gk * ratio_m,
     )
-
-
-def value_derivs(
-    t: float,
-    x: float,
-    m: float,
-    co: ExactCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> ValueDerivs:
-    """ValueDerivs at (t, x, m); requires x > 0."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gb = g_bundle(t, m, co, quad)
-    return derivs_from_g(x, co.params.preference.gamma, co.base.k, gb)
-
-
-def strategy(
-    t: float,
-    x: float,
-    m: float,
-    co: ExactCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> StrategyPoint:
-    """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gv = g_eval(t, m, co, quad)
-    return strategy_from_ratio(t, x, m, gv.g_m / gv.g, co.delta_phi / gv.g, co.base.k, co)
 
 
 def strategy_from_ratio(
@@ -454,39 +399,57 @@ def strategy_from_ratio(
     )
 
 
-class ExactSolver:
-    """Convenience wrapper binding params + quadrature config once."""
+class _Surface:
+    """g, value and value derivatives of one mode, written once.
+
+    Every mode's value is v = x^(1-gamma) g^k / (1-gamma).  A subclass sets
+    params and the exponent k and implements g_full(t, m) -> GBundle; the
+    strategy stays with each mode, whose rules differ.
+    """
+
+    params: ModelParams
+    k: float
+
+    def g_full(self, t: float, m: float) -> GBundle:
+        raise NotImplementedError
+
+    def g(self, t: float, m: float) -> GValue:
+        b = self.g_full(t, m)
+        return GValue(g=b.g, g_m=b.g_m)
+
+    def value(self, t: float, x: float, m: float) -> float:
+        """v(t, x, m); requires x > 0."""
+        _check_wealth(x)
+        gamma = self.params.preference.gamma
+        return x ** (1.0 - gamma) * self.g(t, m).g ** self.k / (1.0 - gamma)
+
+    def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
+        """ValueDerivs at (t, x, m); requires x > 0."""
+        _check_wealth(x)
+        return derivs_from_g(x, self.params.preference.gamma, self.k, self.g_full(t, m))
+
+
+def _check_wealth(x: float) -> None:
+    if x <= 0.0:
+        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
+
+
+class ExactSolver(_Surface):
+    """The exact mode bound to one parameter set; g is the lag-table kernel."""
 
     aggregator = "power"
 
-    def __init__(self, params: ModelParams, quad: QuadratureConfig = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.quad = quad
         self.coeffs = exact_coeffs(params)
-
-    def C(self, t: float, s: float) -> float:
-        return float(coeff_C(t, s, self.coeffs))
-
-    def B(self, t: float, s: float) -> float:
-        return float(coeff_B(t, s, self.coeffs))
-
-    def A(self, t: float, s: float) -> float:
-        return coeff_A(t, s, self.coeffs, self.quad)
-
-    def h(self, t: float, m: float, s: float) -> float:
-        return h_eval(t, m, s, self.coeffs, self.quad)
-
-    def g(self, t: float, m: float) -> GValue:
-        return g_eval(t, m, self.coeffs, self.quad)
+        self.k = self.coeffs.base.k
 
     def g_full(self, t: float, m: float) -> GBundle:
-        return g_bundle(t, m, self.coeffs, self.quad)
-
-    def value(self, t: float, x: float, m: float) -> float:
-        return value_function(t, x, m, self.coeffs, self.quad)
-
-    def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
-        return value_derivs(t, x, m, self.coeffs, self.quad)
+        return g_bundle(t, m, self.coeffs)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
-        return strategy(t, x, m, self.coeffs, self.quad)
+        """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
+        _check_wealth(x)
+        gv = self.g(t, m)
+        co = self.coeffs
+        return strategy_from_ratio(t, x, m, gv.g_m / gv.g, co.delta_phi / gv.g, self.k, co)

@@ -28,7 +28,14 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import ComplexDiscriminant, DegenerateK, FiniteTimeBlowup, NonadmissibleValueSign
+from .errors import (
+    ComplexDiscriminant,
+    DegenerateK,
+    FiniteTimeBlowup,
+    InadmissibleParameter,
+    NonadmissibleValueSign,
+    SolverError,
+)
 
 # Division guard shared by every (Phi+gamma) denominator.
 _PHI_GAMMA_FLOOR = 1e-12
@@ -180,17 +187,18 @@ class DerivedCoeffs:
 def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     """Derive (k, phi) from (gamma, Phi, rho1).
 
-    Raises DegenerateK when the k denominator is within 1e-14 of zero, or
-    when the identity k(1-phi)/(1-gamma) = -1 fails beyond 1e-12.  The
+    Raises InadmissibleParameter at gamma = 1 or Phi + gamma at or below
+    its floor, and DegenerateK when the k denominator is within 1e-14 of
+    zero, or when the identity k(1-phi)/(1-gamma) = -1 fails beyond 1e-12.  The
     identity holds algebraically, but next to derived phi = 1 the k
     denominator and 1 - phi both pass through zero, each computed with
     cancellation, so the product loses digits (Phi = 0.8, rho1 = -0.5 puts
     phi = 1 at gamma = 0.2; gamma = 0.2001 already fails the check).
     """
     if gamma == 1.0:
-        raise ValueError("gamma = 1 is excluded; use the unit-EIS solver for phi = 1")
+        raise InadmissibleParameter("gamma = 1 is excluded; use the unit-EIS solver for phi = 1")
     if Phi + gamma <= _PHI_GAMMA_FLOOR:
-        raise ValueError(f"Phi + gamma = {Phi + gamma} must exceed {_PHI_GAMMA_FLOOR}")
+        raise InadmissibleParameter(f"Phi + gamma = {Phi + gamma} must exceed {_PHI_GAMMA_FLOOR}")
     one_g = 1.0 - gamma
     den = 1.0 - Phi / one_g + (one_g - Phi) ** 2 * rho1**2 / (one_g * (Phi + gamma))
     if abs(den) < 1e-14:
@@ -209,12 +217,16 @@ def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
 def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
     """Compute every structural constant of the exact solution.
 
-    Raises ComplexDiscriminant when kappa^2 + 2*beta^2*b0 < 0 (then the
-    C-Riccati has no real solution on the horizon and the closed form does
-    not exist for these parameters), and FiniteTimeBlowup when
-    2*kappa + Delta <= 0 (C(t, s) blows up in finite time).
+    Raises InadmissibleParameter at sigma = 0 (the loadings divide by
+    sigma) and wherever derive_k_phi does, ComplexDiscriminant when
+    kappa^2 + 2*beta^2*b0 < 0 (then the C-Riccati has no real solution on
+    the horizon and the closed form does not exist for these parameters),
+    and FiniteTimeBlowup when 2*kappa + Delta <= 0 (C(t, s) blows up in
+    finite time).
     """
     mk, pf, ins = params.market, params.preference, params.insurance
+    if mk.sigma == 0.0:
+        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
     gamma, Phi, rho1 = pf.gamma, pf.Phi, mk.rho1
     k, phi = derive_k_phi(gamma, Phi, rho1)
     one_g = 1.0 - gamma
@@ -434,7 +446,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
     try:
         k, phi = derive_k_phi(pf.gamma, pf.Phi, mk.rho1)
         add("k_phi_derivable", True, "error", f"k = {k:.10g}, phi = {phi:.10g}")
-    except (DegenerateK, ValueError) as exc:
+    except SolverError as exc:
         add("k_phi_derivable", False, "error", str(exc))
 
     if phi is not None:
@@ -468,7 +480,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
         )
 
     coeffs = None
-    if k is not None:
+    if k is not None and mk.sigma > 0.0:
         try:
             coeffs = derive_coeffs(params)
             add(

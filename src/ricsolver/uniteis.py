@@ -28,15 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonpositiveWealth
-from .exact import (
-    GBundle,
-    GValue,
-    StrategyPoint,
-    ValueDerivs,
-    derivs_from_g,
-    strategy_from_ratio,
-)
+from .errors import InadmissibleParameter
+from .exact import GBundle, StrategyPoint, _check_wealth, _Surface, strategy_from_ratio
 from .params import ModelParams
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
@@ -52,11 +45,7 @@ __all__ = [
     "glh_state",
     "quadratic_noise_coeff",
     "unit_coeffs",
-    "unit_g",
-    "unit_g_bundle",
     "unit_strategy",
-    "unit_value",
-    "unit_value_derivs",
 ]
 
 
@@ -151,16 +140,16 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
 def glh_state(
     t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
 ) -> tuple[float, float, float]:
-    """(G, L, H) at time t."""
+    """(G, L, H) at time t <= T."""
+    if t > co.T:
+        raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
     return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co, quad)
 
 
-def _glh_bundle(
-    t: float, m: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> GBundle:
+def _glh_bundle(t: float, m: float, co: ExpQuadCoeffs) -> GBundle:
     """g = exp(G m^2 + L m + H) with derivatives; g_t via the ODE right-hand
-    sides, so it is exact up to the quadrature error in L and H."""
-    G, L, H = glh_state(t, co, quad)
+    sides, so it is exact up to the quadrature error in H."""
+    G, L, H = glh_state(t, co)
     g = math.exp(G * m * m + L * m + H)
     lin = 2.0 * G * m + L
     dG, dL, dH = glh_rhs(G, L, H, co)
@@ -202,25 +191,9 @@ class UnitEisCoeffs:
     kappa: float
     c_pi: float
 
-    @property
-    def G0(self) -> float:
-        return self.red.G0
-
-    @property
-    def G1(self) -> float:
-        return self.red.G1
-
-    @property
-    def G2(self) -> float:
-        return self.red.G2
-
-    @property
-    def G3(self) -> float:
-        return self.red.G3
-
 
 def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
-    """Assemble the unit-EIS constants; rejects gamma = 1.
+    """Assemble the unit-EIS constants; rejects gamma = 1 and sigma = 0.
 
     The value normalization 1/(1-gamma) (and the noise coefficient G0 when
     Phi > 0) degenerates at gamma = 1 exactly; the mode covers EIS = 1 with
@@ -229,13 +202,15 @@ def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
     mk, ins, pf = params.market, params.insurance, params.preference
     one_g = 1.0 - pf.gamma
     if abs(one_g) < 1e-12:
-        raise ValueError(
+        raise InadmissibleParameter(
             "gamma = 1 makes the 1/(1-gamma) value normalization degenerate; "
             "perturb gamma away from 1"
         )
     pg = pf.Phi + pf.gamma
     if pg <= 0.0:
-        raise ValueError(f"Phi + gamma = {pg!r} must be positive")
+        raise InadmissibleParameter(f"Phi + gamma = {pg!r} must be positive")
+    if mk.sigma == 0.0:
+        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
     kappa = mk.alpha - (one_g - pf.Phi) * mk.beta * mk.rho1 / pg
     G0 = quadratic_noise_coeff(1.0, params)
     x_claims = ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2)
@@ -264,93 +239,30 @@ def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
 
 
 # ---------------------------------------------------------------- #
-# g, value, strategy
-
-def unit_g(
-    t: float, m: float, co: UnitEisCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> GValue:
-    """g(t, m) and g_m(t, m) = (2 G m + L) g."""
-    b = _glh_bundle(t, m, co.red, quad)
-    return GValue(g=b.g, g_m=b.g_m)
-
-
-def unit_g_bundle(
-    t: float, m: float, co: UnitEisCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> GBundle:
-    """g with g_m, g_mm, g_t."""
-    return _glh_bundle(t, m, co.red, quad)
-
-
-def unit_value(
-    t: float,
-    x: float,
-    m: float,
-    co: UnitEisCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
-    """v(t, x, m) = x^(1-gamma) g(t, m) / (1-gamma); requires x > 0."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gamma = co.params.preference.gamma
-    g = unit_g(t, m, co, quad).g
-    return x ** (1.0 - gamma) * g / (1.0 - gamma)
-
-
-def unit_value_derivs(
-    t: float,
-    x: float,
-    m: float,
-    co: UnitEisCoeffs,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> ValueDerivs:
-    """ValueDerivs at (t, x, m); the g-exponent is 1 here."""
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
-    gb = unit_g_bundle(t, m, co, quad)
-    return derivs_from_g(x, co.params.preference.gamma, 1.0, gb)
-
+# strategy and solver
 
 def unit_strategy(t: float, x: float, m: float, co: UnitEisCoeffs) -> StrategyPoint:
     """Optimal controls and worst-case distortions; c*/x = delta exactly.
 
     Needs only G and L, both closed form, so no quadrature is involved.
     """
-    if x <= 0.0:
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
+    _check_wealth(x)
     u = 2.0 * coeff_G(t, co.red) * m + coeff_L(t, co.red)
     return strategy_from_ratio(t, x, m, u, co.params.preference.delta, 1.0, co)
 
 
-class UnitEisSolver:
-    """Convenience wrapper binding params + quadrature config once."""
+class UnitEisSolver(_Surface):
+    """The unit-EIS mode bound to one parameter set; the g-exponent is 1."""
 
     aggregator = "unit"
+    k = 1.0
 
-    def __init__(self, params: ModelParams, quad: QuadratureConfig = DEFAULT_QUAD):
+    def __init__(self, params: ModelParams):
         self.params = params
-        self.quad = quad
         self.coeffs = unit_coeffs(params)
 
-    def G(self, t: float) -> float:
-        return float(coeff_G(t, self.coeffs.red))
-
-    def L(self, t: float) -> float:
-        return float(coeff_L(t, self.coeffs.red))
-
-    def H(self, t: float) -> float:
-        return coeff_H(t, self.coeffs.red, self.quad)
-
-    def g(self, t: float, m: float) -> GValue:
-        return unit_g(t, m, self.coeffs, self.quad)
-
     def g_full(self, t: float, m: float) -> GBundle:
-        return unit_g_bundle(t, m, self.coeffs, self.quad)
-
-    def value(self, t: float, x: float, m: float) -> float:
-        return unit_value(t, x, m, self.coeffs, self.quad)
-
-    def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
-        return unit_value_derivs(t, x, m, self.coeffs, self.quad)
+        return _glh_bundle(t, m, self.coeffs.red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
         return unit_strategy(t, x, m, self.coeffs)

@@ -6,11 +6,14 @@ the residual evaluator differentiates a candidate g numerically, the saddle
 check evaluates the raw max-min bracket at perturbed controls, and the
 Monte Carlo evaluator estimates the expectation that the closed form claims
 to equal.  Agreement between any two of these and the closed form is
-evidence; disagreement localizes the defect.
+evidence; disagreement localizes the defect.  The suites at the end set
+these tools against the solvers and return the rows `ricsolver verify`
+reports.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -18,9 +21,11 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import SingularLinearSystem, StabilityViolation
+from .cs import CsSolver, cs_reduction
+from .errors import SingularLinearSystem, SolverError, StabilityViolation
 from .exact import (
     ExactCoeffs,
+    ExactSolver,
     ValueDerivs,
     abc_rhs,
     coeff_A,
@@ -30,21 +35,27 @@ from .exact import (
 )
 from .params import ModelParams, derive_k_phi
 from .quadrature import DEFAULT_QUAD, QuadratureConfig
-from .uniteis import unit_coeffs
-from .cs import cs_reduction
+from .uniteis import UnitEisSolver, unit_coeffs
 
 __all__ = [
     "CheckRow",
     "FkDriftDiscount",
     "Grid2D",
+    "SUITES",
     "SaddleReport",
     "abc_bounds_margin",
     "abc_ode_residual",
+    "bounds_suite",
     "fd_solve_g",
+    "fd_suite",
     "hjbi_saddle_check",
     "mc_feynman_kac",
     "mc_g",
+    "mc_suite",
+    "ode_suite",
     "pde_residual",
+    "pde_suite",
+    "saddle_suite",
 ]
 
 
@@ -603,3 +614,163 @@ def mc_g(
         params, t, m, params.horizon.T, n_paths, dt, seed, collect_running=True
     )
     return _mean_se(eco.delta_phi * S + np.exp(I))
+
+
+# ---------------------------------------------------------------- #
+# suites: the rows of `ricsolver verify`
+
+def ode_suite(params: ModelParams, seed: int) -> list[CheckRow]:
+    """abc_ode_residual at 50 random (t, s) pairs."""
+    rng = np.random.default_rng(seed)
+    T = params.horizon.T
+    rows = []
+    for i in range(50):
+        t = rng.uniform(0.0, T - 0.02)
+        s = rng.uniform(t + 0.01, T)
+        r = abc_ode_residual(params, t, s)
+        rows.append(CheckRow("abc_ode_residual", f"t={t:.4f} s={s:.4f}",
+                             r, 1e-4, r <= 1e-4))
+    return rows
+
+
+def bounds_suite(seed: int) -> list[CheckRow]:
+    """Coefficient bounds at random gamma > 1 draws, rho1 <= 0."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    draws = 0
+    while draws < 20:
+        base = ModelParams()
+        params = dataclasses.replace(
+            base,
+            market=dataclasses.replace(
+                base.market,
+                sigma=rng.uniform(0.15, 1.0),
+                beta=rng.uniform(0.1, 0.6),
+                alpha=rng.uniform(1.0, 8.0),
+                rho1=rng.uniform(-0.95, 0.0),
+            ),
+            preference=dataclasses.replace(
+                base.preference,
+                gamma=rng.uniform(1.05, 2.5),
+                Phi=rng.uniform(0.0, 1.2),
+                delta=rng.uniform(0.02, 0.2),
+            ),
+            insurance=dataclasses.replace(
+                base.insurance, theta1=rng.uniform(0.1, 1.0)
+            ),
+        )
+        try:
+            worst = math.inf
+            for _ in range(50):
+                t = rng.uniform(0.0, params.horizon.T - 0.02)
+                s = rng.uniform(t + 0.01, params.horizon.T)
+                worst = min(worst, abc_bounds_margin(params, t, s))
+        except SolverError:
+            continue
+        draws += 1
+        pf, mk = params.preference, params.market
+        rows.append(CheckRow(
+            "abc_bounds_margin",
+            f"draw {draws}: gamma={pf.gamma:.3f} Phi={pf.Phi:.3f} "
+            f"rho1={mk.rho1:.3f} over 50 pairs",
+            worst, 0.0, worst >= -1e-12,
+        ))
+    return rows
+
+
+def pde_suite(params: ModelParams) -> list[CheckRow]:
+    """Residuals of each mode's g in its own equation on a 10 x 10 grid,
+    plus the unit-EIS g against the linear equation as a negative control."""
+    grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
+    rows = []
+    ex = ExactSolver(params)
+    r = pde_residual(lambda t, m: ex.g(t, m).g, "g1", grid, params)
+    rows.append(CheckRow("pde_residual_g1", "10x10 grid |m|<=2", r, 1e-4, r <= 1e-4))
+    try:
+        un = UnitEisSolver(params)
+        r = pde_residual(lambda t, m: un.g(t, m).g, "unit", grid, params)
+        rows.append(CheckRow("pde_residual_unit", "10x10 grid", r, 1e-4, r <= 1e-4))
+    except SolverError as exc:
+        rows.append(CheckRow("pde_residual_unit", f"error: {exc}", math.nan, 1e-4, False))
+    try:
+        cs = CsSolver(params)
+        r = pde_residual(lambda t, m: cs.g(t, m).g, "cs", grid, params, w=cs.w)
+        rows.append(CheckRow("pde_residual_cs", f"10x10 grid w={cs.w:.6g}",
+                             r, 1e-4, r <= 1e-4))
+    except SolverError as exc:
+        rows.append(CheckRow("pde_residual_cs", f"error: {exc}", math.nan, 1e-4, False))
+    # negative control: the unit-mode g must NOT satisfy the linear equation
+    try:
+        un = UnitEisSolver(params)
+        r = pde_residual(lambda t, m: un.g(t, m).g, "g1", grid, params)
+        rows.append(CheckRow("pde_negative_control", "unit g against g1",
+                             r, 1e-2, r > 1e-2))
+    except SolverError as exc:
+        rows.append(CheckRow("pde_negative_control", f"error: {exc}",
+                             math.nan, 1e-2, False))
+    return rows
+
+
+def fd_suite(params: ModelParams) -> list[CheckRow]:
+    """fd_solve_g on a 400 x 401 grid against the exact g at 20 nodes."""
+    grid = Grid2D(n_t=400, n_m=401, m_max=4.0)
+    gv = fd_solve_g(params, grid)
+    tn = grid.t_nodes(params.horizon.t0, params.horizon.T)
+    mn = grid.m_nodes()
+    ex = ExactSolver(params)
+    rng = np.random.default_rng(7)
+    rows = []
+    for _ in range(20):
+        i = int(rng.integers(0, grid.n_t - 1))
+        j = int(rng.integers(0, grid.n_m))
+        while abs(mn[j]) > 2.0:
+            j = int(rng.integers(0, grid.n_m))
+        closed = ex.g(tn[i], mn[j]).g
+        rel = abs(gv[i, j] - closed) / abs(closed)
+        rows.append(CheckRow("fd_vs_closed_g", f"t={tn[i]:.4f} m={mn[j]:.4f}",
+                             rel, 1e-4, rel <= 1e-4))
+    return rows
+
+
+def saddle_suite(params: ModelParams, samples: int, seed: int) -> list[CheckRow]:
+    """hjbi_saddle_check of the exact mode at 10 x 10 interior points."""
+    t0, T = params.horizon.t0, params.horizon.T
+    ts = t0 + (T - t0) * (np.arange(10) + 0.5) / 10.0
+    ms = np.linspace(-2.0, 2.0, 10)
+    ex = ExactSolver(params)
+    rows = []
+    for i, t in enumerate(ts):
+        for j, m in enumerate(ms):
+            rep = hjbi_saddle_check(ex, (float(t), 1.0, float(m)),
+                                    samples=samples, seed=seed + 31 * i + j)
+            rows.append(CheckRow(
+                "saddle_violations",
+                f"t={t:.4f} m={m:.4f}",
+                float(len(rep.violations)), 0.0, rep.passed,
+            ))
+    return rows
+
+
+def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
+    """z-score of mc_g (Euler steps of 1e-3) against the exact g at (t0, m0)."""
+    t0 = params.horizon.t0
+    m0 = params.market.m0
+    est, se = mc_g(params, t0, m0, n_paths=n_paths, dt=1e-3, seed=seed)
+    closed = ExactSolver(params).g(t0, m0).g
+    z = abs(est - closed) / se if se > 0 else math.inf
+    return [CheckRow("mc_g_z_score",
+                     f"t={t0:.4f} m={m0:.4f} paths={n_paths} est={est:.8f} "
+                     f"closed={closed:.8f} se={se:.2e}",
+                     z, 3.0, z <= 3.0)]
+
+
+# Each suite as `ricsolver verify --suite NAME` runs it, in the order of
+# `--suite all`; opts carries the parsed seed, samples and n_paths.
+SUITES = {
+    "ode": lambda params, opts: ode_suite(params, opts.seed),
+    "bounds": lambda params, opts: bounds_suite(opts.seed),
+    "pde": lambda params, opts: pde_suite(params),
+    "fd": lambda params, opts: fd_suite(params),
+    "saddle": lambda params, opts: saddle_suite(params, opts.samples, opts.seed),
+    "mc": lambda params, opts: mc_suite(params, opts.n_paths, opts.seed),
+}

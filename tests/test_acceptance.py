@@ -27,8 +27,8 @@ from ricsolver import (
     simulate_factor,
     simulate_surplus,
 )
-from ricsolver.cli import _rows_bounds, _rows_saddle, main, run_table2
-from ricsolver.quadrature import DEFAULT_QUAD
+from ricsolver.cli import main, run_table2
+from ricsolver.verify import bounds_suite, saddle_suite
 
 
 def repl(params, **kw):
@@ -159,7 +159,7 @@ def test_criterion_4_residual_suite(base_params):
 
 
 def test_criterion_5_coefficient_bounds():
-    rows = _rows_bounds(seed=0, quad=DEFAULT_QUAD)  # 20 draws x 50 pairs
+    rows = bounds_suite(seed=0)  # 20 draws x 50 pairs
     n_pairs = 50 * len(rows)
     worst = min(r.value for r in rows)
     print(f"criterion 5: {n_pairs} (t,s) pairs, worst margin {worst:.2e}")
@@ -168,7 +168,7 @@ def test_criterion_5_coefficient_bounds():
 
 
 def test_criterion_6_saddle_suite(base_params):
-    rows = _rows_saddle(base_params, samples=20, seed=0, quad=DEFAULT_QUAD)
+    rows = saddle_suite(base_params, samples=20, seed=0)
     violations = sum(int(r.value) for r in rows)
     print(f"criterion 6: {len(rows)} interior points x 20 perturbations, "
           f"{violations} violations")

@@ -62,6 +62,7 @@ def test_solve_rejects_unknown_mode(capsys):
     ("gamma=0.5", f"Phi={0.5 - 2.0**-40!r}", "rho1=-0.5"),  # derived phi = 1 + 2^-40
     ("gamma=0.5", "Phi=0", "alpha=-5"),  # 2 kappa + Delta < 0
     ("gamma=0.5", "Phi=0", "alpha=0", "beta=0"),  # 2 kappa + Delta = 0
+    ("sigma=0",),  # the loadings divide by sigma
 ])
 def test_solve_reports_typed_coefficient_errors(capsys, mode, sets):
     argv = ["solve", "--mode", mode]
@@ -190,14 +191,12 @@ def test_verify_ode_suite_all_pass(capsys):
 def test_verify_exit_zero_even_on_failure(capsys, monkeypatch):
     # force a failing row through an impossible tolerance: the report is
     # the product, so the process still exits 0
-    import ricsolver.cli as cli_mod
+    from ricsolver.verify import SUITES, CheckRow
 
-    def fake_rows(params, seed, quad):
-        from ricsolver import CheckRow
-
+    def fake_rows(params, opts):
         return [CheckRow("stub", "p", 1.0, 0.5, False)]
 
-    monkeypatch.setattr(cli_mod, "_rows_ode", fake_rows)
+    monkeypatch.setitem(SUITES, "ode", fake_rows)
     rc, comments, rows = run(capsys, "verify", "--suite", "ode")
     assert rc == 0
     assert "# failed = 1" in comments

@@ -12,6 +12,8 @@ from ricsolver import (
     FixedPointDivergence,
     ModelParams,
     StrategyPoint,
+    UnitEisSolver,
+    ValueDerivs,
     cs_reduction,
     exact_coeffs,
     glh_rhs,
@@ -200,3 +202,43 @@ def test_strategies_bit_identical(base_params):
         assert cs.strategy(t, x, m) == sp
     for (t, x, m), sp in _UNIT_FROZEN.items():
         assert unit_strategy(t, x, m, unit) == sp
+
+
+# value and ValueDerivs of the three solvers at the _CS_FROZEN points (cs
+# pinned at w = 0.1), frozen at full precision from the implementation in
+# which every mode wrote its own value layer; sharing one layer must leave
+# every bit in place.  value equals the v field at each point.
+_VALUE_FROZEN = {
+    ("exact", (0.5, 1.0, 0.0)): ValueDerivs(
+        v=-5.342028980244358, v_t=0.6058926858273144, v_x=1.0684057960488713,
+        v_xx=-1.2820869552586456, v_m=0.022775709958445033, v_mm=0.05072798874417347,
+        v_xm=-0.004555141991689006),
+    ("exact", (0.73, 2.5, -1.4)): ValueDerivs(
+        v=-4.308569953765397, v_t=0.5672246015045921, v_x=0.34468559630123163,
+        v_xx=-0.16544908622459115, v_m=-0.03889738257850704, v_mm=0.03816523907125326,
+        v_xm=0.0031117906062805623),
+    ("unit_eis", (0.5, 1.0, 0.0)): ValueDerivs(
+        v=-5.117487245672011, v_t=0.23257921956440777, v_x=1.023497449134402,
+        v_xx=-1.2281969389612823, v_m=0.02354879113909662, v_mm=0.05093037973818948,
+        v_xm=-0.004709758227819323),
+    ("unit_eis", (0.73, 2.5, -1.4)): ValueDerivs(
+        v=-4.199135326068103, v_t=0.2047986188987848, v_x=0.33593082608544816,
+        v_xx=-0.1612467965210151, v_m=-0.03943365079231593, v_mm=0.03893406472294531,
+        v_xm=0.0031546920633852733),
+    ("cs", (0.5, 1.0, 0.0)): ValueDerivs(
+        v=-5.140847503076252, v_t=0.2781337689506351, v_x=1.02816950061525,
+        v_xx=-1.2338034007383, v_m=0.02358298020131943, v_mm=0.05106431855912825,
+        v_xm=-0.004716596040263884),
+    ("cs", (0.73, 2.5, -1.4)): ValueDerivs(
+        v=-4.209731362912989, v_t=0.24343967324274185, v_x=0.3367785090330391,
+        v_xx=-0.16165368433585872, v_m=-0.03947717315646122, v_mm=0.03896983214994285,
+        v_xm=0.0031581738525168976),
+}
+
+
+def test_values_bit_identical(base_params):
+    solvers = {"exact": ExactSolver(base_params), "unit_eis": UnitEisSolver(base_params),
+               "cs": CsSolver(base_params, w=0.1)}
+    for (mode, (t, x, m)), d in _VALUE_FROZEN.items():
+        assert solvers[mode].value(t, x, m) == d.v, mode
+        assert solvers[mode].value_derivs(t, x, m) == d, mode

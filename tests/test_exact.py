@@ -6,19 +6,21 @@ import pytest
 
 import ricsolver.exact as exact_mod
 from ricsolver import (
+    CsSolver,
     ExactSolver,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
     QuadratureConfig,
+    UnitEisSolver,
     abc_rhs,
     coeff_A,
     coeff_B,
     coeff_C,
     exact_coeffs,
-    g_eval,
     h_eval,
     simulate_factor,
 )
+from ricsolver.exact import g_bundle
 
 # values recomputed by hand / by the oracles below and frozen
 G_T0_M0 = 1.3357372266  # g(0.5, 0) at the default calibration
@@ -81,7 +83,7 @@ def test_g_matches_trapezoid_oracle(base_params):
         ss = np.linspace(t, T, 4001)
         hs = np.array([h_eval(t, m, s, co) for s in ss])
         ref = dp * np.trapezoid(hs, ss) + hs[-1]
-        gv = g_eval(t, m, co)
+        gv = g_bundle(t, m, co)
         assert gv.g == pytest.approx(ref, rel=1e-8)
 
 
@@ -89,13 +91,13 @@ def test_g_m_matches_central_difference(base_params):
     co = exact_coeffs(base_params)
     eps = 1e-6
     for t, m in [(0.5, 0.0), (0.7, -0.8)]:
-        gv = g_eval(t, m, co)
-        fd = (g_eval(t, m + eps, co).g - g_eval(t, m - eps, co).g) / (2.0 * eps)
+        gv = g_bundle(t, m, co)
+        fd = (g_bundle(t, m + eps, co).g - g_bundle(t, m - eps, co).g) / (2.0 * eps)
         assert gv.g_m == pytest.approx(fd, rel=1e-7, abs=1e-10)
 
 
 def test_g_frozen_value(base_params):
-    gv = g_eval(0.5, 0.0, exact_coeffs(base_params))
+    gv = g_bundle(0.5, 0.0, exact_coeffs(base_params))
     assert gv.g == pytest.approx(G_T0_M0, rel=1e-9)
 
 
@@ -103,7 +105,7 @@ def test_g_terminal_condition(base_params):
     co = exact_coeffs(base_params)
     T = base_params.horizon.T
     for m in (-2.0, 0.0, 1.3):
-        assert g_eval(T, m, co).g == pytest.approx(1.0, rel=1e-14)
+        assert g_bundle(T, m, co).g == pytest.approx(1.0, rel=1e-14)
 
 
 def test_g_bundle_consistency(base_params):
@@ -129,12 +131,14 @@ def test_value_sign_and_scaling(base_params):
     assert v2 == pytest.approx(v1 * 2.0 ** (1.0 - 1.2), rel=1e-12)
 
 
-def test_nonpositive_wealth_rejected(base_params):
-    solver = ExactSolver(base_params)
-    with pytest.raises(NonpositiveWealth):
-        solver.value(0.5, 0.0, 0.0)
-    with pytest.raises(NonpositiveWealth):
-        solver.strategy(0.5, -1.0, 0.0)
+@pytest.mark.parametrize("method", ["value", "value_derivs", "strategy"])
+@pytest.mark.parametrize("mode", [ExactSolver, UnitEisSolver, CsSolver],
+                         ids=["exact", "unit_eis", "cs"])
+def test_nonpositive_wealth_rejected(base_params, mode, method):
+    solver = mode(base_params)
+    for x in (0.0, -1.0):
+        with pytest.raises(NonpositiveWealth):
+            getattr(solver, method)(0.5, x, 0.0)
 
 
 def test_retention_ratio_closed_form(base_params):
@@ -257,7 +261,7 @@ def test_lag_table_built_once_per_coeffs(base_params, monkeypatch):
     for t, m in zip(rng.uniform(0.5, 1.0, 8), rng.uniform(-2.0, 2.0, 8)):
         solver.strategy(t, 1.0, m)
         solver.value_derivs(t, 1.3, m)
-        g_eval(t, m, solver.coeffs)
+        g_bundle(t, m, solver.coeffs)
     assert builds == [solver.coeffs]
 
 
@@ -271,7 +275,7 @@ def test_lag_table_tail_estimate(base_params, T):
 def test_lag_table_budget_and_domain(base_params, monkeypatch):
     co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
     with pytest.raises(ValueError, match="before 0"):
-        g_eval(-1e-3, 0.0, co)
+        g_bundle(-1e-3, 0.0, co)
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
     with pytest.raises(QuadratureBudgetExceeded):
-        g_eval(0.0, 0.0, co)
+        g_bundle(0.0, 0.0, co)

@@ -7,6 +7,7 @@ from ricsolver import (
     DegenerateK,
     ExactSolver,
     FiniteTimeBlowup,
+    InadmissibleParameter,
     ModelParams,
     NonadmissibleValueSign,
     derive_coeffs,
@@ -54,7 +55,7 @@ def test_k_phi_no_ambiguity_no_correlation():
 
 
 def test_k_phi_gamma_one_excluded():
-    with pytest.raises(ValueError, match="unit-EIS"):
+    with pytest.raises(InadmissibleParameter, match="unit-EIS"):
         derive_k_phi(1.0, 0.8, -0.5)
 
 
@@ -153,10 +154,13 @@ def test_validate_unit_mode_skips_phi_pin(base_params):
 
 
 def test_validate_never_raises_on_junk():
-    params = repl(ModelParams(), sigma=-1.0, delta=-0.1, gamma=-2.0)
-    report = validate(params)
-    assert not report.ok
-    assert len(report.hard_failures) >= 3
+    # sigma = 0 with an admissible gamma reaches the coefficient checks,
+    # which divide by sigma
+    for junk in (dict(sigma=-1.0, delta=-0.1, gamma=-2.0),
+                 dict(sigma=0.0, delta=-0.1, theta1=-1.0)):
+        report = validate(repl(ModelParams(), **junk))
+        assert not report.ok
+        assert len(report.hard_failures) >= 3
 
 
 def test_claim_dist_moments(base_params):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from ricsolver import UnitEisSolver, glh_rhs, glh_state, unit_coeffs
+from ricsolver import InadmissibleParameter, UnitEisSolver, glh_rhs, glh_state, unit_coeffs
 
 # structural constants at the default calibration, frozen by hand
 G0 = 0.10546875
@@ -132,7 +132,16 @@ def test_gamma_one_rejected(base_params):
         base_params,
         preference=dataclasses.replace(base_params.preference, gamma=1.0),
     )
-    with pytest.raises(ValueError, match="gamma = 1"):
+    with pytest.raises(InadmissibleParameter, match="gamma = 1"):
+        UnitEisSolver(bad)
+
+
+def test_zero_sigma_rejected(base_params):
+    # the loadings divide by sigma
+    bad = dataclasses.replace(
+        base_params, market=dataclasses.replace(base_params.market, sigma=0.0)
+    )
+    with pytest.raises(InadmissibleParameter, match="sigma = 0"):
         UnitEisSolver(bad)
 
 
