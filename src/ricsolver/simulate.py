@@ -2,9 +2,15 @@
 
 Euler-Maruyama throughout: with the strategy expressed as wealth ratios all
 diffusion coefficients are linear in the state, so Euler's weak order is
-enough for the moment and admissibility checks this module feeds.  Paths
-that hit nonpositive wealth are truncated and flagged, not rejected; the
-admissibility analysis wants those events as data.
+enough for the moment and admissibility checks this module feeds.  The
+factor stays Euler under every measure, although its drift is affine under
+P and FK_tilde: under Q_xi the drift is the tabulated distortion, which is
+nonlinear in m, and one scheme for all three keeps P paths and
+zero-distortion Q_xi paths bit-equal.  (The Feynman-Kac check in verify.py
+draws exact OU steps instead.)  Paths that hit nonpositive wealth are
+truncated and flagged, not rejected; the admissibility analysis wants those
+events as data.  The tabulated strategy is plain numpy, so importing this
+module loads no scipy.
 
 Every result object embeds (seed, dt, n_paths); a rerun with equal fields
 reproduces the arrays bit for bit.
@@ -17,7 +23,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import NonpositiveWealth
 from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
@@ -435,26 +440,23 @@ class TabulatedStrategy:
     Pointwise evaluation of the exact ratios costs a quadrature per call,
     far too slow inside a path loop.  g and g_m at every m node of one t
     row come from one vector-valued quadrature on the exact mode's lag
-    table, and the strategy formulas run on the whole grid at once; ratio
-    surfaces are then bilinear interpolants, queries clipped to the grid
-    box.  Interpolation error is O(grid step squared), well under the Euler
-    discretization error for the default grid.
+    table, and the strategy formulas run on the whole grid at once.  The
+    four ratio surfaces (pi/x, c/x, xi1, xi2) are stacked in one
+    (n_t, n_m, 4) array and read as bilinear interpolants, queries clipped
+    to the grid box: each query blends the two t rows that bracket its t,
+    then locates its m cells once and blends their neighbours for all four
+    surfaces together.  Interpolation error is O(grid step squared), well
+    under the Euler discretization error for the default grid.
     """
 
     def __init__(self, t_nodes, m_nodes, pi_grid, c_grid, q_ratio, xi1_grid,
                  xi2_grid, xi3):
         self._t = np.asarray(t_nodes, dtype=float)
         self._m = np.asarray(m_nodes, dtype=float)
-
-        def interp(grid):
-            return RegularGridInterpolator(
-                (self._t, self._m), grid, method="linear", bounds_error=True
-            )
-
-        self._pi = interp(pi_grid)
-        self._c = interp(c_grid)
-        self._xi1 = interp(xi1_grid)
-        self._xi2 = interp(xi2_grid)
+        self._v = np.stack([np.asarray(g, dtype=float)
+                            for g in (pi_grid, c_grid, xi1_grid, xi2_grid)], axis=-1)
+        if self._v.shape != (self._t.size, self._m.size, 4):
+            raise ValueError(f"ratio grids must have shape {(self._t.size, self._m.size)}")
         self.q_ratio = float(q_ratio)
         self.xi3 = float(xi3)
 
@@ -478,17 +480,23 @@ class TabulatedStrategy:
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)
 
-    def _pts(self, t, m):
-        m = np.asarray(m, dtype=float)
-        tv = np.full(m.shape, np.clip(t, self._t[0], self._t[-1]))
-        mv = np.clip(m, self._m[0], self._m[-1])
-        return np.stack([tv, mv], axis=-1)
+    def _lookup(self, t, m) -> np.ndarray:
+        """(..., 4) bilinear values at scalar t and array m, clipped to the box."""
+        tn, mn, v = self._t, self._m, self._v
+        t = min(max(float(t), tn[0]), tn[-1])
+        i = min(int(np.searchsorted(tn, t, side="right")) - 1, tn.size - 2)
+        wt = (t - tn[i]) / (tn[i + 1] - tn[i])
+        m = np.clip(np.asarray(m, dtype=float), mn[0], mn[-1])
+        j = np.minimum(np.searchsorted(mn, m, side="right") - 1, mn.size - 2)
+        wm = ((m - mn[j]) / (mn[j + 1] - mn[j]))[..., None]
+        row = v[i] * (1.0 - wt) + v[i + 1] * wt
+        return row[j] * (1.0 - wm) + row[j + 1] * wm
 
     def strategy_fn(self, t, x, m):
-        pts = self._pts(t, m)
+        r = self._lookup(t, m)
         x = np.asarray(x, dtype=float)
-        return self._pi(pts) * x, self.q_ratio * x, self._c(pts) * x
+        return r[..., 0] * x, self.q_ratio * x, r[..., 1] * x
 
     def distortion_fn(self, t, m):
-        pts = self._pts(t, m)
-        return self._xi1(pts), self._xi2(pts), np.full(np.asarray(m).shape, self.xi3)
+        r = self._lookup(t, m)
+        return r[..., 2], r[..., 3], np.full(np.asarray(m).shape, self.xi3)

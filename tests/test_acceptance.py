@@ -118,11 +118,12 @@ def test_criterion_3_three_way_g_agreement(base_params):
             j = int(rng.integers(0, len(mn)))
         closed = solver.g(tn[i], mn[j]).g
         worst_fd = max(worst_fd, abs(gv[i, j] - closed) / abs(closed))
-        # First-order step bias of the Euler factor scheme grows with the
-        # mean-reversion pull at |m| near 2; at 1e5 paths the standard error
-        # is ~1e-5, so the step must be small enough for the bias to clear it.
+        # The factor steps are exact OU transitions, so the step bias is the
+        # trapezoid's, second order in dt.  At 1e5 paths the standard error
+        # is ~1e-5; at dt = 1e-3 the worst |z| over these 20 points is 1.94
+        # (1.95 at 2e-3), so the bias stays well inside the noise.
         est, se = mc_g(base_params, float(tn[i]), float(mn[j]),
-                       n_paths=100_000, dt=1e-4, seed=1000 + idx)
+                       n_paths=100_000, dt=1e-3, seed=1000 + idx)
         worst_mc_z = max(worst_mc_z, abs(est - closed) / se)
     elapsed = time.monotonic() - start
     print(f"criterion 3: worst FD rel err {worst_fd:.2e}, worst MC |z| "

@@ -182,10 +182,28 @@ def test_verify_ode_suite_all_pass(capsys):
     rc, comments, rows = run(capsys, "verify", "--suite", "ode")
     assert rc == 0
     assert "# failed = 0" in comments
+    assert not any(c.startswith("# diag mc") for c in comments)
     header = rows[0]
     assert header == ["check", "point", "value", "tolerance", "pass"]
     assert all(r[-1] == "True" for r in rows[1:])
     assert all(len(r) == 5 for r in rows[1:])  # no comma leakage
+
+
+def test_verify_mc_takes_dt_and_reports_its_scheme(capsys):
+    rc, comments, rows = run(capsys, "verify", "--suite", "mc", "--n-paths", "500",
+                             "--dt", "0.01", "--seed", "4")
+    assert rc == 0
+    # default horizon [0.5, 1]: 50 steps of 0.01
+    assert ("# diag mc: scheme = exact_ou, dt = 0.01, n_steps = 50, "
+            "n_paths = 500, seed = 4") in comments
+    assert len(rows) == 2 and rows[1][0] == "mc_g_z_score"
+    assert "paths=500 est=" in rows[1][1]
+
+
+def test_verify_rejects_nonpositive_dt(capsys):
+    rc = main(["verify", "--suite", "mc", "--n-paths", "10", "--dt", "0"])
+    assert rc == 1
+    assert "dt" in capsys.readouterr().err
 
 
 def test_verify_exit_zero_even_on_failure(capsys, monkeypatch):

@@ -221,6 +221,30 @@ def test_tabulated_exact_at_grid_nodes(base_params):
                 assert got == pytest.approx(ref, rel=1e-13, abs=1e-15)
 
 
+def test_tabulated_lookup_matches_scipy_bilinear():
+    from scipy.interpolate import RegularGridInterpolator
+
+    rng = np.random.default_rng(23)
+    t_nodes = np.linspace(0.5, 1.0, 7)
+    m_nodes = np.linspace(-3.0, 3.0, 13)
+    grids = [rng.normal(size=(7, 13)) for _ in range(4)]
+    tab = TabulatedStrategy(t_nodes, m_nodes, grids[0], grids[1], 0.08,
+                            grids[2], grids[3], -0.2)
+    interp = [RegularGridInterpolator((t_nodes, m_nodes), g, method="linear",
+                                      bounds_error=True) for g in grids]
+    for t in np.concatenate([rng.uniform(0.3, 1.2, 40), t_nodes]):
+        m = np.concatenate([rng.uniform(-4.5, 4.5, 50), m_nodes])
+        x = rng.uniform(0.5, 3.0, m.size)
+        pts = np.stack([np.full(m.shape, np.clip(t, 0.5, 1.0)),
+                        np.clip(m, -3.0, 3.0)], axis=-1)
+        pi, q, c = tab.strategy_fn(t, x, m)
+        xi1, xi2, xi3 = tab.distortion_fn(t, m)
+        for got, want in ((pi, interp[0](pts) * x), (c, interp[1](pts) * x),
+                          (xi1, interp[2](pts)), (xi2, interp[3](pts))):
+            assert np.max(np.abs(got - want)) <= 1e-14
+        assert np.array_equal(q, 0.08 * x) and np.all(xi3 == -0.2)
+
+
 def test_tabulated_clips_outside_box(base_params):
     tab = TabulatedStrategy.from_exact(base_params, m_max=2.0)
     inside = tab.strategy_fn(0.7, np.array([1.0]), np.array([2.0]))

@@ -1,5 +1,8 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +27,8 @@ from ricsolver import (
     mc_g,
     pde_residual,
 )
+
+from ricsolver.verify import MC_DT, _ou_step
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -256,6 +261,41 @@ def test_mc_g_matches_closed(base_params):
     est, se = mc_g(base_params, 0.5, 0.0, n_paths=20_000, dt=1e-3, seed=43)
     ref = ExactSolver(base_params).g(0.5, 0.0).g
     assert abs(est - ref) < 3.0 * se + 5e-5
+
+
+@pytest.mark.parametrize("m, seed", [(1.8, 3), (1.8, 5), (-1.8, 3), (-1.8, 5)])
+def test_mc_g_edge_at_cli_step(base_params, m, seed):
+    # |m| = 1.8 sits at the edge of the acceptance range, where the step bias
+    # of the path discount is largest; at the CLI step it must stay in the noise
+    est, se = mc_g(base_params, 0.5, m, n_paths=100_000, dt=MC_DT, seed=seed)
+    ref = ExactSolver(base_params).g(0.5, m).g
+    assert abs(est - ref) <= 3.0 * se
+
+
+def test_ou_step_kappa_zero_is_the_limit():
+    def step(h2_1):
+        fk = FkDriftDiscount(h1_0=0.0, h1_1=0.0, h1_2=0.0, h2_0=0.3, h2_1=h2_1)
+        return _ou_step(fk, 0.4, 0.01)
+
+    limit = step(0.0)
+    assert limit == (1.0, 0.3 * 0.01, 0.4 * math.sqrt(0.01))
+    assert step(-1e-9) == pytest.approx(limit, rel=1e-10)
+    # and the step is the OU transition: for kappa = 2 the variance over h
+    # is beta^2 (1 - exp(-2 kappa h)) / (2 kappa)
+    decay, shift, sd = step(-2.0)
+    assert decay == pytest.approx(math.exp(-0.02), rel=1e-15)
+    assert shift == pytest.approx(0.3 * (1.0 - math.exp(-0.02)) / 2.0, rel=1e-14)
+    assert sd**2 == pytest.approx(0.16 * (1.0 - math.exp(-0.04)) / 4.0, rel=1e-14)
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy.linalg is imported inside fd_solve_g, and the strategy table is
+    # plain numpy, so importing the package pulls in no scipy module
+    code = ("import sys, ricsolver; "
+            "bad = sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'); "
+            "assert not bad, bad")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def test_mc_replay_identical(base_params):
