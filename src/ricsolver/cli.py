@@ -33,7 +33,7 @@ from .simulate import (
     simulate_wealth,
 )
 from .uniteis import UnitEisSolver
-from .verify import MC_DT, SUITES, mc_diag
+from .verify import SUITES
 
 SOLVERS = {"exact": ExactSolver, "unit_eis": UnitEisSolver, "cs": CsSolver}
 MODES = tuple(SOLVERS)
@@ -252,14 +252,12 @@ def cmd_verify(args) -> int:
     names = tuple(SUITES) if args.suite == "all" else (args.suite,)
     rows = [row for name in names for row in SUITES[name](params, args)]
     n_fail = sum(not r.passed for r in rows)
-    extras = [f"suite = {args.suite}", f"seed = {args.seed}",
-              f"checks = {len(rows)}", f"failed = {n_fail}"]
-    if "mc" in names:
-        extras.append(mc_diag(params, args.n_paths, args.seed, args.dt))
     _emit(
         args.out,
         params,
-        extras,
+        [f"suite = {args.suite}", f"seed = {args.seed}",
+         f"checks = {len(rows)}", f"failed = {n_fail}"]
+        + [r.note for r in rows if r.note],
         ["check", "point", "value", "tolerance", "pass"],
         [(r.name, r.point.replace(",", ";"), r.value, r.tolerance, r.passed)
          for r in rows],
@@ -383,8 +381,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=20,
                    help="perturbations per saddle point")
     p.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")
-    p.add_argument("--dt", type=float, default=MC_DT,
-                   help=f"target Monte Carlo step (default {MC_DT:g})")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="path simulation summaries")

@@ -455,6 +455,10 @@ class TabulatedStrategy:
         self._m = np.asarray(m_nodes, dtype=float)
         self._v = np.stack([np.asarray(g, dtype=float)
                             for g in (pi_grid, c_grid, xi1_grid, xi2_grid)], axis=-1)
+        for name, nodes in (("t", self._t), ("m", self._m)):
+            if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0.0):
+                raise ValueError(f"{name} nodes must be a 1-D strictly ascending "
+                                 f"array of at least 2 points")
         if self._v.shape != (self._t.size, self._m.size, 4):
             raise ValueError(f"ratio grids must have shape {(self._t.size, self._m.size)}")
         self.q_ratio = float(q_ratio)

@@ -51,7 +51,6 @@ __all__ = [
     "fd_suite",
     "hjbi_saddle_check",
     "mc_feynman_kac",
-    "mc_diag",
     "mc_g",
     "mc_suite",
     "ode_suite",
@@ -70,6 +69,7 @@ class CheckRow:
     value: float
     tolerance: float
     passed: bool
+    note: str = ""  # a comment line the CLI prints above the table, if any
 
 
 @dataclass(frozen=True)
@@ -543,6 +543,11 @@ def _ou_step(fk: FkDriftDiscount, beta: float, h: float) -> tuple[float, float, 
     return 1.0 + em, -fk.h2_0 * em / kappa, beta * math.sqrt(var)
 
 
+def _fk_steps(span: float, dt: float) -> tuple[int, float]:
+    """(n_steps, h) of the engine's uniform grid over span; (0, 0) for none."""
+    return (0, 0.0) if span == 0.0 else _steps(span, dt)
+
+
 def _fk_paths(
     params: ModelParams,
     t: float,
@@ -568,11 +573,10 @@ def _fk_paths(
     if s < t:
         raise ValueError(f"need t <= s, got t = {t}, s = {s}")
     fk = FkDriftDiscount.from_params(params)
-    span = s - t
-    if span == 0.0:
+    n_steps, h = _fk_steps(s - t, dt)
+    if n_steps == 0:
         zeros = np.zeros(n_paths)
         return zeros, (np.zeros(n_paths) if collect_running else None)
-    n_steps, h = _steps(span, dt)
     decay, shift, sd = _ou_step(fk, params.market.beta, h)
     rng = np.random.Generator(np.random.Philox(seed))
     mv = np.full(n_paths, float(m))
@@ -779,36 +783,30 @@ def saddle_suite(params: ModelParams, samples: int, seed: int) -> list[CheckRow]
     return rows
 
 
-def mc_suite(
-    params: ModelParams, n_paths: int, seed: int, dt: float = MC_DT
-) -> list[CheckRow]:
-    """z-score of mc_g (exact OU steps of target width dt) against the
-    exact g at (t0, m0)."""
+def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
+    """z-score of mc_g (exact OU steps of target width MC_DT) against the
+    exact g at (t0, m0); the row's note records how the Monte Carlo ran."""
     t0 = params.horizon.t0
     m0 = params.market.m0
-    est, se = mc_g(params, t0, m0, n_paths=n_paths, dt=dt, seed=seed)
+    est, se = mc_g(params, t0, m0, n_paths=n_paths, dt=MC_DT, seed=seed)
     closed = ExactSolver(params).g(t0, m0).g
     z = abs(est - closed) / se if se > 0 else math.inf
+    n_steps, _ = _fk_steps(params.horizon.T - t0, MC_DT)
     return [CheckRow("mc_g_z_score",
                      f"t={t0:.4f} m={m0:.4f} paths={n_paths} est={est:.8f} "
                      f"closed={closed:.8f} se={se:.2e}",
-                     z, 3.0, z <= 3.0)]
-
-
-def mc_diag(params: ModelParams, n_paths: int, seed: int, dt: float) -> str:
-    """Deterministic comment line: how mc_suite's Monte Carlo was run."""
-    n_steps, _ = _steps(params.horizon.T - params.horizon.t0, dt)
-    return (f"diag mc: scheme = exact_ou, dt = {dt:.9g}, n_steps = {n_steps}, "
-            f"n_paths = {n_paths}, seed = {seed}")
+                     z, 3.0, z <= 3.0,
+                     note=f"diag mc: scheme = exact_ou, dt = {MC_DT:.9g}, "
+                          f"n_steps = {n_steps}, n_paths = {n_paths}, seed = {seed}")]
 
 
 # Each suite as `ricsolver verify --suite NAME` runs it, in the order of
-# `--suite all`; opts carries the parsed seed, samples, n_paths and dt.
+# `--suite all`; opts carries the parsed seed, samples and n_paths.
 SUITES = {
     "ode": lambda params, opts: ode_suite(params, opts.seed),
     "bounds": lambda params, opts: bounds_suite(opts.seed),
     "pde": lambda params, opts: pde_suite(params),
     "fd": lambda params, opts: fd_suite(params),
     "saddle": lambda params, opts: saddle_suite(params, opts.samples, opts.seed),
-    "mc": lambda params, opts: mc_suite(params, opts.n_paths, opts.seed, opts.dt),
+    "mc": lambda params, opts: mc_suite(params, opts.n_paths, opts.seed),
 }

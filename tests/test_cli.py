@@ -189,21 +189,23 @@ def test_verify_ode_suite_all_pass(capsys):
     assert all(len(r) == 5 for r in rows[1:])  # no comma leakage
 
 
-def test_verify_mc_takes_dt_and_reports_its_scheme(capsys):
+def test_verify_mc_reports_its_scheme(capsys):
     rc, comments, rows = run(capsys, "verify", "--suite", "mc", "--n-paths", "500",
-                             "--dt", "0.01", "--seed", "4")
+                             "--seed", "4")
     assert rc == 0
-    # default horizon [0.5, 1]: 50 steps of 0.01
-    assert ("# diag mc: scheme = exact_ou, dt = 0.01, n_steps = 50, "
+    # default horizon [0.5, 1]: 200 steps of 2.5e-3
+    assert ("# diag mc: scheme = exact_ou, dt = 0.0025, n_steps = 200, "
             "n_paths = 500, seed = 4") in comments
     assert len(rows) == 2 and rows[1][0] == "mc_g_z_score"
     assert "paths=500 est=" in rows[1][1]
 
 
-def test_verify_rejects_nonpositive_dt(capsys):
-    rc = main(["verify", "--suite", "mc", "--n-paths", "10", "--dt", "0"])
-    assert rc == 1
-    assert "dt" in capsys.readouterr().err
+def test_simulate_wealth_rejects_empty_horizon(capsys):
+    # t0 = T leaves the strategy table one distinct t node
+    for extra in (["--process", "wealth"], ["--measure", "Q_xi"]):
+        rc = main(["simulate", *extra, "--n-paths", "4", "--set", "t0=1"])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: t nodes")
 
 
 def test_verify_exit_zero_even_on_failure(capsys, monkeypatch):

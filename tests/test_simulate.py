@@ -245,6 +245,19 @@ def test_tabulated_lookup_matches_scipy_bilinear():
         assert np.array_equal(q, 0.08 * x) and np.all(xi3 == -0.2)
 
 
+def test_tabulated_rejects_bad_nodes():
+    grid = np.zeros((3, 3))
+    args = (grid, grid, 0.1, grid, grid, 0.0)
+    good = np.array([0.0, 0.5, 1.0])
+    for t_nodes, m_nodes in ((np.full(3, 1.0), good), (good, good[::-1]),
+                             (good, np.array([0.0, 0.0, 1.0]))):
+        with pytest.raises(ValueError, match="strictly ascending"):
+            TabulatedStrategy(t_nodes, m_nodes, *args)
+    one = np.zeros((1, 3))
+    with pytest.raises(ValueError, match="at least 2"):
+        TabulatedStrategy([0.5], good, one, one, 0.1, one, one, 0.0)
+
+
 def test_tabulated_clips_outside_box(base_params):
     tab = TabulatedStrategy.from_exact(base_params, m_max=2.0)
     inside = tab.strategy_fn(0.7, np.array([1.0]), np.array([2.0]))
