@@ -30,7 +30,6 @@ from .exact import (
     ExactCoeffs,
     ExactSolver,
     GBundle,
-    GValue,
     StrategyPoint,
     ValueDerivs,
     abc_rhs,
@@ -79,7 +78,6 @@ from .uniteis import (
 )
 from .verify import (
     CheckRow,
-    FkDriftDiscount,
     Grid2D,
     SaddleReport,
     abc_bounds_margin,
@@ -109,9 +107,7 @@ __all__ = [
     "FactorPaths",
     "FiniteTimeBlowup",
     "FixedPointDivergence",
-    "FkDriftDiscount",
     "GBundle",
-    "GValue",
     "Grid2D",
     "Horizon",
     "InadmissibleParameter",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FixedPointDivergence
+from .errors import FixedPointDivergence, InadmissibleParameter
 from .exact import (
     ExactCoeffs,
     GBundle,
@@ -38,7 +38,6 @@ from .exact import (
     strategy_from_ratio,
 )
 from .params import ModelParams
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .uniteis import ExpQuadCoeffs, _glh_bundle, glh_state, quadratic_noise_coeff
 
 __all__ = [
@@ -96,33 +95,25 @@ class SteadyLevel(float):
         return level
 
 
-def steady_state_w(
-    params: ModelParams,
-    mode: str = "fixed_point",
-    value: float | None = None,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> SteadyLevel:
-    """Steady consumption-wealth level w.
+def steady_state_w(params: ModelParams) -> SteadyLevel:
+    """Steady consumption-wealth level w, the root in y = ln w of
+    F(y) = y - (phi ln delta - G s^2 - H).
 
-    mode "fixed" returns the user-pinned value.  mode "fixed_point" finds
-    the root in y = ln w of F(y) = y - (phi ln delta - G s^2 - H), with
-    (G, H) at t0 for w = e^y and s^2 = beta^2/(2 alpha).  F rises with slope
-    about 1 below the root and tends to 1 far above it, so steps of 1, 2,
-    4, ... from ln delta against the sign of F expand a bracket, and
-    Illinois regula falsi shrinks it below 1e-13.  Raises
-    FixedPointDivergence when F keeps its sign within 127 of ln delta, is
-    not finite, or the bracket is still open after 100 evaluations.
+    (G, H) are taken at t0 for w = e^y and s^2 = beta^2/(2 alpha) is the
+    stationary factor variance.  F rises with slope about 1 below the root
+    and tends to 1 far above it, so steps of 1, 2, 4, ... from ln delta
+    against the sign of F expand a bracket, and Illinois regula falsi
+    shrinks it below 1e-13.  Raises InadmissibleParameter when alpha <= 0
+    (no stationary law), and FixedPointDivergence when F keeps its sign
+    within 127 of ln delta, is not finite, or the bracket is still open
+    after 100 evaluations.
     """
-    if mode == "fixed":
-        if value is None:
-            raise ValueError('mode "fixed" needs an explicit value')
-        if value <= 0.0:
-            raise ValueError(f"pinned w = {value!r} must be positive")
-        return SteadyLevel(value)
-    if mode != "fixed_point":
-        raise ValueError(f'unknown mode {mode!r}; expected "fixed" or "fixed_point"')
-
     mk, pf = params.market, params.preference
+    if mk.alpha <= 0.0:
+        raise InadmissibleParameter(
+            f"alpha = {mk.alpha!r}: the steady level needs the factor's stationary "
+            "law, which exists only for alpha > 0"
+        )
     eco = exact_coeffs(params)
     phi_log_delta = eco.base.phi * math.log(pf.delta)
     s2 = mk.beta**2 / (2.0 * mk.alpha)
@@ -131,7 +122,7 @@ def steady_state_w(
     def residual(y: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), params, eco), quad)
+        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), params, eco))
         r = y - (phi_log_delta - G * s2 - H)
         if not math.isfinite(r):
             raise FixedPointDivergence(f"level residual is {r!r} at ln w = {y!r}")
@@ -164,23 +155,20 @@ def steady_state_w(
 class CsSolver(_Surface):
     """The log-linearized mode bound to one parameter set; resolves w once.
 
-    w may be a positive number (pinned) or the string "fixed_point"; the
-    bound w is a SteadyLevel.
+    w pins the steady level to a positive number; None solves for it
+    (steady_state_w).  The bound w is a SteadyLevel.
     """
 
     aggregator = "power"
 
-    def __init__(self, params: ModelParams, w: float | str = "fixed_point"):
+    def __init__(self, params: ModelParams, w: float | None = None):
         self.params = params
-        if isinstance(w, str):
-            self.w = steady_state_w(params, mode=w)
-        else:
-            self.w = steady_state_w(params, mode="fixed", value=float(w))
+        self.w = steady_state_w(params) if w is None else SteadyLevel(w)
         self._eco = exact_coeffs(params)
         self._red = cs_reduction(self.w, params, self._eco)
         self.k = self._eco.base.k
 
-    def g_full(self, t: float, m: float) -> GBundle:
+    def g(self, t: float, m: float) -> GBundle:
         return _glh_bundle(t, m, self._red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:

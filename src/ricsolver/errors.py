@@ -11,7 +11,9 @@ class SolverError(Exception):
 
 class InadmissibleParameter(SolverError):
     """A parameter sits where the closed forms are undefined: sigma = 0,
-    gamma = 1, or Phi + gamma at or below its positive floor."""
+    gamma = 1, Phi + gamma at or below its positive floor, delta <= 0,
+    mu2 <= 0 or lambda < 0; or where a method needs more: alpha <= 0 for
+    the cs steady level, lambda = 0 for claim arrivals."""
 
 
 class DegenerateK(SolverError):
@@ -23,7 +25,8 @@ class ComplexDiscriminant(SolverError):
 
 
 class FiniteTimeBlowup(SolverError):
-    """2 kappa + Delta <= 0: the C-Riccati blows up in finite time."""
+    """A Riccati coefficient (C, or G of the exponential-quadratic modes)
+    reaches a pole in finite time, e.g. 2 kappa + Delta <= 0."""
 
 
 class NonadmissibleValueSign(SolverError):

@@ -21,7 +21,7 @@ B-hat(tau) = B(0, tau), sampled from the closed form, and of A-hat(tau) =
 A(0, tau), the exact Chebyshev antiderivative of the A right-hand side.
 The interpolant degree is doubled until the trailing coefficients are
 negligible.  g and its derivatives are then one adaptive integral over the
-lag that honors the QuadratureConfig passed in.
+lag.
 
 coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
 independently of the table; the verification layer and the tests use them
@@ -56,9 +56,9 @@ class ExactCoeffs:
 
     The reduced equation for g is
         g_t + (1/2) beta^2 g_mm + H2(m) g_m + H1(m) g + delta^phi = 0
-    with H1(m) = h1_0 + h1_1 m - b0 m^2 and H2(m) = h2_0 - kappa m.
-    c_pi is the factor loading inside pi*: pi*/x = (R + c_pi g_m/g)
-    / ((Phi+gamma) sigma^2) with R = sigma m + a - r.
+    with the discount H1 and the drift H2 below.  c_pi is the factor
+    loading inside pi*: pi*/x = (R + c_pi g_m/g) / ((Phi+gamma) sigma^2)
+    with R = sigma m + a - r.
     """
 
     params: ModelParams
@@ -70,6 +70,14 @@ class ExactCoeffs:
     delta_phi: float
     beta: float
     T: float
+
+    def H1(self, m):
+        """Discount of the reduced equation, h1_0 + h1_1 m - b0 m^2."""
+        return self.h1_0 + self.h1_1 * m - self.base.b0 * m * m
+
+    def H2(self, m):
+        """Factor drift of the reduced equation, h2_0 - kappa m."""
+        return self.h2_0 - self.base.kappa * m
 
     @cached_property
     def lag_table(self) -> "LagTable":
@@ -101,14 +109,6 @@ class LagTable:
         """
         y = np.clip(2.0 * np.asarray(tau, dtype=float) / self.span - 1.0, -1.0, 1.0)
         return _cheb_basis(np.arccos(y), self.coef.shape[0]) @ self.coef
-
-
-@dataclass(frozen=True)
-class GValue:
-    """g and its m-derivative at one (t, m)."""
-
-    g: float
-    g_m: float
 
 
 @dataclass(frozen=True)
@@ -247,11 +247,9 @@ def abc_rhs(A, B, C, co: ExactCoeffs):
     return dA, dB, dC
 
 
-def h_eval(
-    t: float, m: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> float:
+def h_eval(t: float, m: float, s: float, co: ExactCoeffs) -> float:
     """h(t, m; s) = exp(A - B m - C m^2)."""
-    A = coeff_A(t, s, co, quad)
+    A = coeff_A(t, s, co)
     B = coeff_B(t, s, co)
     C = coeff_C(t, s, co)
     return math.exp(A - B * m - C * m * m)
@@ -299,17 +297,13 @@ def _build_lag_table(co: ExactCoeffs) -> LagTable:
 # ---------------------------------------------------------------- #
 # g and everything built on it
 
-def g_bundle(
-    t: float, m: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> GBundle:
+def g_bundle(t: float, m: float, co: ExactCoeffs) -> GBundle:
     """g with g_m, g_mm, g_t in one adaptive pass."""
-    g, g_m, g_mm, g_t = g_bundle_array(t, np.array([m], dtype=float), co, quad)[:, 0]
+    g, g_m, g_mm, g_t = g_bundle_array(t, np.array([m], dtype=float), co)[:, 0]
     return GBundle(g=float(g), g_m=float(g_m), g_mm=float(g_mm), g_t=float(g_t))
 
 
-def g_bundle_array(
-    t: float, m: np.ndarray, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> np.ndarray:
+def g_bundle_array(t: float, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
     """Rows g, g_m, g_mm, g_t at one t for a 1-d array of m; shape (4, m.size).
 
     One adaptive integral over the lag tau in [0, T - t] covers every m; its
@@ -339,7 +333,7 @@ def g_bundle_array(
         )
 
     span = T - t
-    ints = adaptive_gauss(columns, 0.0, span, quad)
+    ints = adaptive_gauss(columns, 0.0, span)
     term = columns(np.array([span]))[0]
     out = (co.delta_phi * ints + term).reshape(4, m.size)
     out[3] -= co.delta_phi
@@ -400,22 +394,18 @@ def strategy_from_ratio(
 
 
 class _Surface:
-    """g, value and value derivatives of one mode, written once.
+    """Value and value derivatives of one mode, written once.
 
     Every mode's value is v = x^(1-gamma) g^k / (1-gamma).  A subclass sets
-    params and the exponent k and implements g_full(t, m) -> GBundle; the
+    params and the exponent k and implements g(t, m) -> GBundle; the
     strategy stays with each mode, whose rules differ.
     """
 
     params: ModelParams
     k: float
 
-    def g_full(self, t: float, m: float) -> GBundle:
+    def g(self, t: float, m: float) -> GBundle:
         raise NotImplementedError
-
-    def g(self, t: float, m: float) -> GValue:
-        b = self.g_full(t, m)
-        return GValue(g=b.g, g_m=b.g_m)
 
     def value(self, t: float, x: float, m: float) -> float:
         """v(t, x, m); requires x > 0."""
@@ -426,7 +416,7 @@ class _Surface:
     def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
         """ValueDerivs at (t, x, m); requires x > 0."""
         _check_wealth(x)
-        return derivs_from_g(x, self.params.preference.gamma, self.k, self.g_full(t, m))
+        return derivs_from_g(x, self.params.preference.gamma, self.k, self.g(t, m))
 
 
 def _check_wealth(x: float) -> None:
@@ -444,7 +434,7 @@ class ExactSolver(_Surface):
         self.coeffs = exact_coeffs(params)
         self.k = self.coeffs.base.k
 
-    def g_full(self, t: float, m: float) -> GBundle:
+    def g(self, t: float, m: float) -> GBundle:
         return g_bundle(t, m, self.coeffs)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:

@@ -214,19 +214,33 @@ def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     return k, phi
 
 
+def require_inputs(params: ModelParams) -> None:
+    """Raise InadmissibleParameter where every closed form breaks down:
+    sigma = 0 (the loadings divide by sigma), mu2 <= 0 (the retention
+    divides by it), lambda < 0 (xi3 takes its root) or delta <= 0
+    (delta^phi and ln delta)."""
+    mk, ins, pf = params.market, params.insurance, params.preference
+    if mk.sigma == 0.0:
+        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+    if ins.mu2 <= 0.0:
+        raise InadmissibleParameter(f"mu2 = {ins.mu2!r}: the claim second moment must be positive")
+    if ins.lam < 0.0:
+        raise InadmissibleParameter(f"lambda = {ins.lam!r}: the claim arrival rate cannot be negative")
+    if pf.delta <= 0.0:
+        raise InadmissibleParameter(f"delta = {pf.delta!r}: time preference must be positive")
+
+
 def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
     """Compute every structural constant of the exact solution.
 
-    Raises InadmissibleParameter at sigma = 0 (the loadings divide by
-    sigma) and wherever derive_k_phi does, ComplexDiscriminant when
-    kappa^2 + 2*beta^2*b0 < 0 (then the C-Riccati has no real solution on
-    the horizon and the closed form does not exist for these parameters),
-    and FiniteTimeBlowup when 2*kappa + Delta <= 0 (C(t, s) blows up in
+    Raises InadmissibleParameter wherever require_inputs or derive_k_phi
+    does, ComplexDiscriminant when kappa^2 + 2*beta^2*b0 < 0 (then the
+    C-Riccati has no real solution on the horizon and the closed form does
+    not exist for these parameters), and FiniteTimeBlowup when 2*kappa + Delta <= 0 (C(t, s) blows up in
     finite time).
     """
     mk, pf, ins = params.market, params.preference, params.insurance
-    if mk.sigma == 0.0:
-        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+    require_inputs(params)
     gamma, Phi, rho1 = pf.gamma, pf.Phi, mk.rho1
     k, phi = derive_k_phi(gamma, Phi, rho1)
     one_g = 1.0 - gamma
@@ -489,6 +503,8 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
                 "error",
                 f"kappa = {coeffs.kappa:.10g}, Delta = {coeffs.Delta:.10g}",
             )
+        except InadmissibleParameter:
+            pass  # mu2, lambda or delta: failed among the input checks above
         except ComplexDiscriminant as exc:
             add("discriminant_real", False, "error", str(exc))
         except FiniteTimeBlowup as exc:
@@ -500,7 +516,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
     # These gate the optimality proof, not formula evaluation; failures warn.
     kb = params.k_bar
     add("k_bar_above_2", kb > 2.0, "warning", f"k_bar = {kb:g} (needs > 2, ideally close to 2)")
-    if k is not None:
+    if k is not None and kb > 0.0:
         h1_hi = min(k + 1.5, 1.0 / kb + 1.0)
         h1_ok = (1.0 < pf.gamma < h1_hi) and mk.rho1 <= 0.0
         add(

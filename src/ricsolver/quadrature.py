@@ -44,6 +44,7 @@ DEFAULT_QUAD = QuadratureConfig()
 # Gauss-Legendre rules, cached by node count
 
 _RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+_N_LO, _N_HI = 16, 32  # the low/high Gauss pair compared on each panel
 
 
 def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -55,12 +56,12 @@ def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
         return pair
 
 
-def _panel(f, lo: float, hi: float, n_lo: int, n_hi: int):
+def _panel(f, lo: float, hi: float):
     """Evaluate the low/high pair on one panel; returns (I_hi, err)."""
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x1, w1 = _rule(n_lo)
-    x2, w2 = _rule(n_hi)
+    x1, w1 = _rule(_N_LO)
+    x2, w2 = _rule(_N_HI)
     y1 = np.asarray(f(mid + half * x1))
     y2 = np.asarray(f(mid + half * x2))
     i1 = half * np.tensordot(w1, y1, axes=(0, 0))
@@ -73,8 +74,6 @@ def adaptive_gauss(
     a: float,
     b: float,
     quad: QuadratureConfig = DEFAULT_QUAD,
-    n_lo: int = 16,
-    n_hi: int = 32,
 ):
     """Integrate f over [a, b] to quad's tolerances.
 
@@ -89,7 +88,7 @@ def adaptive_gauss(
         probe = np.asarray(f(np.array([a])))
         return 0.0 if probe.ndim == 1 else np.zeros(probe.shape[1])
 
-    value, err = _panel(f, a, b, n_lo, n_hi)
+    value, err = _panel(f, a, b)
     # heap entries: (-err, tiebreak, lo, hi, value, err)
     heap = [(-err, 0, a, b, value, err)]
     tiebreak = 1
@@ -108,7 +107,7 @@ def adaptive_gauss(
         _, _, lo, hi, _, _ = heapq.heappop(heap)
         mid = 0.5 * (lo + hi)
         for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-            v, e = _panel(f, sub_lo, sub_hi, n_lo, n_hi)
+            v, e = _panel(f, sub_lo, sub_hi)
             heapq.heappush(heap, (-e, tiebreak, sub_lo, sub_hi, v, e))
             tiebreak += 1
         splits += 1

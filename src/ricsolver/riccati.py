@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ComplexDiscriminant
+from .errors import ComplexDiscriminant, FiniteTimeBlowup
 
 __all__ = ["riccati_linear_zero_ic", "riccati_zero_ic", "riccati_zero_ic_integral"]
 
@@ -35,7 +35,7 @@ def _theta_pq(a: float, b: float, c: float) -> tuple[float, float, float]:
     P = theta - b
     Q = theta + b
     if P <= 0.0:
-        raise ValueError(
+        raise FiniteTimeBlowup(
             f"theta - b = {P:.6e} <= 0; y(tau) reaches a pole in finite time "
             "for these coefficients"
         )

@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NonpositiveWealth
+from .errors import InadmissibleParameter, NonpositiveWealth
 from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
 from .params import ModelParams
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
 
 __all__ = [
     "ConditionMReport",
@@ -42,7 +41,7 @@ __all__ = [
 ]
 
 _MEASURES = ("P", "Q_xi", "FK_tilde")
-_MAX_STORED = 257  # default cap on stored mesh points per path
+_MAX_STORED = 257  # cap on stored mesh points per path
 
 
 # ---------------------------------------------------------------- #
@@ -128,15 +127,6 @@ class ConditionMReport:
 # ---------------------------------------------------------------- #
 # shared mesh helpers
 
-def _resolve_horizon(params: ModelParams, horizon) -> tuple[float, float]:
-    if horizon is None:
-        return params.horizon.t0, params.horizon.T
-    lo, hi = float(horizon[0]), float(horizon[1])
-    if not lo < hi:
-        raise ValueError(f"horizon must satisfy start < end, got ({lo}, {hi})")
-    return lo, hi
-
-
 def _steps(span: float, dt: float) -> tuple[int, float]:
     if dt <= 0.0:
         raise ValueError(f"dt = {dt} must be positive")
@@ -144,15 +134,26 @@ def _steps(span: float, dt: float) -> tuple[int, float]:
     return n, span / n
 
 
-def _stored_indices(n_steps: int, store_stride: int | None) -> np.ndarray:
-    if store_stride is None:
-        store_stride = max(1, -(-(n_steps + 1) // _MAX_STORED))
-    if store_stride < 1:
-        raise ValueError(f"store_stride = {store_stride} must be >= 1")
-    idx = list(range(0, n_steps + 1, store_stride))
+def _mesh(params: ModelParams, horizon, dt: float, n_paths: int):
+    """(start, span, n_steps, step, stored step indices) of a simulation.
+
+    The stored indices take every stride-th step, the stride chosen so at
+    most _MAX_STORED points are kept, plus the last step.
+    """
+    if n_paths < 1:
+        raise ValueError(f"n_paths = {n_paths} must be >= 1")
+    if horizon is None:
+        lo, hi = params.horizon.t0, params.horizon.T
+    else:
+        lo, hi = float(horizon[0]), float(horizon[1])
+        if not lo < hi:
+            raise ValueError(f"horizon must satisfy start < end, got ({lo}, {hi})")
+    n_steps, h = _steps(hi - lo, dt)
+    stride = max(1, -(-(n_steps + 1) // _MAX_STORED))
+    idx = list(range(0, n_steps + 1, stride))
     if idx[-1] != n_steps:
         idx.append(n_steps)
-    return np.array(idx, dtype=np.intp)
+    return lo, hi - lo, n_steps, h, np.array(idx, dtype=np.intp)
 
 
 def _check_measure(measure: str, allowed=_MEASURES) -> None:
@@ -172,7 +173,6 @@ def simulate_factor(
     horizon: tuple[float, float] | None = None,
     seed: int = 0,
     n_paths: int = 1,
-    store_stride: int | None = None,
 ) -> FactorPaths:
     """Euler paths of the factor under P, the distorted measure, or the
     drift-adjusted measure of the expectation representation.
@@ -189,13 +189,10 @@ def simulate_factor(
     mk = params.market
     if m0 is None:
         m0 = mk.m0
-    t_lo, t_hi = _resolve_horizon(params, horizon)
-    n_steps, h = _steps(t_hi - t_lo, dt)
-    stored = _stored_indices(n_steps, store_stride)
+    t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     if measure == "FK_tilde":
         eco = exact_coeffs(params)
-        h2_0, kappa = eco.h2_0, eco.base.kappa
 
     rng = np.random.Generator(np.random.Philox(seed))
     m = np.full(n_paths, float(m0))
@@ -210,7 +207,7 @@ def simulate_factor(
         if measure == "P":
             drift = -mk.alpha * m
         elif measure == "FK_tilde":
-            drift = h2_0 - kappa * m
+            drift = eco.H2(m)
         else:
             xi1, xi2, _ = distortion_fn(t, m)
             drift = -(mk.alpha * m + mk.beta * mk.rho1 * xi1 + mk.beta * rho_c * xi2)
@@ -241,7 +238,6 @@ def simulate_wealth(
     horizon: tuple[float, float] | None = None,
     seed: int = 0,
     n_paths: int = 1,
-    store_stride: int | None = None,
 ) -> PathBundle:
     """Joint Euler paths of (m, X) under P or the distorted measure.
 
@@ -262,9 +258,7 @@ def simulate_wealth(
     if x0 <= 0.0:
         raise NonpositiveWealth(f"x0 must be positive, got {x0}")
     mk, ins = params.market, params.insurance
-    t_lo, t_hi = _resolve_horizon(params, horizon)
-    n_steps, h = _steps(t_hi - t_lo, dt)
-    stored = _stored_indices(n_steps, store_stride)
+    t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     s_lm2 = math.sqrt(ins.lam * ins.mu2)
     drift_q = ins.lam * ins.theta1 * ins.mu1
@@ -342,7 +336,6 @@ def simulate_surplus(
     seed: int = 0,
     n_paths: int = 1,
     u0: float = 0.0,
-    store_stride: int | None = None,
 ) -> SurplusPath:
     """Exact compound-Poisson surplus next to its diffusion approximation.
 
@@ -353,10 +346,9 @@ def simulate_surplus(
     changes do not reshuffle earlier paths.
     """
     ins = params.insurance
-    t_lo, t_hi = _resolve_horizon(params, horizon)
-    span = t_hi - t_lo
-    n_steps, h = _steps(span, dt)
-    stored = _stored_indices(n_steps, store_stride)
+    if ins.lam <= 0.0:
+        raise InadmissibleParameter(f"lambda = {ins.lam!r}: claims need a positive arrival rate")
+    t_lo, span, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
     mesh_rel = h * stored.astype(float)
 
     children = np.random.SeedSequence(seed).spawn(n_paths)
@@ -471,12 +463,11 @@ class TabulatedStrategy:
         n_t: int = 65,
         n_m: int = 121,
         m_max: float = 4.0,
-        quad: QuadratureConfig = DEFAULT_QUAD,
     ) -> "TabulatedStrategy":
         co = exact_coeffs(params)
         t_nodes = np.linspace(params.horizon.t0, params.horizon.T, n_t)
         m_nodes = np.linspace(-m_max, m_max, n_m)
-        rows = np.array([g_bundle_array(t, m_nodes, co, quad)[:2] for t in t_nodes])
+        rows = np.array([g_bundle_array(t, m_nodes, co)[:2] for t in t_nodes])
         g, g_m = rows[:, 0], rows[:, 1]
         sp = strategy_from_ratio(
             t_nodes[:, None], 1.0, m_nodes[None, :], g_m / g, co.delta_phi / g, co.base.k, co

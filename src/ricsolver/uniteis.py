@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import InadmissibleParameter
 from .exact import GBundle, StrategyPoint, _check_wealth, _Surface, strategy_from_ratio
-from .params import ModelParams
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
+from .params import ModelParams, require_inputs
+from .quadrature import adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 __all__ = [
@@ -100,7 +100,7 @@ def coeff_L(t, co: ExpQuadCoeffs):
     return _lag_L(co.T - t, co)
 
 
-def coeff_H(t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
+def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
     """H(t), one adaptive quadrature over s of the discounted L/G quadratic form.
 
     H(t) = int_t^T e^{-disc (s-t)} [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G] ds
@@ -119,7 +119,7 @@ def coeff_H(t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) 
         quad_form = (0.5 * co.beta**2 + co.G0) * L * L + co.h2_0 * L + co.beta**2 * G
         return np.exp(-co.disc * (s - t)) * quad_form
 
-    integral = float(adaptive_gauss(f, t, co.T, quad))
+    integral = float(adaptive_gauss(f, t, co.T))
     span = co.T - t
     if abs(co.disc) < 1e-12:
         affine = co.p0 * span
@@ -137,13 +137,11 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
     return dG, dL, dH
 
 
-def glh_state(
-    t: float, co: ExpQuadCoeffs, quad: QuadratureConfig = DEFAULT_QUAD
-) -> tuple[float, float, float]:
+def glh_state(t: float, co: ExpQuadCoeffs) -> tuple[float, float, float]:
     """(G, L, H) at time t <= T."""
     if t > co.T:
         raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
-    return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co, quad)
+    return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co)
 
 
 def _glh_bundle(t: float, m: float, co: ExpQuadCoeffs) -> GBundle:
@@ -188,12 +186,12 @@ class UnitEisCoeffs:
 
     params: ModelParams
     red: ExpQuadCoeffs
-    kappa: float
     c_pi: float
 
 
 def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
-    """Assemble the unit-EIS constants; rejects gamma = 1 and sigma = 0.
+    """Assemble the unit-EIS constants; rejects gamma = 1 and whatever
+    require_inputs does.
 
     The value normalization 1/(1-gamma) (and the noise coefficient G0 when
     Phi > 0) degenerates at gamma = 1 exactly; the mode covers EIS = 1 with
@@ -209,8 +207,7 @@ def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
     pg = pf.Phi + pf.gamma
     if pg <= 0.0:
         raise InadmissibleParameter(f"Phi + gamma = {pg!r} must be positive")
-    if mk.sigma == 0.0:
-        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+    require_inputs(params)
     kappa = mk.alpha - (one_g - pf.Phi) * mk.beta * mk.rho1 / pg
     G0 = quadratic_noise_coeff(1.0, params)
     x_claims = ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2)
@@ -235,7 +232,7 @@ def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
         T=params.horizon.T,
     )
     c_pi = (one_g - pf.Phi) * mk.beta * mk.rho1 * mk.sigma / one_g
-    return UnitEisCoeffs(params=params, red=red, kappa=kappa, c_pi=c_pi)
+    return UnitEisCoeffs(params=params, red=red, c_pi=c_pi)
 
 
 # ---------------------------------------------------------------- #
@@ -261,7 +258,7 @@ class UnitEisSolver(_Surface):
         self.params = params
         self.coeffs = unit_coeffs(params)
 
-    def g_full(self, t: float, m: float) -> GBundle:
+    def g(self, t: float, m: float) -> GBundle:
         return _glh_bundle(t, m, self.coeffs.red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:

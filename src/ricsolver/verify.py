@@ -23,7 +23,6 @@ import numpy as np
 from .cs import CsSolver, cs_reduction
 from .errors import SingularLinearSystem, SolverError, StabilityViolation
 from .exact import (
-    ExactCoeffs,
     ExactSolver,
     ValueDerivs,
     abc_rhs,
@@ -33,13 +32,11 @@ from .exact import (
     exact_coeffs,
 )
 from .params import ModelParams, derive_k_phi
-from .quadrature import DEFAULT_QUAD, QuadratureConfig
 from .simulate import _steps
 from .uniteis import UnitEisSolver, unit_coeffs
 
 __all__ = [
     "CheckRow",
-    "FkDriftDiscount",
     "Grid2D",
     "MC_DT",
     "SUITES",
@@ -74,17 +71,11 @@ class CheckRow:
 
 @dataclass(frozen=True)
 class Grid2D:
-    """Uniform rectangle [t0, T] x [-m_max, m_max].
-
-    The boundary field records the m-boundary policy; the only implemented
-    policy is a zero m-derivative enforced by a second-order one-sided
-    stencil at |m| = m_max.
-    """
+    """Uniform rectangle [t0, T] x [-m_max, m_max]."""
 
     n_t: int
     n_m: int
     m_max: float
-    boundary: str = "neumann-zero-onesided2"
 
     def __post_init__(self):
         if self.n_t < 3:
@@ -101,43 +92,6 @@ class Grid2D:
 
     def m_nodes(self) -> np.ndarray:
         return np.linspace(-self.m_max, self.m_max, self.n_m)
-
-
-@dataclass(frozen=True)
-class FkDriftDiscount:
-    """Discount H1 (quadratic in m) and drift H2 (affine in m).
-
-    These are the coefficient functions of the linear equation for g and of
-    its expectation representation: g accrues discount H1 along a factor
-    path with drift H2 and volatility beta.
-    """
-
-    h1_0: float
-    h1_1: float
-    h1_2: float
-    h2_0: float
-    h2_1: float
-
-    def H1(self, m):
-        return self.h1_0 + self.h1_1 * m + self.h1_2 * m * m
-
-    def H2(self, m):
-        return self.h2_0 + self.h2_1 * m
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> "FkDriftDiscount":
-        eco = exact_coeffs(params)
-        return cls.from_coeffs(eco)
-
-    @classmethod
-    def from_coeffs(cls, eco: ExactCoeffs) -> "FkDriftDiscount":
-        return cls(
-            h1_0=eco.h1_0,
-            h1_1=eco.h1_1,
-            h1_2=-eco.base.b0,
-            h2_0=eco.h2_0,
-            h2_1=-eco.base.kappa,
-        )
 
 
 # ---------------------------------------------------------------- #
@@ -167,7 +121,6 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
                 f"{m_floor:.6g}; the flat boundary would contaminate the interior"
             )
     eco = exact_coeffs(params)
-    fk = FkDriftDiscount.from_coeffs(eco)
     dp = eco.delta_phi
 
     t = grid.t_nodes(params.horizon.t0, params.horizon.T)
@@ -176,8 +129,8 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
     dt = t[1] - t[0]
     dm = m[1] - m[0]
 
-    H1 = fk.H1(m)
-    H2 = fk.H2(m)
+    H1 = eco.H1(m)
+    H2 = eco.H2(m)
     diff = 0.5 * mk.beta**2 / dm**2
     adv = H2 / (2.0 * dm)
 
@@ -226,12 +179,11 @@ def _residual_ops(equation_id: str, params: ModelParams, w: float | None):
     """Pointwise residual function for the named equation."""
     if equation_id == "g1":
         eco = exact_coeffs(params)
-        fk = FkDriftDiscount.from_coeffs(eco)
         beta2 = 0.5 * params.market.beta**2
         dp = eco.delta_phi
 
         def res(t, m, g, g_t, g_m, g_mm):
-            return g_t + beta2 * g_mm + fk.H2(m) * g_m + fk.H1(m) * g + dp
+            return g_t + beta2 * g_mm + eco.H2(m) * g_m + eco.H1(m) * g + dp
 
         return res
     if equation_id == "unit":
@@ -258,27 +210,30 @@ def _residual_ops(equation_id: str, params: ModelParams, w: float | None):
     return res
 
 
+# Central-difference steps of pde_residual in t and m, chosen so the
+# evaluation noise of g stays well below the truncation error.
+_PDE_H_T, _PDE_H_M = 1e-3, 1e-2
+
+
 def pde_residual(
     g_like: Callable[[float, float], float],
     equation_id: str,
     grid: Grid2D,
     params: ModelParams,
     w: float | None = None,
-    h_t: float = 1e-3,
-    h_m: float = 1e-2,
 ) -> float:
     """Max |residual| / max(|g|, 1) of the named equation over the grid.
 
     equation_id is one of "g1" (linear equation of the exact mode), "unit",
     "cs" (their semilinear counterparts; "cs" needs w).  Derivatives are
-    central differences with steps (h_t, h_m), chosen so the evaluation
-    noise of g_like stays well below the truncation error.  Rows with
+    central differences with steps (h_t, h_m) = (1e-3, 1e-2).  Rows with
     t + h_t > T cannot be centered in time and contribute the terminal
     condition residual |g(T, m) - 1| instead; rows with t - h_t < 0 take
     the one-sided second-order difference in t, because g is defined on
     [0, T] only.
     """
     res_fn = _residual_ops(equation_id, params, w)
+    h_t, h_m = _PDE_H_T, _PDE_H_M
     T = params.horizon.T
     t_nodes = grid.t_nodes(params.horizon.t0, T)
     m_nodes = grid.m_nodes()
@@ -308,26 +263,24 @@ def pde_residual(
 # ---------------------------------------------------------------- #
 # coefficient ODE residuals and bounds
 
-def abc_ode_residual(
-    params: ModelParams,
-    t: float,
-    s: float,
-    h: float = 1e-4,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+_ODE_H = 1e-4  # central-difference step of abc_ode_residual
+
+
+def abc_ode_residual(params: ModelParams, t: float, s: float) -> float:
     """Max relative residual of the coefficient ODE system at (t, s).
 
     The t-derivatives of the closed forms of (A, B, C) are taken by
-    central differences with step h and compared to the stated right-hand
-    sides; each residual is normalized by max(|rhs|, 1).
+    central differences with step 1e-4 and compared to the stated
+    right-hand sides; each residual is normalized by max(|rhs|, 1).
     """
+    h = _ODE_H
     co = exact_coeffs(params)
-    A = coeff_A(t, s, co, quad)
+    A = coeff_A(t, s, co)
     B = float(coeff_B(t, s, co))
     C = float(coeff_C(t, s, co))
     rhs = abc_rhs(A, B, C, co)
     fd = (
-        (coeff_A(t + h, s, co, quad) - coeff_A(t - h, s, co, quad)) / (2 * h),
+        (coeff_A(t + h, s, co) - coeff_A(t - h, s, co)) / (2 * h),
         (float(coeff_B(t + h, s, co)) - float(coeff_B(t - h, s, co))) / (2 * h),
         (float(coeff_C(t + h, s, co)) - float(coeff_C(t - h, s, co))) / (2 * h),
     )
@@ -336,12 +289,7 @@ def abc_ode_residual(
     )
 
 
-def abc_bounds_margin(
-    params: ModelParams,
-    t: float,
-    s: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-) -> float:
+def abc_bounds_margin(params: ModelParams, t: float, s: float) -> float:
     """Smallest slack of the stated coefficient bounds at (t, s).
 
     Bounds (gamma > 1, rho1 <= 0): 0 <= C <= min(b0 (s-t), 2 b0/(2 kappa
@@ -354,7 +302,7 @@ def abc_bounds_margin(
     tau = s - t
     C = float(coeff_C(t, s, co))
     B = float(coeff_B(t, s, co))
-    A = coeff_A(t, s, co, quad)
+    A = coeff_A(t, s, co)
     return min(
         C,
         base.b0 * tau - C,
@@ -445,10 +393,12 @@ def hjbi_bracket(
     return val
 
 
+_SADDLE_RADIUS = 0.1  # relative size of the perturbations hjbi_saddle_check draws
+
+
 def hjbi_saddle_check(
     v_fn,
     point: tuple[float, float, float],
-    radius: float = 0.1,
     samples: int = 20,
     seed: int = 0,
 ) -> SaddleReport:
@@ -463,6 +413,7 @@ def hjbi_saddle_check(
     infinite penalty there).
     """
     t, x, m = point
+    radius = _SADDLE_RADIUS
     params: ModelParams = v_fn.params
     agg: str = v_fn.aggregator
     sp = v_fn.strategy(t, x, m)
@@ -526,21 +477,20 @@ def hjbi_saddle_check(
 MC_DT = 2.5e-3
 
 
-def _ou_step(fk: FkDriftDiscount, beta: float, h: float) -> tuple[float, float, float]:
+def _ou_step(h2_0: float, kappa: float, beta: float, h: float) -> tuple[float, float, float]:
     """(decay, shift, sd) of the exact step m -> decay m + shift + sd z.
 
-    The factor dm = H2(m) du + beta dW with H2 affine is an OU process, so
-    with kappa = -h2_1 its transition over h is Gaussian with mean
-    e^{-kappa h} m + h2_0 (1 - e^{-kappa h}) / kappa and variance
+    The factor dm = (h2_0 - kappa m) du + beta dW is an OU process, so its
+    transition over h is Gaussian with mean e^{-kappa h} m
+    + h2_0 (1 - e^{-kappa h}) / kappa and variance
     beta^2 (1 - e^{-2 kappa h}) / (2 kappa); kappa = 0 is the limit
     (h2_0 h, beta^2 h).
     """
-    kappa = -fk.h2_1
     if kappa == 0.0:
-        return 1.0, fk.h2_0 * h, beta * math.sqrt(h)
+        return 1.0, h2_0 * h, beta * math.sqrt(h)
     em = math.expm1(-kappa * h)
     var = -math.expm1(-2.0 * kappa * h) / (2.0 * kappa)
-    return 1.0 + em, -fk.h2_0 * em / kappa, beta * math.sqrt(var)
+    return 1.0 + em, -h2_0 * em / kappa, beta * math.sqrt(var)
 
 
 def _fk_steps(span: float, dt: float) -> tuple[int, float]:
@@ -572,22 +522,22 @@ def _fk_paths(
         raise ValueError(f"dt = {dt} must be positive")
     if s < t:
         raise ValueError(f"need t <= s, got t = {t}, s = {s}")
-    fk = FkDriftDiscount.from_params(params)
+    eco = exact_coeffs(params)
     n_steps, h = _fk_steps(s - t, dt)
     if n_steps == 0:
         zeros = np.zeros(n_paths)
         return zeros, (np.zeros(n_paths) if collect_running else None)
-    decay, shift, sd = _ou_step(fk, params.market.beta, h)
+    decay, shift, sd = _ou_step(eco.h2_0, eco.base.kappa, params.market.beta, h)
     rng = np.random.Generator(np.random.Philox(seed))
     mv = np.full(n_paths, float(m))
     I = np.zeros(n_paths)
     S = np.zeros(n_paths) if collect_running else None
-    h1_prev = fk.H1(mv)
+    h1_prev = eco.H1(mv)
     exp_prev = np.ones(n_paths) if collect_running else None
     for _ in range(n_steps):
         z = rng.standard_normal(n_paths)
         mv = decay * mv + shift + sd * z
-        h1_new = fk.H1(mv)
+        h1_new = eco.H1(mv)
         I = I + 0.5 * h * (h1_prev + h1_new)
         h1_prev = h1_new
         if collect_running:

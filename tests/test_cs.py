@@ -69,8 +69,7 @@ def test_steady_state_solves_level_equation(loglin_params):
 def test_fixed_point_is_self_consistent(loglin_params):
     # w must reproduce itself through one more outer iteration
     w = steady_state_w(loglin_params)
-    w_next = steady_state_w(loglin_params, mode="fixed", value=w)
-    solver = CsSolver(loglin_params, w=w_next)
+    solver = CsSolver(loglin_params, w=w)
     t0 = loglin_params.horizon.t0
     c_ratio = solver.strategy(t0, 1.0, 0.0).c_over_x
     assert abs(c_ratio - w) < 1e-3  # the linearization gap, not roundoff
@@ -130,7 +129,7 @@ def test_g_frozen(loglin_params):
 def test_beyond_horizon_rejected(loglin_params):
     solver = CsSolver(loglin_params)
     with pytest.raises(ValueError):
-        solver.g_full(1.5, 0.0)
+        solver.g(1.5, 0.0)
 
 
 def test_fixed_point_diverges_gracefully():
@@ -151,7 +150,7 @@ def test_fixed_point_diverges_gracefully():
 def test_nonfinite_residual_is_typed(loglin_params, monkeypatch):
     # a NaN in H must stop the root with the typed error, not hang or
     # come back as w = nan
-    def nan_h(t, red, quad):
+    def nan_h(t, red):
         return 0.0, 0.0, math.nan
 
     monkeypatch.setattr(ricsolver.cs, "glh_state", nan_h)

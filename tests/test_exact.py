@@ -112,7 +112,7 @@ def test_g_bundle_consistency(base_params):
     # g_t from the bundle must match a central difference of g in t
     solver = ExactSolver(base_params)
     t, m = 0.6, -0.4
-    gb = solver.g_full(t, m)
+    gb = solver.g(t, m)
     eps = 1e-5
     fd_t = (solver.g(t + eps, m).g - solver.g(t - eps, m).g) / (2.0 * eps)
     fd_mm = (

@@ -4,6 +4,7 @@ import math
 import pytest
 
 from ricsolver import (
+    CsSolver,
     DegenerateK,
     ExactSolver,
     FiniteTimeBlowup,
@@ -14,7 +15,9 @@ from ricsolver import (
     derive_k_phi,
     exact_coeffs,
     SolverError,
+    UnitEisSolver,
     psi_eval,
+    simulate_surplus,
     validate,
     wealth_offset,
 )
@@ -161,6 +164,44 @@ def test_validate_never_raises_on_junk():
         report = validate(repl(ModelParams(), **junk))
         assert not report.ok
         assert len(report.hard_failures) >= 3
+    # the coefficients divide by mu2 and raise delta to phi; validate must
+    # report these inputs, not evaluate them
+    for junk in (dict(mu2=0.0), dict(mu2=-1.0), dict(delta=0.0, gamma=3.0),
+                 dict(lam=-1.0)):
+        assert not validate(repl(ModelParams(), **junk)).ok, junk
+    # k_bar <= 0 only warns, and the window that divides by it is skipped
+    assert validate(dataclasses.replace(ModelParams(), k_bar=0.0)).ok
+
+
+def _solve_at_t0(solver_cls):
+    def run(params):
+        solver = solver_cls(params)
+        solver.strategy(params.horizon.t0, 1.0, params.market.m0)
+        return solver.value(params.horizon.t0, 1.0, params.market.m0)
+    return run
+
+
+@pytest.mark.parametrize("kw, run, error", [
+    (dict(mu2=0.0), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(mu2=0.0), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(mu2=0.0), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(delta=-0.1), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(delta=0.0, gamma=3.0), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(delta=-0.1), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(delta=-0.1), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(alpha=0.0), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(alpha=-1.0), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(lam=-1.0), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    # the G-Riccati of the unit-EIS mode reaches a pole (theta - b < 0)
+    (dict(alpha=-1.0, Phi=0.0, gamma=0.5, r=0.0), _solve_at_t0(UnitEisSolver),
+     FiniteTimeBlowup),
+    (dict(lam=0.0), lambda p: simulate_surplus(p, n_paths=2), InadmissibleParameter),
+], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
+        "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
+        "pole-unit", "lambda0-surplus"])
+def test_refusals_are_typed(kw, run, error):
+    with pytest.raises(error):
+        run(repl(ModelParams(), **kw))
 
 
 def test_claim_dist_moments(base_params):

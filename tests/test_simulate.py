@@ -265,6 +265,17 @@ def test_tabulated_clips_outside_box(base_params):
     assert outside[0][0] == pytest.approx(inside[0][0], rel=1e-12)
 
 
+@pytest.mark.parametrize("simulate", [
+    lambda p, n: simulate_factor(p, n_paths=n),
+    lambda p, n: simulate_wealth(p, 1.0, zero_strategy, n_paths=n),
+    lambda p, n: simulate_surplus(p, n_paths=n),
+], ids=["factor", "wealth", "surplus"])
+def test_simulators_reject_empty_batch(base_params, simulate):
+    for n in (0, -3):
+        with pytest.raises(ValueError, match="n_paths"):
+            simulate(base_params, n)
+
+
 # ---------------------------------------------------------------- #
 # surplus
 

@@ -4,7 +4,14 @@ import math
 import numpy as np
 import pytest
 
-from ricsolver import InadmissibleParameter, UnitEisSolver, glh_rhs, glh_state, unit_coeffs
+from ricsolver import (
+    ExactSolver,
+    InadmissibleParameter,
+    UnitEisSolver,
+    glh_rhs,
+    glh_state,
+    unit_coeffs,
+)
 
 # structural constants at the default calibration, frozen by hand
 G0 = 0.10546875
@@ -155,3 +162,28 @@ def test_g_m_consistency(base_params):
     # exp-quadratic structure: g_m / g = 2 G m + L
     G, L, _ = glh_state(t, unit_coeffs(base_params).red)
     assert gv.g_m / gv.g == pytest.approx(2.0 * G * m + L, rel=1e-12)
+
+
+def test_exact_mode_converges_to_unit_eis(base_params):
+    # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma* = 0.2.  At
+    # gamma* + eps the exact mode's gaps to the unit-EIS solution at gamma*
+    # fall linearly in 1 - phi (about 2.7, 0.195 and 1.41 times 1 - phi for
+    # pi/x, c/x and v), so each tenfold cut of eps cuts them about tenfold.
+    def at(gamma):
+        return dataclasses.replace(
+            base_params,
+            market=dataclasses.replace(base_params.market, rho1=-0.5),
+            preference=dataclasses.replace(base_params.preference, Phi=0.8, gamma=gamma),
+        )
+
+    point = (0.5, 1.0, 0.3)
+    unit = UnitEisSolver(at(0.2))
+    su, vu = unit.strategy(*point), unit.value(*point)
+    gaps = []
+    for eps in (1e-1, 1e-2, 1e-3):
+        ex = ExactSolver(at(0.2 + eps))
+        s, v = ex.strategy(*point), ex.value(*point)
+        gaps.append(np.array([abs(s.pi_over_x - su.pi_over_x),
+                              abs(s.c_over_x - su.c_over_x), abs(v - vu)]))
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert np.all(fine * 6.0 <= coarse), (coarse, fine)

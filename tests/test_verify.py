@@ -10,7 +10,6 @@ import pytest
 from ricsolver import (
     CsSolver,
     ExactSolver,
-    FkDriftDiscount,
     Grid2D,
     ModelParams,
     StabilityViolation,
@@ -273,16 +272,15 @@ def test_mc_g_edge_at_cli_step(base_params, m, seed):
 
 
 def test_ou_step_kappa_zero_is_the_limit():
-    def step(h2_1):
-        fk = FkDriftDiscount(h1_0=0.0, h1_1=0.0, h1_2=0.0, h2_0=0.3, h2_1=h2_1)
-        return _ou_step(fk, 0.4, 0.01)
+    def step(kappa):
+        return _ou_step(0.3, kappa, 0.4, 0.01)
 
     limit = step(0.0)
     assert limit == (1.0, 0.3 * 0.01, 0.4 * math.sqrt(0.01))
-    assert step(-1e-9) == pytest.approx(limit, rel=1e-10)
+    assert step(1e-9) == pytest.approx(limit, rel=1e-10)
     # and the step is the OU transition: for kappa = 2 the variance over h
     # is beta^2 (1 - exp(-2 kappa h)) / (2 kappa)
-    decay, shift, sd = step(-2.0)
+    decay, shift, sd = step(2.0)
     assert decay == pytest.approx(math.exp(-0.02), rel=1e-15)
     assert shift == pytest.approx(0.3 * (1.0 - math.exp(-0.02)) / 2.0, rel=1e-14)
     assert sd**2 == pytest.approx(0.16 * (1.0 - math.exp(-0.04)) / 4.0, rel=1e-14)
@@ -326,7 +324,7 @@ def test_mc_degenerate_factor_has_zero_se(base_params):
 # drift/discount assembly
 
 def test_drift_discount_from_params(base_params):
-    fk = FkDriftDiscount.from_params(base_params)
+    fk = exact_coeffs(base_params)
     co = derive_coeffs(base_params)
     # H2 is affine with slope -kappa; H1 is quadratic with leading -b0
     assert fk.H2(1.0) - fk.H2(0.0) == pytest.approx(-co.kappa, rel=1e-12)
