@@ -48,7 +48,6 @@ from .params import (
     ModelParams,
     PreferenceParams,
     ValidationReport,
-    default_params,
     derive_coeffs,
     derive_k_phi,
     psi_eval,
@@ -70,7 +69,6 @@ from .simulate import (
 )
 from .uniteis import (
     ExpQuadCoeffs,
-    UnitEisCoeffs,
     UnitEisSolver,
     glh_rhs,
     glh_state,
@@ -127,7 +125,6 @@ __all__ = [
     "StrategyPoint",
     "SurplusPath",
     "TabulatedStrategy",
-    "UnitEisCoeffs",
     "UnitEisSolver",
     "ValidationReport",
     "ValueDerivs",
@@ -139,7 +136,6 @@ __all__ = [
     "coeff_B",
     "coeff_C",
     "cs_reduction",
-    "default_params",
     "derive_coeffs",
     "derive_k_phi",
     "empirical_condition_M",

@@ -341,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, mode_default="exact"):
+    def common(p):
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--mode", default=mode_default)
+        p.add_argument("--mode", default="exact")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
         p.add_argument("--seed", type=int, default=0)

@@ -21,6 +21,11 @@ common one-shot approximation.
 
 The reinsurance ratio q/x is untouched by the approximation and stays
 identical to the exact mode's at machine precision.
+
+The mode's coefficient object is the ExpQuadCoeffs that cs_reduction builds
+from the exact mode's ExactCoeffs at w; CsSolver is an ExpQuadSurface, so
+its g, value and derivatives are the unit-EIS mode's code on these
+constants.
 """
 
 from __future__ import annotations
@@ -28,17 +33,9 @@ from __future__ import annotations
 import math
 
 from .errors import FixedPointDivergence, InadmissibleParameter
-from .exact import (
-    ExactCoeffs,
-    GBundle,
-    StrategyPoint,
-    _check_wealth,
-    _Surface,
-    exact_coeffs,
-    strategy_from_ratio,
-)
+from .exact import ExactCoeffs, StrategyPoint, _check_wealth, exact_coeffs, strategy_from_ratio
 from .params import ModelParams
-from .uniteis import ExpQuadCoeffs, _glh_bundle, glh_state, quadratic_noise_coeff
+from .uniteis import ExpQuadCoeffs, ExpQuadSurface, glh_state, quadratic_noise_coeff
 
 __all__ = [
     "CsSolver",
@@ -52,8 +49,9 @@ _MAX_STEP = 64.0  # largest bracket-expansion step in ln w
 _MAX_EVALUATIONS = 100
 
 
-def cs_reduction(w: float, params: ModelParams, eco: ExactCoeffs | None = None) -> ExpQuadCoeffs:
-    """ExpQuadCoeffs of the log-linearized mode at steady level w.
+def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
+    """ExpQuadCoeffs of the log-linearized mode at steady level w, built
+    from the exact mode's coefficients eco.
 
     Everything except the consumption term is shared with the exact mode,
     so the affine sources h1_0, h1_1, h2_0 are taken from there verbatim;
@@ -64,24 +62,17 @@ def cs_reduction(w: float, params: ModelParams, eco: ExactCoeffs | None = None) 
     """
     if w <= 0.0:
         raise ValueError(f"steady consumption-wealth level w = {w!r} must be positive")
-    if eco is None:
-        eco = exact_coeffs(params)
-    mk, pf = params.market, params.preference
-    base = eco.base
-    G0 = quadratic_noise_coeff(base.k, params)
-    p0 = eco.h1_0 + w * (1.0 - math.log(w) + base.phi * math.log(pf.delta))
+    params, base = eco.params, eco.base
+    p0 = eco.h1_0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
     return ExpQuadCoeffs(
-        G0=G0,
-        G1=-2.0 * (mk.beta**2 + 2.0 * G0),
-        G2=2.0 * base.kappa + w,
+        params=params,
+        G0=quadratic_noise_coeff(base.k, params),
         G3=base.b0,
         disc=w,
         d1=-base.kappa,
         h1_src=eco.h1_1,
         h2_0=eco.h2_0,
         p0=p0,
-        beta=mk.beta,
-        T=params.horizon.T,
     )
 
 
@@ -122,7 +113,7 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
     def residual(y: float) -> float:
         nonlocal evaluations
         evaluations += 1
-        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), params, eco))
+        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), eco))
         r = y - (phi_log_delta - G * s2 - H)
         if not math.isfinite(r):
             raise FixedPointDivergence(f"level residual is {r!r} at ln w = {y!r}")
@@ -152,11 +143,12 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
     return SteadyLevel(math.exp(b), evaluations, 0.0 if fb == 0.0 else abs(b - a))
 
 
-class CsSolver(_Surface):
+class CsSolver(ExpQuadSurface):
     """The log-linearized mode bound to one parameter set; resolves w once.
 
     w pins the steady level to a positive number; None solves for it
-    (steady_state_w).  The bound w is a SteadyLevel.
+    (steady_state_w).  The bound w is a SteadyLevel, and coeffs the
+    reduction at it.
     """
 
     aggregator = "power"
@@ -165,16 +157,13 @@ class CsSolver(_Surface):
         self.params = params
         self.w = steady_state_w(params) if w is None else SteadyLevel(w)
         self._eco = exact_coeffs(params)
-        self._red = cs_reduction(self.w, params, self._eco)
+        self.coeffs = cs_reduction(self.w, self._eco)
         self.k = self._eco.base.k
-
-    def g(self, t: float, m: float) -> GBundle:
-        return _glh_bundle(t, m, self._red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
         """Reads u = 2 G m + L and c/x = delta^phi / g off (G, L, H) at t."""
         _check_wealth(x)
-        G, L, H = glh_state(t, self._red)
+        G, L, H = glh_state(t, self.coeffs)
         u = 2.0 * G * m + L
         c_over_x = self._eco.delta_phi / math.exp(G * m * m + L * m + H)
-        return strategy_from_ratio(t, x, m, u, c_over_x, self.k, self._eco)
+        return strategy_from_ratio(x, m, u, c_over_x, self.k, self.params)

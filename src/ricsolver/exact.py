@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DegenerateK, NonpositiveWealth, QuadratureBudgetExceeded
-from .params import DerivedCoeffs, ModelParams, derive_coeffs
+from .params import DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
@@ -56,9 +56,7 @@ class ExactCoeffs:
 
     The reduced equation for g is
         g_t + (1/2) beta^2 g_mm + H2(m) g_m + H1(m) g + delta^phi = 0
-    with the discount H1 and the drift H2 below.  c_pi is the factor
-    loading inside pi*: pi*/x = (R + c_pi g_m/g) / ((Phi+gamma) sigma^2)
-    with R = sigma m + a - r.
+    with the discount H1 and the drift H2 below.
     """
 
     params: ModelParams
@@ -66,7 +64,6 @@ class ExactCoeffs:
     h1_0: float
     h1_1: float
     h2_0: float
-    c_pi: float
     delta_phi: float
     beta: float
     T: float
@@ -162,28 +159,19 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
             f"derived phi = {base.phi!r} is within {_UNIT_PHI_TOL} of 1; "
             "this mode has a removable singularity there, use the unit-EIS solver"
         )
-    mk, ins, pf = params.market, params.insurance, params.preference
-    one_g = 1.0 - pf.gamma
-    pg = pf.Phi + pf.gamma
-    x_claims = ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2)
+    mk, pf = params.market, params.preference
+    kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(params, base.k)
     # delta/(1 - 1/phi) is written as delta*phi/(phi-1) so phi = 0 is fine;
     # phi = 1 is excluded above.
-    h1_0 = (one_g / base.k) * (
-        mk.r
-        + (mk.a - mk.r) ** 2 / (2.0 * pg * mk.sigma**2)
-        + x_claims
-        - pf.delta * base.phi / (base.phi - 1.0)
+    h1_0 = ((1.0 - pf.gamma) / base.k) * (
+        mk.r + premium + claims - pf.delta * base.phi / (base.phi - 1.0)
     )
-    h1_1 = one_g * (mk.a - mk.r) / (base.k * pg * mk.sigma)
-    h2_0 = (one_g - pf.Phi) * (mk.a - mk.r) * mk.beta * mk.rho1 / (pg * mk.sigma)
-    c_pi = (one_g - pf.Phi) * base.k * mk.beta * mk.rho1 * mk.sigma / one_g
     return ExactCoeffs(
         params=params,
         base=base,
         h1_0=h1_0,
         h1_1=h1_1,
         h2_0=h2_0,
-        c_pi=c_pi,
         delta_phi=pf.delta**base.phi,
         beta=mk.beta,
         T=params.horizon.T,
@@ -362,20 +350,22 @@ def derivs_from_g(x: float, gamma: float, k: float, gb: GBundle) -> ValueDerivs:
 
 
 def strategy_from_ratio(
-    t: float, x: float, m: float, u: float, c_over_x: float, k: float, co
+    x: float, m: float, u: float, c_over_x: float, k: float, params: ModelParams
 ) -> StrategyPoint:
     """Strategy formulas given u = g_m/g and the consumption ratio c/x.
 
     Every mode shares them: the exact and log-linearized modes pass
-    c/x = delta^phi / g, the unit-EIS mode delta with k = 1.  co is any
-    coefficient bundle with params and c_pi.  Elementwise, so broadcastable
-    arrays of (t, x, m, u, c_over_x) give arrays of ratios
-    (TabulatedStrategy's grid)."""
-    mk, ins, pf = co.params.market, co.params.insurance, co.params.preference
+    c/x = delta^phi / g, the unit-EIS mode delta with k = 1.  The factor
+    loading inside pi*/x = (R + c_pi u) / ((Phi+gamma) sigma^2), with
+    R = sigma m + a - r, is c_pi = (1-gamma-Phi) k beta rho1 sigma / (1-gamma).
+    Elementwise, so broadcastable arrays of (x, m, u, c_over_x) give arrays
+    of ratios (TabulatedStrategy's grid)."""
+    mk, ins, pf = params.market, params.insurance, params.preference
     pg = pf.Phi + pf.gamma
     one_g = 1.0 - pf.gamma
     R = mk.sigma * m + mk.a - mk.r
-    pi_over_x = (R + co.c_pi * u) / (pg * mk.sigma**2)
+    c_pi = (one_g - pf.Phi) * k * mk.beta * mk.rho1 * mk.sigma / one_g
+    pi_over_x = (R + c_pi * u) / (pg * mk.sigma**2)
     q_over_x = ins.theta1 * ins.mu1 / (pg * ins.mu2)
     xi1 = pf.Phi * R / (pg * mk.sigma) + pf.Phi * k * mk.beta * mk.rho1 * u / (one_g * pg)
     xi2 = pf.Phi * k * mk.beta * math.sqrt(1.0 - mk.rho1**2) * u / one_g
@@ -398,7 +388,9 @@ class _Surface:
 
     Every mode's value is v = x^(1-gamma) g^k / (1-gamma).  A subclass sets
     params and the exponent k and implements g(t, m) -> GBundle; the
-    strategy stays with each mode, whose rules differ.
+    strategy stays with each mode, whose rules differ.  The exact mode's
+    g is the lag-table kernel; unit EIS and cs share the
+    exponential-quadratic one (uniteis.ExpQuadSurface).
     """
 
     params: ModelParams
@@ -441,5 +433,6 @@ class ExactSolver(_Surface):
         """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
         _check_wealth(x)
         gv = self.g(t, m)
-        co = self.coeffs
-        return strategy_from_ratio(t, x, m, gv.g_m / gv.g, co.delta_phi / gv.g, self.k, co)
+        return strategy_from_ratio(
+            x, m, gv.g_m / gv.g, self.coeffs.delta_phi / gv.g, self.k, self.params
+        )

@@ -23,7 +23,7 @@ reduced equation for g linear. derive_k_phi enforces it to 1e-12.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
 import numpy as np
@@ -37,8 +37,9 @@ from .errors import (
     SolverError,
 )
 
-# Division guard shared by every (Phi+gamma) denominator.
+# Division guards shared by every (Phi+gamma) and (1-gamma) denominator.
 _PHI_GAMMA_FLOOR = 1e-12
+_GAMMA_ONE_TOL = 1e-12
 
 
 # ---------------------------------------------------------------- #
@@ -153,11 +154,6 @@ class ModelParams:
     k_bar: float = 2.1  # auxiliary constant for the (H1)-(H3) checks
 
 
-def default_params() -> ModelParams:
-    """Baseline calibration used by examples and tests."""
-    return ModelParams()
-
-
 # ---------------------------------------------------------------- #
 # 2. Derived structural coefficients
 
@@ -170,8 +166,6 @@ class DerivedCoeffs:
     kappa: effective reversion, alpha - (1-gamma-Phi)*beta*rho1/(Phi+gamma)
     Delta: 2*sqrt(kappa^2 + 2*beta^2*b0), discriminant of the C-Riccati
     b0:    -(1-gamma)/(2k(Phi+gamma)); > 0 when gamma > 1
-    b1:    scale of the |B(t,s)| <= |b1|*(s-t) bound
-    A1, A2: constants of the lower bound A >= A1*(T-t)*(s-t) + A2*(s-t)
     """
 
     k: float
@@ -179,26 +173,33 @@ class DerivedCoeffs:
     kappa: float
     Delta: float
     b0: float
-    b1: float
-    A1: float
-    A2: float
+
+
+def require_preference(gamma: float, Phi: float) -> None:
+    """The guard every mode shares: InadmissibleParameter when gamma is
+    within 1e-12 of 1 (each value is normalized by 1/(1-gamma)) or Phi +
+    gamma is at or below its floor (each loading divides by it)."""
+    if abs(1.0 - gamma) < _GAMMA_ONE_TOL:
+        raise InadmissibleParameter(
+            f"gamma = 1 is excluded (gamma = {gamma!r}): every mode normalizes "
+            "the value by 1/(1-gamma); phi = 1 is the unit-EIS mode, at any other gamma"
+        )
+    if Phi + gamma <= _PHI_GAMMA_FLOOR:
+        raise InadmissibleParameter(f"Phi + gamma = {Phi + gamma} must exceed {_PHI_GAMMA_FLOOR}")
 
 
 def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     """Derive (k, phi) from (gamma, Phi, rho1).
 
-    Raises InadmissibleParameter at gamma = 1 or Phi + gamma at or below
-    its floor, and DegenerateK when the k denominator is within 1e-14 of
+    Raises InadmissibleParameter wherever require_preference does, and
+    DegenerateK when the k denominator is within 1e-14 of
     zero, or when the identity k(1-phi)/(1-gamma) = -1 fails beyond 1e-12.  The
     identity holds algebraically, but next to derived phi = 1 the k
     denominator and 1 - phi both pass through zero, each computed with
     cancellation, so the product loses digits (Phi = 0.8, rho1 = -0.5 puts
     phi = 1 at gamma = 0.2; gamma = 0.2001 already fails the check).
     """
-    if gamma == 1.0:
-        raise InadmissibleParameter("gamma = 1 is excluded; use the unit-EIS solver for phi = 1")
-    if Phi + gamma <= _PHI_GAMMA_FLOOR:
-        raise InadmissibleParameter(f"Phi + gamma = {Phi + gamma} must exceed {_PHI_GAMMA_FLOOR}")
+    require_preference(gamma, Phi)
     one_g = 1.0 - gamma
     den = 1.0 - Phi / one_g + (one_g - Phi) ** 2 * rho1**2 / (one_g * (Phi + gamma))
     if abs(den) < 1e-14:
@@ -214,20 +215,50 @@ def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     return k, phi
 
 
-def require_inputs(params: ModelParams) -> None:
-    """Raise InadmissibleParameter where every closed form breaks down:
-    sigma = 0 (the loadings divide by sigma), mu2 <= 0 (the retention
-    divides by it), lambda < 0 (xi3 takes its root) or delta <= 0
-    (delta^phi and ln delta)."""
-    mk, ins, pf = params.market, params.insurance, params.preference
-    if mk.sigma == 0.0:
-        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+def require_claims(ins: InsuranceParams) -> None:
+    """Raise InadmissibleParameter for mu2 <= 0 (the retention divides by
+    it) or lambda < 0 (the claim noise takes the root of lambda mu2)."""
     if ins.mu2 <= 0.0:
         raise InadmissibleParameter(f"mu2 = {ins.mu2!r}: the claim second moment must be positive")
     if ins.lam < 0.0:
         raise InadmissibleParameter(f"lambda = {ins.lam!r}: the claim arrival rate cannot be negative")
+
+
+def require_inputs(params: ModelParams) -> None:
+    """Raise InadmissibleParameter where every closed form breaks down:
+    sigma = 0 (the loadings divide by sigma), whatever require_claims
+    refuses, delta <= 0 (delta^phi and ln delta), or a horizon other than
+    0 <= t0 < T (g lives on [0, T] and is read from t0)."""
+    mk, pf, hz = params.market, params.preference, params.horizon
+    if mk.sigma == 0.0:
+        raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+    require_claims(params.insurance)
     if pf.delta <= 0.0:
         raise InadmissibleParameter(f"delta = {pf.delta!r}: time preference must be positive")
+    if not 0.0 <= hz.t0 < hz.T:
+        raise InadmissibleParameter(
+            f"horizon [t0, T] = [{hz.t0!r}, {hz.T!r}] must satisfy 0 <= t0 < T"
+        )
+
+
+def reduction_terms(params: ModelParams, k: float) -> Tuple[float, ...]:
+    """The constants every reduced equation shares, at g-exponent k (the
+    unit-EIS mode is k = 1.0): kappa, b0, h1_1, h2_0, and the market
+    premium (a-r)^2/(2(Phi+gamma)sigma^2) and claims term
+    lambda theta1^2 mu1^2/(2(Phi+gamma)mu2) of the constant source, in
+    that order.  Callers have passed require_preference and require_inputs.
+    """
+    mk, ins, pf = params.market, params.insurance, params.preference
+    one_g = 1.0 - pf.gamma
+    pg = pf.Phi + pf.gamma
+    return (
+        mk.alpha - (one_g - pf.Phi) * mk.beta * mk.rho1 / pg,
+        -one_g / (2.0 * k * pg),
+        one_g * (mk.a - mk.r) / (k * pg * mk.sigma),
+        (one_g - pf.Phi) * (mk.a - mk.r) * mk.beta * mk.rho1 / (pg * mk.sigma),
+        (mk.a - mk.r) ** 2 / (2.0 * pg * mk.sigma**2),
+        ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2),
+    )
 
 
 def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
@@ -239,16 +270,11 @@ def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
     not exist for these parameters), and FiniteTimeBlowup when 2*kappa + Delta <= 0 (C(t, s) blows up in
     finite time).
     """
-    mk, pf, ins = params.market, params.preference, params.insurance
     require_inputs(params)
-    gamma, Phi, rho1 = pf.gamma, pf.Phi, mk.rho1
-    k, phi = derive_k_phi(gamma, Phi, rho1)
-    one_g = 1.0 - gamma
-    pg = Phi + gamma
-
-    kappa = mk.alpha - (one_g - Phi) * mk.beta * rho1 / pg
-    b0 = -one_g / (2.0 * k * pg)
-    disc = kappa**2 + 2.0 * mk.beta**2 * b0
+    pf, beta = params.preference, params.market.beta
+    k, phi = derive_k_phi(pf.gamma, pf.Phi, params.market.rho1)
+    kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(params, k)
+    disc = kappa**2 + 2.0 * beta**2 * b0
     if disc < 0.0:
         raise ComplexDiscriminant(
             f"kappa^2 + 2 beta^2 b0 = {disc:.6e} < 0; no real closed form"
@@ -259,29 +285,7 @@ def derive_coeffs(params: ModelParams) -> DerivedCoeffs:
             f"2*kappa + Delta = {2.0 * kappa + Delta:.6e} <= 0; "
             "C(t, s) blows up in finite time for these parameters"
         )
-
-    # Bound constants. b1 scales the B bound; A1 = -h2_0*b1 and A2 is the
-    # constant drift of A minus the C-bound tail. The drift must include the
-    # time-preference term -delta*phi (it sits in the A equation through
-    # ((1-gamma)/k) * delta/(1-1/phi) = delta*phi); without it the stated
-    # lower bound on A is violated whenever delta*phi > 0.
-    h1_1 = one_g * (mk.a - mk.r) / (k * pg * mk.sigma)
-    h2_0 = (one_g - Phi) * (mk.a - mk.r) * mk.beta * rho1 / (pg * mk.sigma)
-    bracket = 4.0 * (one_g - Phi) * b0 * k * mk.beta * rho1 / (one_g * (2.0 * kappa + Delta)) - 1.0
-    b1 = h1_1 * bracket
-    A1 = -h2_0 * b1
-    A2 = (
-        (one_g / k)
-        * (
-            mk.r
-            + (mk.a - mk.r) ** 2 / (2.0 * pg * mk.sigma**2)
-            + ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2)
-        )
-        - pf.delta * phi
-        - 2.0 * b0 * mk.beta**2 / (2.0 * kappa + Delta)
-    )
-
-    return DerivedCoeffs(k=k, phi=phi, kappa=kappa, Delta=Delta, b0=b0, b1=b1, A1=A1, A2=A2)
+    return DerivedCoeffs(k=k, phi=phi, kappa=kappa, Delta=Delta, b0=b0)
 
 
 # ---------------------------------------------------------------- #
@@ -406,7 +410,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
     add("horizon_order", 0.0 <= hz.t0 < hz.T, "error", f"t0 = {hz.t0:g}, T = {hz.T:g}")
     add("delta_positive", pf.delta > 0.0, "error", f"delta = {pf.delta:g}")
     add("Phi_nonnegative", pf.Phi >= 0.0, "error", f"Phi = {pf.Phi:g}")
-    if pf.gamma == 1.0:
+    if abs(1.0 - pf.gamma) < _GAMMA_ONE_TOL:
         add(
             "gamma_admissible",
             False,
@@ -496,7 +500,8 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
     coeffs = None
     if k is not None and mk.sigma > 0.0:
         try:
-            coeffs = derive_coeffs(params)
+            # the horizon has its own row and no part in these constants
+            coeffs = derive_coeffs(replace(params, horizon=Horizon(0.0, 1.0)))
             add(
                 "discriminant_real",
                 True,

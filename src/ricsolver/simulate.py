@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
 from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
-from .params import ModelParams
+from .params import ModelParams, require_claims
 
 __all__ = [
     "ConditionMReport",
@@ -250,7 +250,8 @@ def simulate_wealth(
     rho1 dW1 + sqrt(1-rho1^2) dW2.
 
     A path whose wealth reaches X <= 0 is set to exactly zero and frozen;
-    see PathBundle.
+    see PathBundle.  Claims with mu2 <= 0 or lambda < 0 are refused with
+    InadmissibleParameter (params.require_claims).
     """
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
@@ -258,6 +259,7 @@ def simulate_wealth(
     if x0 <= 0.0:
         raise NonpositiveWealth(f"x0 must be positive, got {x0}")
     mk, ins = params.market, params.insurance
+    require_claims(ins)
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     s_lm2 = math.sqrt(ins.lam * ins.mu2)
@@ -470,7 +472,7 @@ class TabulatedStrategy:
         rows = np.array([g_bundle_array(t, m_nodes, co)[:2] for t in t_nodes])
         g, g_m = rows[:, 0], rows[:, 1]
         sp = strategy_from_ratio(
-            t_nodes[:, None], 1.0, m_nodes[None, :], g_m / g, co.delta_phi / g, co.base.k, co
+            1.0, m_nodes[None, :], g_m / g, co.delta_phi / g, co.base.k, params
         )
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)

@@ -1,4 +1,5 @@
-"""Closed-form solver for the unit-EIS aggregator.
+"""Closed-form solver for the unit-EIS aggregator, and the
+exponential-quadratic surface it shares with the log-linearized mode.
 
 With elasticity of intertemporal substitution equal to one, consumption is
 myopic (c* = delta x) and the conjecture
@@ -11,14 +12,17 @@ zero terminal values,
 
     G' = G1 G^2 + G2 G + G3,
     L' = [G1 G + (disc - d1)] L - (2 h2_0 G + h1_src),
-    H' = disc H - [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0].
+    H' = disc H - [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0],
 
-In the lag tau = T - t, G is the zero-initial-value Riccati kernel of
-riccati.py and L its linear companion (riccati_linear_zero_ic), both closed
-form; H is one adaptive quadrature on top of them.
-The log-linearized mode reduces to the same three equations with its own
-constants and discount rate, so the reduction machinery below is written
-against the neutral coefficient container ExpQuadCoeffs and shared.
+with G1 = -2 (beta^2 + 2 G0) and G2 = disc - 2 d1.  In the lag tau = T - t,
+G is the zero-initial-value Riccati kernel of riccati.py and L its linear
+companion (riccati_linear_zero_ic), both closed form; H is one adaptive
+quadrature on top of them.  The log-linearized mode (cs.py) reduces to the
+same three equations with its own constants and discount rate: each mode
+has one coefficient object, an ExpQuadCoeffs (unit_coeffs here,
+cs.cs_reduction there), and both solvers are an ExpQuadSurface, whose g is
+read off (G, L, H).  The constants the reductions share with the exact
+mode come from params.reduction_terms; unit EIS is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -28,15 +32,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InadmissibleParameter
 from .exact import GBundle, StrategyPoint, _check_wealth, _Surface, strategy_from_ratio
-from .params import ModelParams, require_inputs
+from .params import ModelParams, reduction_terms, require_inputs, require_preference
 from .quadrature import adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 __all__ = [
     "ExpQuadCoeffs",
-    "UnitEisCoeffs",
+    "ExpQuadSurface",
     "UnitEisSolver",
     "coeff_G",
     "coeff_L",
@@ -54,7 +57,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExpQuadCoeffs:
-    """Constants of one exponential-quadratic reduction.
+    """Constants of one exponential-quadratic reduction, with the
+    parameter set it was built from.
 
     disc is the discount rate acting on L and H (delta here, the steady
     consumption-wealth level in the log-linearized mode); d1 is the slope
@@ -62,17 +66,22 @@ class ExpQuadCoeffs:
     constant source in the H equation.
     """
 
+    params: ModelParams
     G0: float
-    G1: float
-    G2: float
     G3: float
     disc: float
     d1: float
     h1_src: float
     h2_0: float
     p0: float
-    beta: float
-    T: float
+
+    @property
+    def G1(self) -> float:
+        return -2.0 * (self.params.market.beta**2 + 2.0 * self.G0)
+
+    @property
+    def G2(self) -> float:
+        return self.disc - 2.0 * self.d1
 
     def kernel_abc(self) -> tuple[float, float, float]:
         """Riccati coefficients of G in the lag variable tau = T - t."""
@@ -81,7 +90,7 @@ class ExpQuadCoeffs:
 
 def coeff_G(t, co: ExpQuadCoeffs):
     """G(t), vectorized over t (requires t <= T)."""
-    tau = co.T - np.asarray(t, dtype=float)
+    tau = co.params.horizon.T - np.asarray(t, dtype=float)
     a, b, c = co.kernel_abc()
     return riccati_zero_ic(tau, a, b, c)
 
@@ -94,10 +103,10 @@ def _lag_L(tau, co: ExpQuadCoeffs):
 
 def coeff_L(t, co: ExpQuadCoeffs):
     """L(t), vectorized over t (requires t <= T)."""
-    t = np.asarray(t, dtype=float)
-    if np.any(t > co.T):
-        raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
-    return _lag_L(co.T - t, co)
+    t, T = np.asarray(t, dtype=float), co.params.horizon.T
+    if np.any(t > T):
+        raise ValueError(f"t = {t} is past the terminal time T = {T}")
+    return _lag_L(T - t, co)
 
 
 def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
@@ -108,19 +117,20 @@ def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
     with the affine term switching to its disc -> 0 limit p0 (T-t) when disc
     is tiny.  L and G are closed form at the nodes.
     """
-    if t > co.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
-    if t == co.T:
+    T, beta = co.params.horizon.T, co.params.market.beta
+    if t > T:
+        raise ValueError(f"t = {t} is past the terminal time T = {T}")
+    if t == T:
         return 0.0
 
     def f(s: np.ndarray) -> np.ndarray:
-        L = _lag_L(co.T - s, co)
+        L = _lag_L(T - s, co)
         G = coeff_G(s, co)
-        quad_form = (0.5 * co.beta**2 + co.G0) * L * L + co.h2_0 * L + co.beta**2 * G
+        quad_form = (0.5 * beta**2 + co.G0) * L * L + co.h2_0 * L + beta**2 * G
         return np.exp(-co.disc * (s - t)) * quad_form
 
-    integral = float(adaptive_gauss(f, t, co.T))
-    span = co.T - t
+    integral = float(adaptive_gauss(f, t, T))
+    span = T - t
     if abs(co.disc) < 1e-12:
         affine = co.p0 * span
     else:
@@ -132,31 +142,39 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
     """Forward-time right-hand sides (dG/dt, dL/dt, dH/dt) at given values."""
     dG = co.G1 * G * G + co.G2 * G + co.G3
     dL = (co.G1 * G + (co.disc - co.d1)) * L - (2.0 * co.h2_0 * G + co.h1_src)
-    quad_form = (0.5 * co.beta**2 + co.G0) * L * L + co.h2_0 * L + co.beta**2 * G
+    beta = co.params.market.beta
+    quad_form = (0.5 * beta**2 + co.G0) * L * L + co.h2_0 * L + beta**2 * G
     dH = co.disc * H - (quad_form + co.p0)
     return dG, dL, dH
 
 
 def glh_state(t: float, co: ExpQuadCoeffs) -> tuple[float, float, float]:
     """(G, L, H) at time t <= T."""
-    if t > co.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {co.T}")
+    if t > co.params.horizon.T:
+        raise ValueError(f"t = {t} is past the terminal time T = {co.params.horizon.T}")
     return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co)
 
 
-def _glh_bundle(t: float, m: float, co: ExpQuadCoeffs) -> GBundle:
-    """g = exp(G m^2 + L m + H) with derivatives; g_t via the ODE right-hand
-    sides, so it is exact up to the quadrature error in H."""
-    G, L, H = glh_state(t, co)
-    g = math.exp(G * m * m + L * m + H)
-    lin = 2.0 * G * m + L
-    dG, dL, dH = glh_rhs(G, L, H, co)
-    return GBundle(
-        g=g,
-        g_m=g * lin,
-        g_mm=g * (lin * lin + 2.0 * G),
-        g_t=g * (dG * m * m + dL * m + dH),
-    )
+class ExpQuadSurface(_Surface):
+    """A solver surface whose g is exp(G m^2 + L m + H) of its coefficient
+    object coeffs; the unit-EIS and log-linearized solvers are both one."""
+
+    coeffs: ExpQuadCoeffs
+
+    def g(self, t: float, m: float) -> GBundle:
+        """g with derivatives; g_t via the ODE right-hand sides, so it is
+        exact up to the quadrature error in H."""
+        co = self.coeffs
+        G, L, H = glh_state(t, co)
+        g = math.exp(G * m * m + L * m + H)
+        lin = 2.0 * G * m + L
+        dG, dL, dH = glh_rhs(G, L, H, co)
+        return GBundle(
+            g=g,
+            g_m=g * lin,
+            g_mm=g * (lin * lin + 2.0 * G),
+            g_t=g * (dG * m * m + dL * m + dH),
+        )
 
 
 # ---------------------------------------------------------------- #
@@ -180,75 +198,47 @@ def quadratic_noise_coeff(k: float, params: ModelParams) -> float:
     )
 
 
-@dataclass(frozen=True)
-class UnitEisCoeffs:
-    """Reduction constants plus the strategy loadings for the unit-EIS mode."""
-
-    params: ModelParams
-    red: ExpQuadCoeffs
-    c_pi: float
-
-
-def unit_coeffs(params: ModelParams) -> UnitEisCoeffs:
-    """Assemble the unit-EIS constants; rejects gamma = 1 and whatever
-    require_inputs does.
+def unit_coeffs(params: ModelParams) -> ExpQuadCoeffs:
+    """The unit-EIS reduction; rejects whatever require_preference and
+    require_inputs do.
 
     The value normalization 1/(1-gamma) (and the noise coefficient G0 when
     Phi > 0) degenerates at gamma = 1 exactly; the mode covers EIS = 1 with
-    any other gamma.
+    any other gamma.  G3 and h1_src are b0 and h1_1 at k = 1.
     """
-    mk, ins, pf = params.market, params.insurance, params.preference
-    one_g = 1.0 - pf.gamma
-    if abs(one_g) < 1e-12:
-        raise InadmissibleParameter(
-            "gamma = 1 makes the 1/(1-gamma) value normalization degenerate; "
-            "perturb gamma away from 1"
-        )
-    pg = pf.Phi + pf.gamma
-    if pg <= 0.0:
-        raise InadmissibleParameter(f"Phi + gamma = {pg!r} must be positive")
+    mk, pf = params.market, params.preference
+    require_preference(pf.gamma, pf.Phi)
     require_inputs(params)
-    kappa = mk.alpha - (one_g - pf.Phi) * mk.beta * mk.rho1 / pg
-    G0 = quadratic_noise_coeff(1.0, params)
-    x_claims = ins.lam * ins.theta1**2 * ins.mu1**2 / (2.0 * pg * ins.mu2)
-    p0 = one_g * (
-        pf.delta * math.log(pf.delta)
-        + mk.r
-        - pf.delta
-        + (mk.a - mk.r) ** 2 / (2.0 * pg * mk.sigma**2)
-        + x_claims
+    kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(params, 1.0)
+    p0 = (1.0 - pf.gamma) * (
+        pf.delta * math.log(pf.delta) + mk.r - pf.delta + premium + claims
     )
-    red = ExpQuadCoeffs(
-        G0=G0,
-        G1=-2.0 * (mk.beta**2 + 2.0 * G0),
-        G2=2.0 * kappa + pf.delta,
-        G3=-one_g / (2.0 * pg),
+    return ExpQuadCoeffs(
+        params=params,
+        G0=quadratic_noise_coeff(1.0, params),
+        G3=b0,
         disc=pf.delta,
         d1=-kappa,
-        h1_src=one_g * (mk.a - mk.r) / (pg * mk.sigma),
-        h2_0=(one_g - pf.Phi) * (mk.a - mk.r) * mk.beta * mk.rho1 / (pg * mk.sigma),
+        h1_src=h1_1,
+        h2_0=h2_0,
         p0=p0,
-        beta=mk.beta,
-        T=params.horizon.T,
     )
-    c_pi = (one_g - pf.Phi) * mk.beta * mk.rho1 * mk.sigma / one_g
-    return UnitEisCoeffs(params=params, red=red, c_pi=c_pi)
 
 
 # ---------------------------------------------------------------- #
 # strategy and solver
 
-def unit_strategy(t: float, x: float, m: float, co: UnitEisCoeffs) -> StrategyPoint:
+def unit_strategy(t: float, x: float, m: float, co: ExpQuadCoeffs) -> StrategyPoint:
     """Optimal controls and worst-case distortions; c*/x = delta exactly.
 
     Needs only G and L, both closed form, so no quadrature is involved.
     """
     _check_wealth(x)
-    u = 2.0 * coeff_G(t, co.red) * m + coeff_L(t, co.red)
-    return strategy_from_ratio(t, x, m, u, co.params.preference.delta, 1.0, co)
+    u = 2.0 * coeff_G(t, co) * m + coeff_L(t, co)
+    return strategy_from_ratio(x, m, u, co.params.preference.delta, 1.0, co.params)
 
 
-class UnitEisSolver(_Surface):
+class UnitEisSolver(ExpQuadSurface):
     """The unit-EIS mode bound to one parameter set; the g-exponent is 1."""
 
     aggregator = "unit"
@@ -257,9 +247,6 @@ class UnitEisSolver(_Surface):
     def __init__(self, params: ModelParams):
         self.params = params
         self.coeffs = unit_coeffs(params)
-
-    def g(self, t: float, m: float) -> GBundle:
-        return _glh_bundle(t, m, self.coeffs.red)
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
         return unit_strategy(t, x, m, self.coeffs)

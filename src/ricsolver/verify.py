@@ -20,9 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cs import CsSolver, cs_reduction
+from .cs import CsSolver
 from .errors import SingularLinearSystem, SolverError, StabilityViolation
 from .exact import (
+    ExactCoeffs,
     ExactSolver,
     ValueDerivs,
     abc_rhs,
@@ -31,9 +32,9 @@ from .exact import (
     coeff_C,
     exact_coeffs,
 )
-from .params import ModelParams, derive_k_phi
+from .params import ModelParams, derive_k_phi, reduction_terms
 from .simulate import _steps
-from .uniteis import UnitEisSolver, unit_coeffs
+from .uniteis import ExpQuadCoeffs, UnitEisSolver
 
 __all__ = [
     "CheckRow",
@@ -175,36 +176,26 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
 # ---------------------------------------------------------------- #
 # equation residuals
 
-def _residual_ops(equation_id: str, params: ModelParams, w: float | None):
-    """Pointwise residual function for the named equation."""
-    if equation_id == "g1":
-        eco = exact_coeffs(params)
-        beta2 = 0.5 * params.market.beta**2
-        dp = eco.delta_phi
+def _residual_ops(co: ExactCoeffs | ExpQuadCoeffs):
+    """Pointwise residual function of the reduced equation co carries."""
+    beta2 = 0.5 * co.params.market.beta**2
+    if isinstance(co, ExactCoeffs):
+        dp = co.delta_phi
 
         def res(t, m, g, g_t, g_m, g_mm):
-            return g_t + beta2 * g_mm + eco.H2(m) * g_m + eco.H1(m) * g + dp
+            return g_t + beta2 * g_mm + co.H2(m) * g_m + co.H1(m) * g + dp
 
         return res
-    if equation_id == "unit":
-        red = unit_coeffs(params).red
-    elif equation_id == "cs":
-        if w is None:
-            raise ValueError('equation_id "cs" needs the steady level w')
-        red = cs_reduction(w, params)
-    else:
-        raise ValueError(f"unknown equation_id {equation_id!r}")
-    beta2 = 0.5 * red.beta**2
 
     def res(t, m, g, g_t, g_m, g_mm):
-        lin_src = red.p0 + red.h1_src * m - red.G3 * m * m
+        lin_src = co.p0 + co.h1_src * m - co.G3 * m * m
         return (
             g_t
             + beta2 * g_mm
-            + (red.d1 * m + red.h2_0) * g_m
+            + (co.d1 * m + co.h2_0) * g_m
             + lin_src * g
-            - red.disc * g * math.log(g)
-            + red.G0 * g_m * g_m / g
+            - co.disc * g * math.log(g)
+            + co.G0 * g_m * g_m / g
         )
 
     return res
@@ -217,25 +208,26 @@ _PDE_H_T, _PDE_H_M = 1e-3, 1e-2
 
 def pde_residual(
     g_like: Callable[[float, float], float],
-    equation_id: str,
+    coeffs: ExactCoeffs | ExpQuadCoeffs,
     grid: Grid2D,
-    params: ModelParams,
-    w: float | None = None,
 ) -> float:
-    """Max |residual| / max(|g|, 1) of the named equation over the grid.
+    """Max |residual| / max(|g|, 1) over the grid of the reduced equation
+    that a mode's coefficient object carries, on its horizon [t0, T].
 
-    equation_id is one of "g1" (linear equation of the exact mode), "unit",
-    "cs" (their semilinear counterparts; "cs" needs w).  Derivatives are
+    An ExactCoeffs gives the linear equation of the exact mode; an
+    ExpQuadCoeffs (unit_coeffs, cs_reduction, a solver's coeffs) its
+    semilinear exponential-quadratic counterpart.  Derivatives are
     central differences with steps (h_t, h_m) = (1e-3, 1e-2).  Rows with
     t + h_t > T cannot be centered in time and contribute the terminal
     condition residual |g(T, m) - 1| instead; rows with t - h_t < 0 take
     the one-sided second-order difference in t, because g is defined on
     [0, T] only.
     """
-    res_fn = _residual_ops(equation_id, params, w)
+    res_fn = _residual_ops(coeffs)
     h_t, h_m = _PDE_H_T, _PDE_H_M
-    T = params.horizon.T
-    t_nodes = grid.t_nodes(params.horizon.t0, T)
+    hz = coeffs.params.horizon
+    T = hz.T
+    t_nodes = grid.t_nodes(hz.t0, T)
     m_nodes = grid.m_nodes()
     worst = 0.0
     for t in t_nodes:
@@ -289,6 +281,34 @@ def abc_ode_residual(params: ModelParams, t: float, s: float) -> float:
     )
 
 
+def _bound_constants(co: ExactCoeffs) -> tuple[float, float, float]:
+    """(b1, A1, A2) of the bounds |B| <= |b1| (s-t) and
+    A >= A1 (T-t)(s-t) + A2 (s-t).
+
+    b1 scales the B bound; A1 = -h2_0 b1 and A2 is the constant drift of A
+    minus the C-bound tail.  The drift must include the time-preference
+    term -delta phi (it sits in the A equation through
+    ((1-gamma)/k) delta/(1-1/phi) = delta phi); without it the stated lower
+    bound on A is violated whenever delta phi > 0.
+    """
+    mk, pf = co.params.market, co.params.preference
+    base = co.base
+    k, Delta = base.k, base.Delta
+    one_g = 1.0 - pf.gamma
+    kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(co.params, k)
+    bracket = (
+        4.0 * (one_g - pf.Phi) * b0 * k * mk.beta * mk.rho1 / (one_g * (2.0 * kappa + Delta))
+        - 1.0
+    )
+    b1 = h1_1 * bracket
+    A2 = (
+        (one_g / k) * (mk.r + premium + claims)
+        - pf.delta * base.phi
+        - 2.0 * b0 * mk.beta**2 / (2.0 * kappa + Delta)
+    )
+    return b1, -h2_0 * b1, A2
+
+
 def abc_bounds_margin(params: ModelParams, t: float, s: float) -> float:
     """Smallest slack of the stated coefficient bounds at (t, s).
 
@@ -298,6 +318,7 @@ def abc_bounds_margin(params: ModelParams, t: float, s: float) -> float:
     """
     co = exact_coeffs(params)
     base = co.base
+    b1, A1, A2 = _bound_constants(co)
     T = params.horizon.T
     tau = s - t
     C = float(coeff_C(t, s, co))
@@ -307,8 +328,8 @@ def abc_bounds_margin(params: ModelParams, t: float, s: float) -> float:
         C,
         base.b0 * tau - C,
         2.0 * base.b0 / (2.0 * base.kappa + base.Delta) - C,
-        abs(base.b1) * tau - abs(B),
-        A - base.A1 * (T - t) * tau - base.A2 * tau,
+        abs(b1) * tau - abs(B),
+        A - A1 * (T - t) * tau - A2 * tau,
     )
 
 
@@ -666,17 +687,17 @@ def pde_suite(params: ModelParams) -> list[CheckRow]:
     grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
     rows = []
     ex = ExactSolver(params)
-    r = pde_residual(lambda t, m: ex.g(t, m).g, "g1", grid, params)
+    r = pde_residual(lambda t, m: ex.g(t, m).g, ex.coeffs, grid)
     rows.append(CheckRow("pde_residual_g1", "10x10 grid |m|<=2", r, 1e-4, r <= 1e-4))
     try:
         un = UnitEisSolver(params)
-        r = pde_residual(lambda t, m: un.g(t, m).g, "unit", grid, params)
+        r = pde_residual(lambda t, m: un.g(t, m).g, un.coeffs, grid)
         rows.append(CheckRow("pde_residual_unit", "10x10 grid", r, 1e-4, r <= 1e-4))
     except SolverError as exc:
         rows.append(CheckRow("pde_residual_unit", f"error: {exc}", math.nan, 1e-4, False))
     try:
         cs = CsSolver(params)
-        r = pde_residual(lambda t, m: cs.g(t, m).g, "cs", grid, params, w=cs.w)
+        r = pde_residual(lambda t, m: cs.g(t, m).g, cs.coeffs, grid)
         rows.append(CheckRow("pde_residual_cs", f"10x10 grid w={cs.w:.6g}",
                              r, 1e-4, r <= 1e-4))
     except SolverError as exc:
@@ -684,7 +705,7 @@ def pde_suite(params: ModelParams) -> list[CheckRow]:
     # negative control: the unit-mode g must NOT satisfy the linear equation
     try:
         un = UnitEisSolver(params)
-        r = pde_residual(lambda t, m: un.g(t, m).g, "g1", grid, params)
+        r = pde_residual(lambda t, m: un.g(t, m).g, ex.coeffs, grid)
         rows.append(CheckRow("pde_negative_control", "unit g against g1",
                              r, 1e-2, r > 1e-2))
     except SolverError as exc:

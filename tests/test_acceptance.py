@@ -145,11 +145,10 @@ def test_criterion_4_residual_suite(base_params):
     ex = ExactSolver(base_params)
     un = UnitEisSolver(base_params)
     cs = CsSolver(base_params)
-    r_g1 = pde_residual(lambda t, m: ex.g(t, m).g, "g1", grid, base_params)
-    r_unit = pde_residual(lambda t, m: un.g(t, m).g, "unit", grid, base_params)
-    r_cs = pde_residual(lambda t, m: cs.g(t, m).g, "cs", grid, base_params,
-                        w=cs.w)
-    r_neg = pde_residual(lambda t, m: un.g(t, m).g, "g1", grid, base_params)
+    r_g1 = pde_residual(lambda t, m: ex.g(t, m).g, ex.coeffs, grid)
+    r_unit = pde_residual(lambda t, m: un.g(t, m).g, un.coeffs, grid)
+    r_cs = pde_residual(lambda t, m: cs.g(t, m).g, cs.coeffs, grid)
+    r_neg = pde_residual(lambda t, m: un.g(t, m).g, ex.coeffs, grid)
     print(f"criterion 4: ode {worst_ode:.2e}, g1 {r_g1:.2e}, unit {r_unit:.2e}, "
           f"cs {r_cs:.2e}, negative control {r_neg:.2e}")
     assert worst_ode <= 1e-4

@@ -201,11 +201,24 @@ def test_verify_mc_reports_its_scheme(capsys):
 
 
 def test_simulate_wealth_rejects_empty_horizon(capsys):
-    # t0 = T leaves the strategy table one distinct t node
+    # t0 = T is refused as a horizon before the strategy table is built
     for extra in (["--process", "wealth"], ["--measure", "Q_xi"]):
         rc = main(["simulate", *extra, "--n-paths", "4", "--set", "t0=1"])
         assert rc == 1
-        assert capsys.readouterr().err.startswith("error: t nodes")
+        assert capsys.readouterr().err.startswith("error: horizon [t0, T] = [1.0, 1.0]")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--set", "t0=-0.5"], "error: horizon [t0, T] = [-0.5, 1.0]"),
+    (["solve", "--mode", "unit_eis", "--set", "T=0"], "error: horizon [t0, T] = [0.5, 0.0]"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--set", "mu2=-1"],
+     "error: mu2 = -1.0"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--set", "lambda=-1"],
+     "error: lambda = -1.0"),
+], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth"])
+def test_typed_refusals_reach_the_cli(capsys, argv, message):
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith(message)
 
 
 def test_verify_exit_zero_even_on_failure(capsys, monkeypatch):
@@ -220,6 +233,50 @@ def test_verify_exit_zero_even_on_failure(capsys, monkeypatch):
     rc, comments, rows = run(capsys, "verify", "--suite", "ode")
     assert rc == 0
     assert "# failed = 1" in comments
+
+
+# Header and data rows of the default outputs, frozen as printed: a change
+# that moves any printed digit fails here, not only in a hand diff.
+_GOLDEN = {
+    ("solve", "--mode", "exact"): """\
+t,x,m,pi_over_x,q_over_x,c_over_x,xi1,xi2,xi3,value
+0.5,1,0,0.63166171,0.08,0.545965523,0.0989341264,0.00369229435,0.0715541753,-5.34202898
+""",
+    ("solve", "--mode", "unit_eis"): """\
+t,x,m,pi_over_x,q_over_x,c_over_x,xi1,xi2,xi3,value
+0.5,1,0,0.632190049,0.08,0.08,0.0988495921,0.00398512988,0.0715541753,-5.11748725
+""",
+    ("solve", "--mode", "cs"): """\
+t,x,m,pi_over_x,q_over_x,c_over_x,xi1,xi2,xi3,value
+0.5,1,0,0.631697493,0.08,0.547593402,0.0989284012,0.0037121272,0.0715541753,-5.33839493
+""",
+    ("sweep", "--param", "sigma", "--values", "0.2,0.3", "--mode", "exact,unit_eis,cs"): """\
+sigma,mode,pi_over_x,q_over_x,c_over_x,xi1,xi2,xi3,value
+0.2,exact,0.63166171,0.08,0.545965523,0.0989341264,0.00369229435,0.0715541753,-5.34202898
+0.2,unit_eis,0.632190049,0.08,0.08,0.0988495921,0.00398512988,0.0715541753,-5.11748725
+0.2,cs,0.631697493,0.08,0.547593402,0.0989284012,0.0037121272,0.0715541753,-5.33839493
+0.3,exact,0.280739183,0.08,0.544148717,0.0659559293,0.00246206637,0.0715541753,-5.34610054
+0.3,unit_eis,0.280973355,0.08,0.08,0.0658997281,0.00265675326,0.0715541753,-5.12191087
+0.3,cs,0.28075523,0.08,0.545805468,0.0659520781,0.00247540747,0.0715541753,-5.342387
+""",
+    ("table2",): """\
+sigma,pi_cs_over_x,pi_star_over_x,error
+0.8,0.0603329329,0.0603328859,4.69727705e-08
+0.81,0.0588524266,0.0588523807,4.58249032e-08
+0.82,0.0574257541,0.0574257094,4.47185462e-08
+0.83,0.0560503369,0.0560502933,4.36517245e-08
+0.84,0.0547237487,0.0547237061,4.26225791e-08
+0.85,0.0534437054,0.0534436637,4.16293587e-08
+""",
+}
+
+
+@pytest.mark.parametrize("argv", list(_GOLDEN), ids=lambda a: "-".join(a).replace("--", ""))
+def test_default_outputs_golden(capsys, argv):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    data = "".join(l + "\n" for l in out.splitlines() if not l.startswith("#"))
+    assert data == _GOLDEN[argv]
 
 
 def test_out_writes_file(tmp_path):

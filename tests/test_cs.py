@@ -37,7 +37,7 @@ def _level_residual(params, w):
     (G, L, H) come from DOP853 on glh_rhs, integrated from T back to t0, so
     neither the closed forms nor the quadrature in H enter.
     """
-    red = cs_reduction(w, params)
+    red = cs_reduction(w, exact_coeffs(params))
     hz, mk, pf = params.horizon, params.market, params.preference
     sol = solve_ivp(
         lambda t, y: np.asarray(glh_rhs(*y, red)), (hz.T, hz.t0), [0.0, 0.0, 0.0],
@@ -106,7 +106,7 @@ def test_investment_close_to_exact(loglin_params):
 
 
 def test_reduction_discount_is_w(loglin_params):
-    red = cs_reduction(W_STAR, loglin_params)
+    red = cs_reduction(W_STAR, exact_coeffs(loglin_params))
     assert red.disc == pytest.approx(W_STAR, rel=1e-14)
 
 

@@ -18,9 +18,12 @@ from ricsolver import (
     UnitEisSolver,
     psi_eval,
     simulate_surplus,
+    simulate_wealth,
+    TabulatedStrategy,
     validate,
     wealth_offset,
 )
+from ricsolver.verify import _bound_constants
 
 
 def repl(params, **kw):
@@ -109,9 +112,11 @@ def test_derived_coeffs_default(base_params):
     assert co.kappa == pytest.approx(4.9375, rel=1e-15)
     assert co.b0 == pytest.approx(0.21875, rel=1e-15)
     assert co.Delta == pytest.approx(9.880536422684752, rel=1e-14)
-    assert co.b1 == pytest.approx(0.11006705283559404, rel=1e-14)
-    assert co.A1 == pytest.approx(-0.0017197977005561568, rel=1e-13)
-    assert co.A2 == pytest.approx(-0.04955598067118805, rel=1e-13)
+    # the bound constants live with their only reader, abc_bounds_margin
+    b1, A1, A2 = _bound_constants(exact_coeffs(base_params))
+    assert b1 == pytest.approx(0.11006705283559404, rel=1e-14)
+    assert A1 == pytest.approx(-0.0017197977005561568, rel=1e-13)
+    assert A2 == pytest.approx(-0.04955598067118805, rel=1e-13)
 
 
 def test_wealth_offset_riskless_discounting(base_params):
@@ -173,12 +178,27 @@ def test_validate_never_raises_on_junk():
     assert validate(dataclasses.replace(ModelParams(), k_bar=0.0)).ok
 
 
+def test_validate_bad_horizon_keeps_discriminant_row():
+    # kappa^2 + 2 beta^2 b0 = -2.74 here, whatever the horizon; a bad
+    # horizon must not hide it
+    for t0, T in ((2.0, 1.0), (-0.5, 1.0), (0.5, 0.5)):
+        params = repl(ModelParams(), gamma=0.3, Phi=0.0, rho1=0.9, beta=1.0, alpha=0.1,
+                      t0=t0, T=T)
+        failed = {c.name for c in validate(params).hard_failures}
+        assert {"horizon_order", "discriminant_real"} <= failed, (t0, T, failed)
+
+
 def _solve_at_t0(solver_cls):
     def run(params):
         solver = solver_cls(params)
         solver.strategy(params.horizon.t0, 1.0, params.market.m0)
         return solver.value(params.horizon.t0, 1.0, params.market.m0)
     return run
+
+
+def _riskless_wealth(params):
+    zero = lambda t, x, m: (0.0 * x, 0.0 * x, 0.0 * x)
+    return simulate_wealth(params, 1.0, zero, n_paths=2)
 
 
 @pytest.mark.parametrize("kw, run, error", [
@@ -196,9 +216,22 @@ def _solve_at_t0(solver_cls):
     (dict(alpha=-1.0, Phi=0.0, gamma=0.5, r=0.0), _solve_at_t0(UnitEisSolver),
      FiniteTimeBlowup),
     (dict(lam=0.0), lambda p: simulate_surplus(p, n_paths=2), InadmissibleParameter),
+    # the horizon itself is refused, before any evaluation point
+    (dict(t0=-0.5), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(t0=-0.5), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(t0=-0.5), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(T=0.0), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(T=0.5), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(T=0.4), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(t0=1.0), TabulatedStrategy.from_exact, InadmissibleParameter),
+    # the claim noise takes the root of lambda mu2 before any strategy runs
+    (dict(mu2=-1.0), _riskless_wealth, InadmissibleParameter),
+    (dict(lam=-1.0), _riskless_wealth, InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
-        "pole-unit", "lambda0-surplus"])
+        "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
+        "T0-unit", "empty-exact", "reversed-cs", "empty-table", "mu2-wealth",
+        "lambda-wealth"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))

@@ -122,9 +122,9 @@ def test_linear_coefficient_matches_solve_ivp(beta, gamma, reduction):
 
         ref = _lag_ode(rhs)
     else:
-        red = unit_coeffs(params).red if reduction == "unit" else cs_reduction(
-            params.preference.delta, params
+        red = unit_coeffs(params) if reduction == "unit" else cs_reduction(
+            params.preference.delta, exact_coeffs(params)
         )
-        got = coeff_L(red.T - _LAGS, red)
+        got = coeff_L(red.params.horizon.T - _LAGS, red)
         ref = _lag_ode(lambda G, L: glh_rhs(G, L, 0.0, red)[:2])
     assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref))), (got, ref)

@@ -26,13 +26,13 @@ P0 = 0.04768665830893208
 GLH_AT_HALF = (-0.004986699541, -0.004601631623, 0.023225633819)
 
 
-def rk4_glh(co, t, n=4000):
+def rk4_glh(co, t, n=4000, rhs=glh_rhs):
     """Backward RK4 from the terminal condition (0, 0, 0) at T down to t."""
-    h = (co.T - t) / n
+    h = (co.params.horizon.T - t) / n
     y = np.zeros(3)
     for _ in range(n):
         def f(z):
-            return np.array(glh_rhs(z[0], z[1], z[2], co))
+            return np.array(rhs(z[0], z[1], z[2], co))
 
         k1 = f(y)
         k2 = f(y - 0.5 * h * k1)
@@ -43,8 +43,7 @@ def rk4_glh(co, t, n=4000):
 
 
 def test_structural_constants(base_params):
-    co = unit_coeffs(base_params)
-    red = co.red
+    red = unit_coeffs(base_params)
     assert red.G0 == pytest.approx(G0, rel=1e-14)
     assert red.G1 == pytest.approx(G1, rel=1e-14)
     assert red.G2 == pytest.approx(G2, rel=1e-14)
@@ -55,7 +54,7 @@ def test_structural_constants(base_params):
 
 
 def test_glh_matches_backward_rk4(base_params):
-    red = unit_coeffs(base_params).red
+    red = unit_coeffs(base_params)
     for t in (0.0, 0.5, 0.9):
         ode = rk4_glh(red, t)
         closed = glh_state(t, red)
@@ -64,7 +63,7 @@ def test_glh_matches_backward_rk4(base_params):
 
 
 def test_glh_frozen_at_half(base_params):
-    red = unit_coeffs(base_params).red
+    red = unit_coeffs(base_params)
     G, L, H = glh_state(0.5, red)
     assert G == pytest.approx(GLH_AT_HALF[0], abs=1e-10)
     assert L == pytest.approx(GLH_AT_HALF[1], abs=1e-10)
@@ -73,7 +72,7 @@ def test_glh_frozen_at_half(base_params):
 
 def test_glh_satisfies_own_ode(base_params):
     # central difference in t against the stated right-hand sides
-    red = unit_coeffs(base_params).red
+    red = unit_coeffs(base_params)
     eps = 1e-5
     for t in (0.3, 0.6, 0.85):
         up = np.array(glh_state(t + eps, red))
@@ -86,10 +85,17 @@ def test_glh_satisfies_own_ode(base_params):
 def test_quadratic_noise_term_is_load_bearing(base_params):
     # dropping the G0 L^2 correction from the H source must move H far
     # beyond quadrature error; this pins the reading of the H equation
-    red = unit_coeffs(base_params).red
+    red = unit_coeffs(base_params)
+    # G1 derives from G0, so the G0 = 0 variant is read for the H source
+    # only: G and L stay the true reduction's
     variant = dataclasses.replace(red, G0=0.0)
+
+    def rhs_without_term(G, L, H, co):
+        dG, dL, _ = glh_rhs(G, L, H, co)
+        return dG, dL, glh_rhs(G, L, H, variant)[2]
+
     H_true = glh_state(0.5, red)[2]
-    H_var = rk4_glh(variant, 0.5)[2]
+    H_var = rk4_glh(red, 0.5, rhs=rhs_without_term)[2]
     true_err = abs(rk4_glh(red, 0.5)[2] - H_true)
     assert true_err < 1e-10
     # the shift is ~6e-7 here (L stays small at this calibration) but is
@@ -160,7 +166,7 @@ def test_g_m_consistency(base_params):
     fd = (solver.g(t, m + eps).g - solver.g(t, m - eps).g) / (2.0 * eps)
     assert gv.g_m == pytest.approx(fd, rel=1e-7)
     # exp-quadratic structure: g_m / g = 2 G m + L
-    G, L, _ = glh_state(t, unit_coeffs(base_params).red)
+    G, L, _ = glh_state(t, unit_coeffs(base_params))
     assert gv.g_m / gv.g == pytest.approx(2.0 * G * m + L, rel=1e-12)
 
 

@@ -137,23 +137,21 @@ def test_pde_residual_exact(base_params):
     )
     for params in (base_params, from_zero):
         solver = ExactSolver(params)
-        r = pde_residual(lambda t, m: solver.g(t, m).g, "g1", grid, params)
+        r = pde_residual(lambda t, m: solver.g(t, m).g, solver.coeffs, grid)
         assert r < 1e-4
 
 
 def test_pde_residual_unit(base_params):
     grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
     solver = UnitEisSolver(base_params)
-    r = pde_residual(lambda t, m: solver.g(t, m).g, "unit", grid, base_params)
+    r = pde_residual(lambda t, m: solver.g(t, m).g, solver.coeffs, grid)
     assert r < 1e-4
 
 
 def test_pde_residual_cs(loglin_params):
     grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
     solver = CsSolver(loglin_params)
-    r = pde_residual(
-        lambda t, m: solver.g(t, m).g, "cs", grid, loglin_params, w=solver.w
-    )
+    r = pde_residual(lambda t, m: solver.g(t, m).g, solver.coeffs, grid)
     assert r < 1e-4
 
 
@@ -161,7 +159,7 @@ def test_pde_residual_negative_control(base_params):
     # the unit-mode g pushed through the non-unit equation must fail loudly
     grid = Grid2D(n_t=10, n_m=10, m_max=2.0)
     solver = UnitEisSolver(base_params)
-    r = pde_residual(lambda t, m: solver.g(t, m).g, "g1", grid, base_params)
+    r = pde_residual(lambda t, m: solver.g(t, m).g, exact_coeffs(base_params), grid)
     assert r > 1e-2
 
 
