@@ -104,6 +104,9 @@ def cmd_solve(args) -> int:
     extras = [f"mode = {args.mode}"]
     if args.mode == "cs":
         extras += [f"w = {solver.w:.9g}", _root_diag(solver.w)]
+    if args.mode != "exact":
+        table = solver.coeffs.h_table
+        extras.append(f"diag h_table: nodes = {table.nodes}, tail = {table.tail:.3g}")
     _emit(
         args.out,
         params,

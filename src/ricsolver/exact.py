@@ -20,8 +20,9 @@ first g it is asked for: Chebyshev interpolants on tau in [0, T] of
 B-hat(tau) = B(0, tau), sampled from the closed form, and of A-hat(tau) =
 A(0, tau), the exact Chebyshev antiderivative of the A right-hand side.
 The interpolant degree is doubled until the trailing coefficients are
-negligible.  g and its derivatives are then one adaptive integral over the
-lag.
+negligible; the same table type and doubling rule (_tabulate) serve the
+H table of the exponential-quadratic modes (uniteis).  g and its
+derivatives are then one adaptive integral over the lag.
 
 coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
 independently of the table; the verification layer and the tests use them
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
@@ -45,7 +46,7 @@ from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 _UNIT_PHI_TOL = 1e-9
 # Lag-table node counts: start, doubling cap, and the trailing-coefficient
 # level below which the interpolants count as converged.
-_TABLE_MIN_NODES = 16
+_TABLE_MIN_NODES = 32
 _TABLE_MAX_NODES = 1024
 _TABLE_TAIL_TOL = 1e-14
 
@@ -65,8 +66,6 @@ class ExactCoeffs:
     h1_1: float
     h2_0: float
     delta_phi: float
-    beta: float
-    T: float
 
     def H1(self, m):
         """Discount of the reduced equation, h1_0 + h1_1 m - b0 m^2."""
@@ -84,22 +83,30 @@ class ExactCoeffs:
 
 @dataclass(frozen=True)
 class LagTable:
-    """Chebyshev interpolants of A-hat(tau) = A(0, tau) and B-hat(tau) =
-    B(0, tau) in the lag tau in [0, span].
+    """Chebyshev interpolants of functions of the lag tau in [0, span]: of
+    A-hat(tau) = A(0, tau) and B-hat(tau) = B(0, tau) in the exact mode
+    (ExactCoeffs.lag_table), of H at t = T - tau in the exponential-quadratic
+    ones (uniteis.ExpQuadCoeffs.h_table).
 
-    coef[:, 0] and coef[:, 1] are their Chebyshev coefficients in
-    y = 2 tau / span - 1.  tail, the error estimate, is the largest of the
-    highest-degree eighth of either column relative to max(1, that
-    column's largest coefficient): an absolute measure for the O(1)
-    exponents that enter h.
+    Column j of coef holds the Chebyshev coefficients of the j-th function
+    in y = 2 tau / span - 1.  tail, the error estimate, is the largest of the
+    highest-degree eighth of any column relative to max(1, that column's
+    largest coefficient): an absolute measure for the O(1) exponents these
+    functions are.
     """
 
     span: float
     coef: np.ndarray
     tail: float
 
+    @property
+    def nodes(self) -> int:
+        """Chebyshev points sampled; coef runs to degree n, one above the
+        n-point interpolants, since an antiderivative (A-hat, H) adds one."""
+        return self.coef.shape[0] - 1
+
     def __call__(self, tau) -> np.ndarray:
-        """(A-hat, B-hat) at the lags tau; shape tau.shape + (2,).
+        """The tabulated functions at the lags tau; shape tau.shape + (k,).
 
         The basis is cos(j arccos y) directly: numpy's chebval is a Python
         loop over the degree and would cost more than the rest of g.
@@ -173,8 +180,6 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
         h1_1=h1_1,
         h2_0=h2_0,
         delta_phi=pf.delta**base.phi,
-        beta=mk.beta,
-        T=params.horizon.T,
     )
 
 
@@ -183,14 +188,17 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
 
 def _lag_C(tau, co: ExactCoeffs):
     """C at lag tau: y' = -2 beta^2 y^2 - 2 kappa y + b0, y(0) = 0."""
-    return riccati_zero_ic(tau, -2.0 * co.beta**2, -2.0 * co.base.kappa, co.base.b0)
+    return riccati_zero_ic(
+        tau, -2.0 * co.params.market.beta**2, -2.0 * co.base.kappa, co.base.b0
+    )
 
 
 def _lag_B(tau, co: ExactCoeffs):
     """B at lag tau: z' = -(kappa + 2 beta^2 C) z + 2 h2_0 C - h1_1, z(0) = 0."""
     base = co.base
     return riccati_linear_zero_ic(
-        tau, -2.0 * co.beta**2, -2.0 * base.kappa, base.b0, base.kappa, 2.0 * co.h2_0, -co.h1_1
+        tau, -2.0 * co.params.market.beta**2, -2.0 * base.kappa, base.b0,
+        base.kappa, 2.0 * co.h2_0, -co.h1_1,
     )
 
 
@@ -214,7 +222,8 @@ def coeff_B(t, s, co: ExactCoeffs):
 def _dA_dtau(tau, co: ExactCoeffs):
     """Lag derivative of A less its constant h1_0: beta^2 B^2/2 - beta^2 C - h2_0 B."""
     B = _lag_B(tau, co)
-    return 0.5 * co.beta**2 * B * B - co.beta**2 * _lag_C(tau, co) - co.h2_0 * B
+    beta2 = co.params.market.beta**2
+    return 0.5 * beta2 * B * B - beta2 * _lag_C(tau, co) - co.h2_0 * B
 
 
 def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -228,10 +237,10 @@ def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAUL
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
     """Backward-ODE right-hand sides (dA/dt, dB/dt, dC/dt) at given values."""
-    base = co.base
-    dC = 2.0 * co.beta**2 * C * C + 2.0 * base.kappa * C - base.b0
-    dB = (base.kappa + 2.0 * co.beta**2 * C) * B - 2.0 * co.h2_0 * C + co.h1_1
-    dA = -0.5 * co.beta**2 * B * B + co.beta**2 * C + co.h2_0 * B - co.h1_0
+    base, beta2 = co.base, co.params.market.beta**2
+    dC = 2.0 * beta2 * C * C + 2.0 * base.kappa * C - base.b0
+    dB = (base.kappa + 2.0 * beta2 * C) * B - 2.0 * co.h2_0 * C + co.h1_1
+    dA = -0.5 * beta2 * B * B + beta2 * C + co.h2_0 * B - co.h1_0
     return dA, dB, dC
 
 
@@ -251,23 +260,34 @@ def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
     return np.cos(theta[..., None] * np.arange(n))
 
 
-def _build_lag_table(co: ExactCoeffs) -> LagTable:
-    """Sample B-hat at n Chebyshev points of [0, T], doubling n until both
-    interpolants have converged; A-hat is the antiderivative of its
-    right-hand side."""
-    span = co.T
+@cache
+def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The angles theta of the n first-kind Chebyshev points cos(theta),
+    and the basis _cheb_basis(theta, n) there; kept, read-only, per node
+    count in use."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    basis = _cheb_basis(theta, n)
+    theta.flags.writeable = basis.flags.writeable = False
+    return theta, basis
+
+
+def _cheb_coef(values: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolants through the columns of
+    values (shape (n, k)) at the n first-kind points."""
+    n = values.shape[0]
+    coef = (2.0 / n) * (_nodes(n)[1].T @ values)
+    coef[0] *= 0.5
+    return coef
+
+
+def _tabulate(span: float, coef_at) -> LagTable:
+    """The LagTable of coef_at(tau), the (n + 1, k) Chebyshev coefficients
+    of k lag functions built from samples at the n first-kind Chebyshev
+    points tau of [0, span].  n doubles from _TABLE_MIN_NODES until every
+    column has converged."""
     n = _TABLE_MIN_NODES
     while True:
-        theta = np.pi * (np.arange(n) + 0.5) / n
-        tau = 0.5 * span * (1.0 + np.cos(theta))
-        B = _lag_B(tau, co)
-        dA = _dA_dtau(tau, co)
-        c_dA, c_B = (2.0 / n) * (_cheb_basis(theta, n).T @ np.stack([dA, B], axis=-1)).T
-        c_dA[0] *= 0.5
-        c_B[0] *= 0.5
-        c_A = chebyshev.chebint(c_dA, lbnd=-1.0, scl=0.5 * span)
-        c_A[:2] += 0.5 * span * co.h1_0  # h1_0 tau = h1_0 span (1 + y) / 2
-        coef = np.stack([c_A, np.append(c_B, 0.0)], axis=-1)
+        coef = coef_at(0.5 * span * (1.0 + np.cos(_nodes(n)[0])))
         tail = max(
             float(np.max(np.abs(col[-(n // 8):])) / max(1.0, float(np.max(np.abs(col)))))
             for col in coef.T
@@ -280,6 +300,20 @@ def _build_lag_table(co: ExactCoeffs) -> LagTable:
                 f"trailing coefficient {tail:.3e} > {_TABLE_TAIL_TOL:g}"
             )
         n *= 2
+
+
+def _build_lag_table(co: ExactCoeffs) -> LagTable:
+    """A-hat and B-hat on [0, T]: B-hat interpolates its closed form, A-hat
+    is the antiderivative of its interpolated right-hand side."""
+    span = co.params.horizon.T
+
+    def coef_at(tau: np.ndarray) -> np.ndarray:
+        c = _cheb_coef(np.stack([_dA_dtau(tau, co), _lag_B(tau, co)], axis=-1))
+        c_A = chebyshev.chebint(c[:, 0], lbnd=-1.0, scl=0.5 * span)
+        c_A[:2] += 0.5 * span * co.h1_0  # h1_0 tau = h1_0 span (1 + y) / 2
+        return np.stack([c_A, np.append(c[:, 1], 0.0)], axis=-1)
+
+    return _tabulate(span, coef_at)
 
 
 # ---------------------------------------------------------------- #
@@ -301,7 +335,7 @@ def g_bundle_array(t: float, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
     (A_t, B_t, C_t) plus the boundary term -delta^phi from the moving lower
     limit (h(t, m; t) = 1).
     """
-    T = co.T
+    T = co.params.horizon.T
     if t > T:
         raise ValueError(f"t = {t} is past the terminal time T = {T}")
     if t < 0.0:
@@ -384,13 +418,13 @@ def strategy_from_ratio(
 
 
 class _Surface:
-    """Value and value derivatives of one mode, written once.
+    """Value, value derivatives and the strategy of one mode, written once.
 
     Every mode's value is v = x^(1-gamma) g^k / (1-gamma).  A subclass sets
-    params and the exponent k and implements g(t, m) -> GBundle; the
-    strategy stays with each mode, whose rules differ.  The exact mode's
-    g is the lag-table kernel; unit EIS and cs share the
-    exponential-quadratic one (uniteis.ExpQuadSurface).
+    params and the exponent k and implements g(t, m) -> GBundle and
+    strategy; the strategy rules differ.  The exact mode's g is the
+    lag-table kernel; unit EIS and cs share the exponential-quadratic one
+    (uniteis.ExpQuadSurface).
     """
 
     params: ModelParams
@@ -398,6 +432,11 @@ class _Surface:
 
     def g(self, t: float, m: float) -> GBundle:
         raise NotImplementedError
+
+    def _strategy_from_g(self, t: float, x: float, m: float, gb: GBundle) -> StrategyPoint:
+        """The strategy at (t, x, m) given g there; a mode whose rule does
+        not read g ignores gb."""
+        return self.strategy(t, x, m)
 
     def value(self, t: float, x: float, m: float) -> float:
         """v(t, x, m); requires x > 0."""
@@ -409,6 +448,17 @@ class _Surface:
         """ValueDerivs at (t, x, m); requires x > 0."""
         _check_wealth(x)
         return derivs_from_g(x, self.params.preference.gamma, self.k, self.g(t, m))
+
+    def strategy_and_derivs(
+        self, t: float, x: float, m: float
+    ) -> tuple[StrategyPoint, ValueDerivs]:
+        """strategy and value_derivs at (t, x, m) from one g; requires x > 0."""
+        _check_wealth(x)
+        gb = self.g(t, m)
+        return (
+            self._strategy_from_g(t, x, m, gb),
+            derivs_from_g(x, self.params.preference.gamma, self.k, gb),
+        )
 
 
 def _check_wealth(x: float) -> None:
@@ -432,7 +482,9 @@ class ExactSolver(_Surface):
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
         """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
         _check_wealth(x)
-        gv = self.g(t, m)
+        return self._strategy_from_g(t, x, m, self.g(t, m))
+
+    def _strategy_from_g(self, t: float, x: float, m: float, gb: GBundle) -> StrategyPoint:
         return strategy_from_ratio(
-            x, m, gv.g_m / gv.g, self.coeffs.delta_phi / gv.g, self.k, self.params
+            x, m, gb.g_m / gb.g, self.coeffs.delta_phi / gb.g, self.k, self.params
         )

@@ -235,10 +235,13 @@ def require_inputs(params: ModelParams) -> None:
     require_claims(params.insurance)
     if pf.delta <= 0.0:
         raise InadmissibleParameter(f"delta = {pf.delta!r}: time preference must be positive")
-    if not 0.0 <= hz.t0 < hz.T:
-        raise InadmissibleParameter(
-            f"horizon [t0, T] = [{hz.t0!r}, {hz.T!r}] must satisfy 0 <= t0 < T"
-        )
+    require_horizon(hz.t0, hz.T)
+
+
+def require_horizon(t0: float, T: float) -> None:
+    """Raise InadmissibleParameter unless 0 <= t0 < T."""
+    if not 0.0 <= t0 < T:
+        raise InadmissibleParameter(f"horizon [t0, T] = [{t0!r}, {T!r}] must satisfy 0 <= t0 < T")
 
 
 def reduction_terms(params: ModelParams, k: float) -> Tuple[float, ...]:

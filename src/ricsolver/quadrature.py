@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable
 
 import numpy as np
@@ -41,31 +42,32 @@ class QuadratureConfig:
 DEFAULT_QUAD = QuadratureConfig()
 
 # ---------------------------------------------------------------- #
-# Gauss-Legendre rules, cached by node count
+# the Gauss-Legendre pair
 
-_RULES: dict[int, tuple[np.ndarray, np.ndarray]] = {}
 _N_LO, _N_HI = 16, 32  # the low/high Gauss pair compared on each panel
 
 
-def _rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    try:
-        return _RULES[n]
-    except KeyError:
-        pair = np.polynomial.legendre.leggauss(n)
-        _RULES[n] = pair
-        return pair
+@cache
+def _pair() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Both rules' nodes, low then high, and the two weight vectors; built,
+    read-only, at the first panel."""
+    x_lo, w_lo = np.polynomial.legendre.leggauss(_N_LO)
+    x_hi, w_hi = np.polynomial.legendre.leggauss(_N_HI)
+    pair = np.concatenate([x_lo, x_hi]), w_lo, w_hi
+    for arr in pair:
+        arr.flags.writeable = False
+    return pair
 
 
 def _panel(f, lo: float, hi: float):
-    """Evaluate the low/high pair on one panel; returns (I_hi, err)."""
+    """Evaluate the low/high pair on one panel, with one call of f on both
+    rules' nodes; returns (I_hi, err)."""
+    nodes, w_lo, w_hi = _pair()
     half = 0.5 * (hi - lo)
     mid = 0.5 * (lo + hi)
-    x1, w1 = _rule(_N_LO)
-    x2, w2 = _rule(_N_HI)
-    y1 = np.asarray(f(mid + half * x1))
-    y2 = np.asarray(f(mid + half * x2))
-    i1 = half * np.tensordot(w1, y1, axes=(0, 0))
-    i2 = half * np.tensordot(w2, y2, axes=(0, 0))
+    y = np.asarray(f(mid + half * nodes))
+    i1 = half * np.tensordot(w_lo, y[:_N_LO], axes=(0, 0))
+    i2 = half * np.tensordot(w_hi, y[_N_LO:], axes=(0, 0))
     return i2, float(np.max(np.abs(i2 - i1)))
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
 from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
-from .params import ModelParams, require_claims
+from .params import ModelParams, require_claims, require_horizon
 
 __all__ = [
     "ConditionMReport",
@@ -137,8 +137,10 @@ def _steps(span: float, dt: float) -> tuple[int, float]:
 def _mesh(params: ModelParams, horizon, dt: float, n_paths: int):
     """(start, span, n_steps, step, stored step indices) of a simulation.
 
-    The stored indices take every stride-th step, the stride chosen so at
-    most _MAX_STORED points are kept, plus the last step.
+    The horizon, given or the parameters' [t0, T], must satisfy
+    0 <= start < end (params.require_horizon).  The stored indices take
+    every stride-th step, the stride chosen so at most _MAX_STORED points
+    are kept, plus the last step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths = {n_paths} must be >= 1")
@@ -146,8 +148,7 @@ def _mesh(params: ModelParams, horizon, dt: float, n_paths: int):
         lo, hi = params.horizon.t0, params.horizon.T
     else:
         lo, hi = float(horizon[0]), float(horizon[1])
-        if not lo < hi:
-            raise ValueError(f"horizon must satisfy start < end, got ({lo}, {hi})")
+    require_horizon(lo, hi)
     n_steps, h = _steps(hi - lo, dt)
     stride = max(1, -(-(n_steps + 1) // _MAX_STORED))
     idx = list(range(0, n_steps + 1, stride))

@@ -16,23 +16,40 @@ zero terminal values,
 
 with G1 = -2 (beta^2 + 2 G0) and G2 = disc - 2 d1.  In the lag tau = T - t,
 G is the zero-initial-value Riccati kernel of riccati.py and L its linear
-companion (riccati_linear_zero_ic), both closed form; H is one adaptive
-quadrature on top of them.  The log-linearized mode (cs.py) reduces to the
-same three equations with its own constants and discount rate: each mode
-has one coefficient object, an ExpQuadCoeffs (unit_coeffs here,
-cs.cs_reduction there), and both solvers are an ExpQuadSurface, whose g is
-read off (G, L, H).  The constants the reductions share with the exact
-mode come from params.reduction_terms; unit EIS is its k = 1 case.
+companion (riccati_linear_zero_ic), both closed form.  H solves the linear
+equation dH/dtau = -disc H + s(tau), H(0) = 0, whose source s is a
+quadratic form in (G, L); each coefficient object tabulates it once, at
+first use, as a Chebyshev series on tau in [0, T] (ExpQuadCoeffs.h_table,
+an exact.LagTable), so (G, L, H) at any t is two closed forms and one
+table read.  coeff_H evaluates H pointwise by adaptive quadrature,
+independently of the table, as the reference.  The log-linearized mode
+(cs.py) reduces to the same three equations with its own constants and
+discount rate: each mode has one coefficient object, an ExpQuadCoeffs
+(unit_coeffs here, cs.cs_reduction there), and both solvers are an
+ExpQuadSurface, whose g is read off (G, L, H).  The constants the
+reductions share with the exact mode come from params.reduction_terms;
+unit EIS is its k = 1 case.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
-from .exact import GBundle, StrategyPoint, _check_wealth, _Surface, strategy_from_ratio
+from .exact import (
+    GBundle,
+    LagTable,
+    StrategyPoint,
+    _check_wealth,
+    _cheb_coef,
+    _Surface,
+    _tabulate,
+    strategy_from_ratio,
+)
 from .params import ModelParams, reduction_terms, require_inputs, require_preference
 from .quadrature import adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
@@ -86,6 +103,11 @@ class ExpQuadCoeffs:
     def kernel_abc(self) -> tuple[float, float, float]:
         """Riccati coefficients of G in the lag variable tau = T - t."""
         return -self.G1, -self.G2, -self.G3
+
+    @cached_property
+    def h_table(self) -> LagTable:
+        """H at t = T - tau for tau in [0, T]; built at first use, then shared."""
+        return _build_h_table(self)
 
 
 def coeff_G(t, co: ExpQuadCoeffs):
@@ -149,10 +171,55 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
 
 
 def glh_state(t: float, co: ExpQuadCoeffs) -> tuple[float, float, float]:
-    """(G, L, H) at time t <= T."""
-    if t > co.params.horizon.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {co.params.horizon.T}")
-    return float(coeff_G(t, co)), float(coeff_L(t, co)), coeff_H(t, co)
+    """(G, L, H) at time t in [0, T]: G and L closed form, H one read of the
+    table co.h_table."""
+    T = co.params.horizon.T
+    if t > T:
+        raise ValueError(f"t = {t} is past the terminal time T = {T}")
+    if t < 0.0:
+        raise ValueError(f"t = {t} is before 0; the H table covers t in [0, T = {T}]")
+    tau = T - t
+    return (
+        float(riccati_zero_ic(tau, *co.kernel_abc())),
+        float(_lag_L(tau, co)),
+        float(co.h_table(tau)[0]),
+    )
+
+
+@cache
+def _antiderivative(n: int) -> np.ndarray:
+    """Chebyshev coefficients (n + 1 rows) of the antiderivative from y = -1
+    of each degree-(n-1) basis series; one read-only matrix per node count
+    in use."""
+    M = chebyshev.chebint(np.eye(n), lbnd=-1.0)
+    M.flags.writeable = False
+    return M
+
+
+def _build_h_table(co: ExpQuadCoeffs) -> LagTable:
+    """H-hat(tau) = H(T - tau) on [0, T] by Chebyshev collocation.
+
+    In the lag, dH/dtau = -disc H + s with H(0) = 0 and the source
+    s = (beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0, closed form at the
+    nodes.  The equation is collocated in integral form: with Q the
+    antiderivative from tau = 0, H = Q H' and (I + disc Q) H' = s at the
+    nodes.  It is solved on the Chebyshev coefficients of H', where it is
+    the same system (the degree-n term Q adds vanishes at first-kind
+    nodes), and H = Q H' is the table column.  No weight e^{disc tau}
+    appears, so disc T is not bounded by overflow.
+    """
+    span = co.params.horizon.T
+    beta2 = co.params.market.beta**2
+    abc = co.kernel_abc()
+
+    def coef_at(tau: np.ndarray) -> np.ndarray:
+        L = _lag_L(tau, co)
+        src = (0.5 * beta2 + co.G0) * L * L + co.h2_0 * L + beta2 * riccati_zero_ic(tau, *abc)
+        Q = 0.5 * span * _antiderivative(tau.size)
+        system = np.eye(tau.size) + co.disc * Q[:-1]
+        return Q @ np.linalg.solve(system, _cheb_coef((src + co.p0)[:, None]))
+
+    return _tabulate(span, coef_at)
 
 
 class ExpQuadSurface(_Surface):
@@ -163,7 +230,7 @@ class ExpQuadSurface(_Surface):
 
     def g(self, t: float, m: float) -> GBundle:
         """g with derivatives; g_t via the ODE right-hand sides, so it is
-        exact up to the quadrature error in H."""
+        exact up to the table error in H."""
         co = self.coeffs
         G, L, H = glh_state(t, co)
         g = math.exp(G * m * m + L * m + H)

@@ -425,8 +425,8 @@ def hjbi_saddle_check(
 ) -> SaddleReport:
     """Check the saddle property of v_fn's optimum at one state point.
 
-    v_fn must expose params, aggregator ("power" or "unit"), strategy(t,x,m)
-    and value_derivs(t,x,m).  The bracket at the reported optimum must
+    v_fn must expose params, aggregator ("power" or "unit") and
+    strategy_and_derivs(t,x,m).  The bracket at the reported optimum must
     vanish within 1e-6 (1 + |v|); each of `samples` random perturbations of
     (pi, q, c) alone must not increase it, and of (xi1, xi2, xi3) alone must
     not decrease it.  With Phi = 0 the distortion is pinned at zero and only
@@ -437,8 +437,7 @@ def hjbi_saddle_check(
     radius = _SADDLE_RADIUS
     params: ModelParams = v_fn.params
     agg: str = v_fn.aggregator
-    sp = v_fn.strategy(t, x, m)
-    d = v_fn.value_derivs(t, x, m)
+    sp, d = v_fn.strategy_and_derivs(t, x, m)
     ctrl_opt = (sp.pi, sp.q, sp.c)
     dist_opt = (sp.xi1, sp.xi2, sp.xi3)
     b_opt = hjbi_bracket(ctrl_opt, dist_opt, point, d, params, agg)

@@ -215,7 +215,16 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
      "error: mu2 = -1.0"),
     (["simulate", "--process", "wealth", "--strategy", "riskless", "--set", "lambda=-1"],
      "error: lambda = -1.0"),
-], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth"])
+    # the default horizon [t0, T] = [1, 1] is empty: no rows made with a zero step
+    (["simulate", "--process", "surplus", "--n-paths", "4", "--set", "t0=1"],
+     "error: horizon [t0, T] = [1.0, 1.0]"),
+    (["simulate", "--process", "factor", "--n-paths", "4", "--set", "t0=1"],
+     "error: horizon [t0, T] = [1.0, 1.0]"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "4",
+      "--set", "t0=1"],
+     "error: horizon [t0, T] = [1.0, 1.0]"),
+], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
+        "empty-factor", "empty-riskless"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

@@ -208,7 +208,7 @@ def _oracle_bundle(co, t, ms, n=24):
     g_t comes from the reduced equation
     g_t + beta^2 g_mm / 2 + H2 g_m + H1 g + delta^phi = 0.
     """
-    T = co.T
+    T = co.params.horizon.T
     edges = np.unique(np.clip(t + np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0]), t, T))
     x, w = np.polynomial.legendre.leggauss(n)
     panels = list(zip(edges, edges[1:]))
@@ -227,7 +227,7 @@ def _oracle_bundle(co, t, ms, n=24):
         )
         H1 = co.h1_0 + co.h1_1 * m - co.base.b0 * m * m
         H2 = co.h2_0 - co.base.kappa * m
-        g_t = -(0.5 * co.beta**2 * g_mm + H2 * g_m + H1 * g + co.delta_phi)
+        g_t = -(0.5 * co.params.market.beta**2 * g_mm + H2 * g_m + H1 * g + co.delta_phi)
         rows.append((g, g_m, g_mm, g_t))
     return np.array(rows)
 

@@ -3,15 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+import ricsolver.exact as exact_mod
+import ricsolver.uniteis as uniteis_mod
 from ricsolver import (
+    CsSolver,
     ExactSolver,
     InadmissibleParameter,
+    QuadratureBudgetExceeded,
     UnitEisSolver,
+    cs_reduction,
+    exact_coeffs,
     glh_rhs,
     glh_state,
+    steady_state_w,
     unit_coeffs,
 )
+from ricsolver.quadrature import adaptive_gauss
+from ricsolver.uniteis import coeff_H
 
 # structural constants at the default calibration, frozen by hand
 G0 = 0.10546875
@@ -193,3 +203,105 @@ def test_exact_mode_converges_to_unit_eis(base_params):
                               abs(s.c_over_x - su.c_over_x), abs(v - vu)]))
     for coarse, fine in zip(gaps, gaps[1:]):
         assert np.all(fine * 6.0 <= coarse), (coarse, fine)
+
+
+# ---------------------------------------------------------------- #
+# the H table
+
+def _with(params, T=None, beta=None, delta=None):
+    hz, mk, pf = params.horizon, params.market, params.preference
+    return dataclasses.replace(
+        params,
+        horizon=hz if T is None else dataclasses.replace(hz, t0=0.0, T=T),
+        market=mk if beta is None else dataclasses.replace(mk, beta=beta),
+        preference=pf if delta is None else dataclasses.replace(pf, delta=delta),
+    )
+
+
+def _reduction(params, mode):
+    if mode == "unit":
+        return unit_coeffs(params)
+    return cs_reduction(steady_state_w(params), exact_coeffs(params))
+
+
+_TABLE_CASES = [(T, beta, None) for T in (1.0, 10.0, 50.0, 200.0)
+                for beta in (0.0, 1e-6, 0.25)] + [(12.0, None, 60.0)]
+
+
+@pytest.mark.parametrize("mode", ["unit", "cs"])
+@pytest.mark.parametrize("T, beta, delta", _TABLE_CASES)
+def test_h_table_matches_dop853(base_params, mode, T, beta, delta):
+    # delta = 60 with T = 12 puts disc T past 700, where the weight
+    # e^{disc tau} of the integrating-factor form would overflow.  The step
+    # cap keeps DOP853's dense output, which t_eval reads, near its step
+    # accuracy: without it the oracle itself is up to 1.2e-12 off at T = 10.
+    co = _reduction(_with(base_params, T=T, beta=beta, delta=delta), mode)
+    ts = T * np.array([0.0, 0.01, 0.1, 0.37, 0.5, 0.9, 0.999])
+    sol = solve_ivp(
+        lambda t, y: np.asarray(glh_rhs(*y, co)), (T, 0.0), [0.0, 0.0, 0.0],
+        method="DOP853", rtol=1e-13, atol=1e-16, t_eval=ts[::-1], max_step=T / 1000.0,
+    )
+    assert sol.success
+    for t, H_ref in zip(ts[::-1], sol.y[2]):
+        H = glh_state(float(t), co)[2]
+        assert abs(H - H_ref) <= 1e-12 * max(1.0, abs(H_ref)), (t, H, H_ref)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0, 200.0])
+def test_h_table_reads_zero_at_terminal_time(base_params, T):
+    params = _with(base_params, T=T)
+    for co in (_reduction(params, "unit"), _reduction(params, "cs")):
+        assert abs(glh_state(T, co)[2]) <= 1e-15
+        assert 0.0 <= co.h_table.tail <= exact_mod._TABLE_TAIL_TOL
+        assert co.h_table.span == T
+
+
+def test_h_table_built_once_per_coeffs(base_params, monkeypatch):
+    builds = []
+    build = uniteis_mod._build_h_table
+
+    def counting(co):
+        builds.append(co)
+        return build(co)
+
+    monkeypatch.setattr(uniteis_mod, "_build_h_table", counting)
+    unit = UnitEisSolver(base_params)
+    cs = CsSolver(base_params, w=0.1)
+    rng = np.random.default_rng(5)
+    points = list(zip(rng.uniform(0.5, 1.0, 6), rng.uniform(0.5, 2.0, 6), rng.uniform(-2, 2, 6)))
+    for point in points:
+        unit.strategy(*point)
+    assert builds == []  # the unit-EIS strategy reads G and L only
+    for point in points:
+        for solver in (unit, cs):
+            solver.strategy(*point)
+            solver.value(*point)
+            solver.value_derivs(*point)
+    assert builds == [unit.coeffs, cs.coeffs]
+
+
+def test_glh_state_runs_no_quadrature(base_params, monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_gauss(*args, **kwargs)
+
+    for module in (uniteis_mod, exact_mod):
+        monkeypatch.setattr(module, "adaptive_gauss", counting)
+    steady_state_w(base_params)
+    for co in (unit_coeffs(base_params), cs_reduction(0.3, exact_coeffs(base_params))):
+        for t in (0.5, 0.77, 1.0):
+            glh_state(t, co)
+    assert calls == []
+    coeff_H(0.5, unit_coeffs(base_params))  # the pointwise reference still integrates
+    assert len(calls) == 1
+
+
+def test_h_table_budget_and_domain(base_params, monkeypatch):
+    co = unit_coeffs(_with(base_params, T=10.0))
+    with pytest.raises(ValueError, match="before 0"):
+        glh_state(-1e-3, co)
+    monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
+    with pytest.raises(QuadratureBudgetExceeded):
+        glh_state(0.0, co)

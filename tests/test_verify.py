@@ -196,6 +196,26 @@ def test_saddle_no_violations(base_params):
         assert rep.n_distortion_perturbations > 0
 
 
+def test_saddle_check_reads_one_g(base_params, monkeypatch):
+    # strategy and value derivatives at the point come from one g integral
+    import ricsolver.exact as exact_mod
+
+    calls = []
+    g_bundle = exact_mod.g_bundle
+
+    def counting(t, m, co):
+        calls.append((t, m))
+        return g_bundle(t, m, co)
+
+    monkeypatch.setattr(exact_mod, "g_bundle", counting)
+    solver = ExactSolver(base_params)
+    rep = hjbi_saddle_check(solver, (0.5, 1.0, 0.0), samples=20, seed=1)
+    assert rep.passed, rep.violations
+    assert calls == [(0.5, 0.0)]
+    sp, d = solver.strategy_and_derivs(0.7, 1.3, -0.4)
+    assert (sp, d) == (solver.strategy(0.7, 1.3, -0.4), solver.value_derivs(0.7, 1.3, -0.4))
+
+
 def test_saddle_unit_mode(base_params):
     solver = UnitEisSolver(base_params)
     rep = hjbi_saddle_check(solver, (0.5, 1.0, 0.0), samples=20, seed=2)
