@@ -68,9 +68,13 @@ def _emit(out_path, params: ModelParams, extras, header, rows) -> None:
         sys.stdout.write(text)
 
 
-def _solver(params: ModelParams, mode: str):
-    if mode not in SOLVERS:
+def _require_mode(mode: str) -> None:
+    if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+
+
+def _solver(params: ModelParams, mode: str):
+    _require_mode(mode)
     return SOLVERS[mode](params)
 
 
@@ -85,6 +89,7 @@ def _point(args, params: ModelParams) -> tuple[float, float, float]:
 
 def cmd_validate(args) -> int:
     params, fallbacks = resolve(args.config, args.set)
+    _require_mode(args.mode)
     report = validate(params, mode=args.mode, fallbacks=fallbacks)
     text = str(report) + "\n"
     if args.out:
@@ -138,8 +143,7 @@ class SweepSpec:
         if not self.values:
             raise ValueError("sweep needs at least one value")
         for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(f"mode must be one of {MODES}, got {mode!r}")
+            _require_mode(mode)
 
 
 def run_sweep(spec: SweepSpec, config_path=None):
@@ -344,27 +348,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, mode=False, seed=False):
         p.add_argument("--config", default=None, help="key = value config file")
-        p.add_argument("--mode", default="exact")
+        if mode:
+            p.add_argument("--mode", default="exact")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="override one config key (repeatable)")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("validate", help="check parameters and report")
-    common(p)
+    common(p, mode=True)
     p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("solve", help="strategy and value at one point")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--t", type=float, default=None, help="time (default t0)")
     p.add_argument("--x", type=float, default=1.0, help="wealth (default 1)")
     p.add_argument("--m", type=float, default=None, help="factor (default m0)")
     p.set_defaults(fn=cmd_solve)
 
     p = sub.add_parser("sweep", help="one-parameter sweep")
-    common(p)
+    common(p, mode=True)
     p.add_argument("--param", required=True)
     p.add_argument("--values", default=None, help="comma-separated values")
     p.add_argument("--range", default=None, help="lo:hi:step inclusive")
@@ -378,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_table2)
 
     p = sub.add_parser("verify", help="numerical verification suites")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--suite", default="all",
                    choices=["all", *SUITES])
     p.add_argument("--samples", type=int, default=20,
@@ -387,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="path simulation summaries")
-    common(p)
+    common(p, seed=True)
     p.add_argument("--process", default="factor",
                    choices=["factor", "wealth", "surplus"])
     p.add_argument("--measure", default="P", choices=["P", "Q_xi", "FK_tilde"])

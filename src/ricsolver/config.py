@@ -9,19 +9,15 @@ which win over the file.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List, Optional, Tuple
 
 from .errors import ConfigError
-from .params import (
-    ClaimDist,
-    Horizon,
-    InsuranceParams,
-    MarketParams,
-    ModelParams,
-    PreferenceParams,
-)
+from .params import ClaimDist, ModelParams
 
-# key -> (block, attribute); "lambda" is a Python keyword, stored as lam.
+# key -> (block, attribute) of ModelParams: block "top" is ModelParams itself,
+# claim_family and claim_params are the insurance block's claim_dist fields,
+# and "lambda", a Python keyword, is stored as lam.
 KNOWN_KEYS: Dict[str, Tuple[str, str]] = {
     "r": ("market", "r"),
     "a": ("market", "a"),
@@ -45,10 +41,6 @@ KNOWN_KEYS: Dict[str, Tuple[str, str]] = {
     "T": ("horizon", "T"),
     "k_bar": ("top", "k_bar"),
 }
-
-# Canonical emission order for resolved-parameter headers.
-KEY_ORDER: Tuple[str, ...] = tuple(KNOWN_KEYS)
-
 
 def parse_config_text(text: str, source: str = "<config>") -> Dict[str, str]:
     """Parse `key = value` lines into a raw string map.
@@ -96,11 +88,42 @@ def apply_sets(raw: Dict[str, str], sets: List[str]) -> Dict[str, str]:
     return merged
 
 
-def _parse_float(key: str, value: str) -> float:
+def _parse(key: str, text: str) -> object:
+    """The value of key given as text."""
+    if key == "claim_family":
+        return text
+    if key == "claim_params":
+        try:
+            values = tuple(float(p) for p in text.split(",") if p.strip())
+        except ValueError:
+            raise ConfigError(f"key 'claim_params': cannot parse {text!r}") from None
+        if not values:
+            raise ConfigError(f"key 'claim_params': no values in {text!r}")
+        return values
+    if key == "phi_eis" and text.lower() in ("none", "derived"):
+        return None
     try:
-        return float(value)
+        return float(text)
     except ValueError:
-        raise ConfigError(f"key {key!r}: cannot parse {value!r} as a number") from None
+        raise ConfigError(f"key {key!r}: cannot parse {text!r} as a number") from None
+
+
+def _field(params: ModelParams, key: str) -> object:
+    """The value params holds for key, where KNOWN_KEYS places it."""
+    block, attr = KNOWN_KEYS[key]
+    holder = params if block == "top" else getattr(params, block)
+    if attr.startswith("claim_"):
+        holder, attr = holder.claim_dist, attr[len("claim_"):]
+    return getattr(holder, attr)
+
+
+def _text(value: object, spec: str) -> str:
+    """value as config text: floats in format spec, tuples comma-joined."""
+    if isinstance(value, tuple):
+        return ",".join(f"{p:{spec}}" for p in value)
+    if value is None:
+        return "none"
+    return f"{value:{spec}}" if isinstance(value, float) else str(value)
 
 
 def build_params(raw: Dict[str, str]) -> Tuple[ModelParams, Tuple[str, ...]]:
@@ -110,61 +133,19 @@ def build_params(raw: Dict[str, str]) -> Tuple[ModelParams, Tuple[str, ...]]:
     took its baseline default.
     """
     defaults = ModelParams()
-    values: Dict[str, object] = {}
+    fields: Dict[str, Dict[str, object]] = {block: {} for block, _ in KNOWN_KEYS.values()}
     fallbacks: List[str] = []
-
-    def default_of(key: str) -> object:
-        block, attr = KNOWN_KEYS[key]
-        if block == "top":
-            return getattr(defaults, attr)
-        if attr == "claim_family":
-            return defaults.insurance.claim_dist.family
-        if attr == "claim_params":
-            return defaults.insurance.claim_dist.params
-        return getattr(getattr(defaults, block), attr)
-
-    for key in KNOWN_KEYS:
-        if key not in raw:
-            dv = default_of(key)
-            values[key] = dv
-            shown = ",".join(f"{p:g}" for p in dv) if key == "claim_params" else (
-                "none" if dv is None else f"{dv:g}" if isinstance(dv, float) else str(dv)
-            )
-            fallbacks.append(f"key {key!r} not set; default {shown} used")
-            continue
-        text = raw[key]
-        if key == "claim_family":
-            values[key] = text
-        elif key == "claim_params":
-            try:
-                values[key] = tuple(float(p) for p in text.split(",") if p.strip())
-            except ValueError:
-                raise ConfigError(f"key 'claim_params': cannot parse {text!r}") from None
-            if not values[key]:
-                raise ConfigError(f"key 'claim_params': no values in {text!r}")
-        elif key == "phi_eis":
-            values[key] = None if text.lower() in ("none", "derived") else _parse_float(key, text)
+    for key, (block, attr) in KNOWN_KEYS.items():
+        if key in raw:
+            value = _parse(key, raw[key])
         else:
-            values[key] = _parse_float(key, text)
-
-    params = ModelParams(
-        market=MarketParams(
-            r=values["r"], a=values["a"], sigma=values["sigma"], beta=values["beta"],
-            alpha=values["alpha"], rho1=values["rho1"], m0=values["m0"],
-        ),
-        insurance=InsuranceParams(
-            b=values["b"], theta1=values["theta1"], lam=values["lambda"],
-            mu1=values["mu1"], mu2=values["mu2"],
-            claim_dist=ClaimDist(values["claim_family"], values["claim_params"]),
-        ),
-        preference=PreferenceParams(
-            gamma=values["gamma"], delta=values["delta"],
-            phi_eis=values["phi_eis"], Phi=values["Phi"],
-        ),
-        horizon=Horizon(t0=values["t0"], T=values["T"]),
-        k_bar=values["k_bar"],
-    )
-    return params, tuple(fallbacks)
+            value = _field(defaults, key)
+            fallbacks.append(f"key {key!r} not set; default {_text(value, 'g')} used")
+        fields[block][attr] = value
+    ins = fields["insurance"]
+    ins["claim_dist"] = ClaimDist(ins.pop("claim_family"), ins.pop("claim_params"))
+    blocks = {b: replace(getattr(defaults, b), **f) for b, f in fields.items() if b != "top"}
+    return replace(defaults, **blocks, **fields["top"]), tuple(fallbacks)
 
 
 def resolve(
@@ -180,26 +161,10 @@ def resolve(
 
 
 def resolved_items(params: ModelParams) -> List[Tuple[str, str]]:
-    """(key, value) pairs of the fully resolved configuration, stable order.
+    """(key, value) pairs of the fully resolved configuration, in
+    KNOWN_KEYS order.
 
     Values are formatted with %.9g so emitting them into CSV headers is
     deterministic across runs.
     """
-    mk, ins, pf, hz = params.market, params.insurance, params.preference, params.horizon
-    flat: Dict[str, object] = {
-        "r": mk.r, "a": mk.a, "sigma": mk.sigma, "beta": mk.beta, "alpha": mk.alpha,
-        "rho1": mk.rho1, "m0": mk.m0,
-        "b": ins.b, "theta1": ins.theta1, "lambda": ins.lam,
-        "mu1": ins.mu1, "mu2": ins.mu2,
-        "claim_family": ins.claim_dist.family,
-        "claim_params": ",".join(f"{p:.9g}" for p in ins.claim_dist.params),
-        "gamma": pf.gamma, "delta": pf.delta,
-        "phi_eis": "none" if pf.phi_eis is None else f"{pf.phi_eis:.9g}",
-        "Phi": pf.Phi,
-        "t0": hz.t0, "T": hz.T, "k_bar": params.k_bar,
-    }
-    out: List[Tuple[str, str]] = []
-    for key in KEY_ORDER:
-        v = flat[key]
-        out.append((key, f"{v:.9g}" if isinstance(v, float) else str(v)))
-    return out
+    return [(key, _text(_field(params, key), ".9g")) for key in KNOWN_KEYS]

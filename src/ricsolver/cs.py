@@ -25,7 +25,7 @@ identical to the exact mode's at machine precision.
 The mode's coefficient object is the ExpQuadCoeffs that cs_reduction builds
 from the exact mode's ExactCoeffs at w; CsSolver is an ExpQuadSurface, so
 its g, value and derivatives are the unit-EIS mode's code on these
-constants.
+constants, and its strategy is the exact mode's rule on that g.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 
 from .errors import FixedPointDivergence, InadmissibleParameter
-from .exact import ExactCoeffs, StrategyPoint, _check_wealth, exact_coeffs, strategy_from_ratio
+from .exact import ExactCoeffs, _Surface, exact_coeffs
 from .params import ModelParams
 from .uniteis import ExpQuadCoeffs, ExpQuadSurface, glh_state, quadratic_noise_coeff
 
@@ -77,12 +77,15 @@ def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
 
 
 class SteadyLevel(float):
-    """w, with its root's residual evaluations and final ln w bracket width
-    (0.0 when the residual vanished exactly; 0 and 0.0 for a pinned w)."""
+    """w, with its root's residual evaluations, final ln w bracket width
+    (0.0 when the residual vanished exactly), exact coefficients eco and
+    reduction at w; a pinned w has 0, 0.0, None and None."""
 
-    def __new__(cls, w: float, evaluations: int = 0, bracket: float = 0.0):
+    def __new__(cls, w: float, evaluations: int = 0, bracket: float = 0.0,
+                eco: ExactCoeffs | None = None, reduction: ExpQuadCoeffs | None = None):
         level = super().__new__(cls, w)
         level.evaluations, level.bracket = evaluations, bracket
+        level.eco, level.reduction = eco, reduction
         return level
 
 
@@ -108,12 +111,13 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
     eco = exact_coeffs(params)
     phi_log_delta = eco.base.phi * math.log(pf.delta)
     s2 = mk.beta**2 / (2.0 * mk.alpha)
-    evaluations = 0
+    evaluations, reduction = 0, None
 
     def residual(y: float) -> float:
-        nonlocal evaluations
+        nonlocal evaluations, reduction
         evaluations += 1
-        G, _, H = glh_state(params.horizon.t0, cs_reduction(math.exp(y), eco))
+        reduction = cs_reduction(math.exp(y), eco)
+        G, _, H = glh_state(params.horizon.t0, reduction)
         r = y - (phi_log_delta - G * s2 - H)
         if not math.isfinite(r):
             raise FixedPointDivergence(f"level residual is {r!r} at ln w = {y!r}")
@@ -130,6 +134,7 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
         a, fa, b, fb = b, fb, b + step, residual(b + step)
     # Illinois: a secant step inside [a, b]; when the same end survives
     # twice its residual is halved, so both ends close in on the root.
+    # Every evaluation is stored as b, so the last one is at the returned w.
     while fb != 0.0 and abs(b - a) > _ROOT_TOL:
         if evaluations >= _MAX_EVALUATIONS:
             raise FixedPointDivergence(f"ln w bracket still {abs(b - a):.3e} wide")
@@ -140,7 +145,8 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
         else:
             fa *= 0.5
         b, fb = c, fc
-    return SteadyLevel(math.exp(b), evaluations, 0.0 if fb == 0.0 else abs(b - a))
+    bracket = 0.0 if fb == 0.0 else abs(b - a)
+    return SteadyLevel(math.exp(b), evaluations, bracket, eco, reduction)
 
 
 class CsSolver(ExpQuadSurface):
@@ -148,7 +154,7 @@ class CsSolver(ExpQuadSurface):
 
     w pins the steady level to a positive number; None solves for it
     (steady_state_w).  The bound w is a SteadyLevel, and coeffs the
-    reduction at it.
+    reduction at it: the root's, or built here for a pinned w.
     """
 
     aggregator = "power"
@@ -156,14 +162,8 @@ class CsSolver(ExpQuadSurface):
     def __init__(self, params: ModelParams, w: float | None = None):
         self.params = params
         self.w = steady_state_w(params) if w is None else SteadyLevel(w)
-        self._eco = exact_coeffs(params)
-        self.coeffs = cs_reduction(self.w, self._eco)
-        self.k = self._eco.base.k
+        eco = self.w.eco or exact_coeffs(params)
+        self.coeffs = self.w.reduction or cs_reduction(self.w, eco)
+        self.k, self.delta_phi = eco.base.k, eco.delta_phi
 
-    def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
-        """Reads u = 2 G m + L and c/x = delta^phi / g off (G, L, H) at t."""
-        _check_wealth(x)
-        G, L, H = glh_state(t, self.coeffs)
-        u = 2.0 * G * m + L
-        c_over_x = self._eco.delta_phi / math.exp(G * m * m + L * m + H)
-        return strategy_from_ratio(x, m, u, c_over_x, self.k, self.params)
+    strategy = _Surface.strategy  # named per solver class, as in ExactSolver

@@ -117,12 +117,14 @@ class LagTable:
 
 @dataclass(frozen=True)
 class GBundle:
-    """g with every derivative the verification layer consumes."""
+    """g with every derivative the verification layer consumes, and the
+    strategy's u = d(ln g)/dm as the kernel computes it."""
 
     g: float
     g_m: float
     g_mm: float
     g_t: float
+    u: float
 
 
 @dataclass(frozen=True)
@@ -321,8 +323,13 @@ def _build_lag_table(co: ExactCoeffs) -> LagTable:
 
 def g_bundle(t: float, m: float, co: ExactCoeffs) -> GBundle:
     """g with g_m, g_mm, g_t in one adaptive pass."""
-    g, g_m, g_mm, g_t = g_bundle_array(t, np.array([m], dtype=float), co)[:, 0]
-    return GBundle(g=float(g), g_m=float(g_m), g_mm=float(g_mm), g_t=float(g_t))
+    return exact_bundle(*map(float, g_bundle_array(t, np.array([m], dtype=float), co)[:, 0]))
+
+
+def exact_bundle(g, g_m, g_mm, g_t) -> GBundle:
+    """The exact mode's GBundle, u = g_m / g; of scalars, or of arrays such
+    as the rows of g_bundle_array."""
+    return GBundle(g=g, g_m=g_m, g_mm=g_mm, g_t=g_t, u=g_m / g)
 
 
 def g_bundle_array(t: float, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
@@ -420,23 +427,33 @@ def strategy_from_ratio(
 class _Surface:
     """Value, value derivatives and the strategy of one mode, written once.
 
-    Every mode's value is v = x^(1-gamma) g^k / (1-gamma).  A subclass sets
-    params and the exponent k and implements g(t, m) -> GBundle and
-    strategy; the strategy rules differ.  The exact mode's g is the
-    lag-table kernel; unit EIS and cs share the exponential-quadratic one
-    (uniteis.ExpQuadSurface).
+    Every mode's value is v = x^(1-gamma) g^k / (1-gamma) and its strategy
+    strategy_from_ratio on u and c_over_x(g).  A subclass sets params, the
+    exponent k and delta_phi (or overrides c_over_x) and implements
+    g(t, m) -> GBundle: the lag-table kernel in the exact mode, the
+    exponential-quadratic one (uniteis.ExpQuadSurface) for unit EIS and cs.
     """
 
     params: ModelParams
     k: float
+    delta_phi: float
 
     def g(self, t: float, m: float) -> GBundle:
         raise NotImplementedError
 
-    def _strategy_from_g(self, t: float, x: float, m: float, gb: GBundle) -> StrategyPoint:
-        """The strategy at (t, x, m) given g there; a mode whose rule does
-        not read g ignores gb."""
-        return self.strategy(t, x, m)
+    def c_over_x(self, g):
+        """Consumption-wealth ratio delta^phi / g of the power aggregator."""
+        return self.delta_phi / g
+
+    def strategy_at(self, x, m, gb: GBundle) -> StrategyPoint:
+        """The strategy at wealth x and factor m given g there; elementwise,
+        like strategy_from_ratio, so a bundle of arrays gives arrays."""
+        return strategy_from_ratio(x, m, gb.u, self.c_over_x(gb.g), self.k, self.params)
+
+    def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
+        """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
+        _check_wealth(x)
+        return self.strategy_at(x, m, self.g(t, m))
 
     def value(self, t: float, x: float, m: float) -> float:
         """v(t, x, m); requires x > 0."""
@@ -456,7 +473,7 @@ class _Surface:
         _check_wealth(x)
         gb = self.g(t, m)
         return (
-            self._strategy_from_g(t, x, m, gb),
+            self.strategy_at(x, m, gb),
             derivs_from_g(x, self.params.preference.gamma, self.k, gb),
         )
 
@@ -475,16 +492,9 @@ class ExactSolver(_Surface):
         self.params = params
         self.coeffs = exact_coeffs(params)
         self.k = self.coeffs.base.k
+        self.delta_phi = self.coeffs.delta_phi
 
     def g(self, t: float, m: float) -> GBundle:
         return g_bundle(t, m, self.coeffs)
 
-    def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
-        """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
-        _check_wealth(x)
-        return self._strategy_from_g(t, x, m, self.g(t, m))
-
-    def _strategy_from_g(self, t: float, x: float, m: float, gb: GBundle) -> StrategyPoint:
-        return strategy_from_ratio(
-            x, m, gb.g_m / gb.g, self.coeffs.delta_phi / gb.g, self.k, self.params
-        )
+    strategy = _Surface.strategy  # bound per solver class, to be timed per mode

@@ -82,17 +82,18 @@ def riccati_zero_ic_integral(tau, a: float, b: float, c: float):
     return out if out.ndim else float(out)
 
 
-def _scaled_growth(k: float, K: float, tau: np.ndarray) -> np.ndarray:
-    """e^{-K tau} (e^{k tau} - 1) / k, with its k = 0 limit tau e^{-K tau}.
+def _scaled_growth(k: float, K: float, tau: np.ndarray, decay: np.ndarray) -> np.ndarray:
+    """e^{-K tau} (e^{k tau} - 1) / k, with its k = 0 limit tau e^{-K tau},
+    given decay = e^{-K tau}.
 
     expm1 carries the small-|k tau| end; past |k tau| = 1 the difference of
     the two scaled exponentials loses nothing and cannot overflow for k <= K.
     """
     if k == 0.0:
-        return tau * np.exp(-K * tau)
+        return tau * decay
     kt = k * tau
-    near = np.exp(-K * tau) * np.expm1(np.clip(kt, -1.0, 1.0))
-    far = np.exp((k - K) * tau) - np.exp(-K * tau)
+    near = decay * np.expm1(np.clip(kt, -1.0, 1.0))
+    far = np.exp((k - K) * tau) - decay
     return np.where(np.abs(kt) <= 1.0, near, far) / k
 
 
@@ -116,8 +117,9 @@ def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: flo
         raise ValueError("riccati_linear_zero_ic needs tau >= 0")
     theta, P, Q = _theta_pq(a, b, c)
     k_hi = lam + 0.5 * Q
-    num = (p * c + 0.5 * q * P) * _scaled_growth(k_hi, k_hi, th) + (
+    decay = np.exp(-k_hi * th)
+    num = (p * c + 0.5 * q * P) * _scaled_growth(k_hi, k_hi, th, decay) + (
         0.5 * q * Q - p * c
-    ) * _scaled_growth(lam - 0.5 * P, k_hi, th)
+    ) * _scaled_growth(lam - 0.5 * P, k_hi, th, decay)
     out = 2.0 * num / (P + Q * np.exp(-theta * th))
     return out if out.ndim else float(out)

@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
-from .exact import exact_coeffs, g_bundle_array, strategy_from_ratio
+from .exact import ExactSolver, exact_bundle, exact_coeffs, g_bundle_array
 from .params import ModelParams, require_claims, require_horizon
 
 __all__ = [
@@ -433,15 +433,16 @@ class TabulatedStrategy:
     """Closed-form strategy ratios tabulated on a (t, m) grid.
 
     Pointwise evaluation of the exact ratios costs a quadrature per call,
-    far too slow inside a path loop.  g and g_m at every m node of one t
-    row come from one vector-valued quadrature on the exact mode's lag
-    table, and the strategy formulas run on the whole grid at once.  The
-    four ratio surfaces (pi/x, c/x, xi1, xi2) are stacked in one
-    (n_t, n_m, 4) array and read as bilinear interpolants, queries clipped
-    to the grid box: each query blends the two t rows that bracket its t,
-    then locates its m cells once and blends their neighbours for all four
-    surfaces together.  Interpolation error is O(grid step squared), well
-    under the Euler discretization error for the default grid.
+    far too slow inside a path loop.  g and its derivatives at every m node
+    of one t row come from one vector-valued quadrature on the exact mode's
+    lag table, and the exact solver's rule (strategy_at) runs on the whole
+    grid at once.  The four ratio surfaces (pi/x, c/x, xi1, xi2) are
+    stacked in one (n_t, n_m, 4) array and read as bilinear interpolants,
+    queries clipped to the grid box: each query blends the two t rows that
+    bracket its t, then locates its m cells once and blends their
+    neighbours for all four surfaces together.  Interpolation error is
+    O(grid step squared), well under the Euler discretization error for
+    the default grid.
     """
 
     def __init__(self, t_nodes, m_nodes, pi_grid, c_grid, q_ratio, xi1_grid,
@@ -467,14 +468,11 @@ class TabulatedStrategy:
         n_m: int = 121,
         m_max: float = 4.0,
     ) -> "TabulatedStrategy":
-        co = exact_coeffs(params)
+        solver = ExactSolver(params)
         t_nodes = np.linspace(params.horizon.t0, params.horizon.T, n_t)
         m_nodes = np.linspace(-m_max, m_max, n_m)
-        rows = np.array([g_bundle_array(t, m_nodes, co)[:2] for t in t_nodes])
-        g, g_m = rows[:, 0], rows[:, 1]
-        sp = strategy_from_ratio(
-            1.0, m_nodes[None, :], g_m / g, co.delta_phi / g, co.base.k, params
-        )
+        rows = np.stack([g_bundle_array(t, m_nodes, solver.coeffs) for t in t_nodes], axis=1)
+        sp = solver.strategy_at(1.0, m_nodes[None, :], exact_bundle(*rows))
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)
 

@@ -241,6 +241,7 @@ class ExpQuadSurface(_Surface):
             g_m=g * lin,
             g_mm=g * (lin * lin + 2.0 * G),
             g_t=g * (dG * m * m + dL * m + dH),
+            u=lin,
         )
 
 
@@ -314,6 +315,10 @@ class UnitEisSolver(ExpQuadSurface):
     def __init__(self, params: ModelParams):
         self.params = params
         self.coeffs = unit_coeffs(params)
+
+    def c_over_x(self, g):
+        """c*/x = delta, whatever g is."""
+        return self.params.preference.delta
 
     def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
         return unit_strategy(t, x, m, self.coeffs)

@@ -74,6 +74,29 @@ def test_solve_reports_typed_coefficient_errors(capsys, mode, sets):
     assert err.startswith("error: ")
 
 
+def test_validate_rejects_unknown_mode(capsys):
+    assert main(["validate", "--mode", "nope"]) == 1
+    assert capsys.readouterr().err.startswith("error: mode must be one of ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["table2", "--mode", "cs"],
+    ["verify", "--suite", "ode", "--mode", "cs"],
+    ["simulate", "--mode", "cs"],
+    ["validate", "--seed", "1"],
+    ["solve", "--seed", "1"],
+    ["sweep", "--param", "sigma", "--values", "0.2", "--seed", "1"],
+    ["table2", "--seed", "1"],
+])
+def test_flags_only_where_they_act(capsys, argv):
+    # --mode only on validate, solve and sweep; --seed only on verify and
+    # simulate: elsewhere they would change nothing, so they are usage errors
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_set_rejects_unknown_key(capsys):
     rc = main(["solve", "--set", "x=1"])
     assert rc == 1
@@ -142,6 +165,18 @@ def test_table2_columns_and_monotonicity():
     assert all(a > b for a, b in zip(pi_ex, pi_ex[1:]))
     assert all(e > 0.0 for e in err)
     assert all(0.1 < w < 0.2 for w in w_used)
+
+
+def test_table2_hedge_scales_as_one_over_sigma_squared():
+    # at m = 0, pi*/x = ((a - r) + c_pi u) / ((Phi + gamma) sigma^2): the
+    # hedge term times sigma^2 is the same at every sigma of the table, so
+    # a change of sigma convention shows here
+    params, _, rows = run_table2()
+    mk, pf = params.market, params.preference
+    scaled = [s * s * (pi_star - (mk.a - mk.r) / ((pf.Phi + pf.gamma) * s * s))
+              for s, _, pi_star, _ in rows]
+    assert scaled[0] != 0.0
+    assert max(scaled) - min(scaled) <= 1e-3 * abs(scaled[0])
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -286,6 +321,40 @@ def test_default_outputs_golden(capsys, argv):
     out = capsys.readouterr().out
     data = "".join(l + "\n" for l in out.splitlines() if not l.startswith("#"))
     assert data == _GOLDEN[argv]
+
+
+# The comment block of the default solve, frozen as printed: every config
+# key in KNOWN_KEYS order with its resolved value, then the mode.
+_GOLDEN_COMMENTS = """\
+# r = 0.02
+# a = 0.07
+# sigma = 0.2
+# beta = 0.25
+# alpha = 5
+# rho1 = -0.5
+# m0 = 0
+# b = 1.1
+# theta1 = 0.2
+# lambda = 1
+# mu1 = 1
+# mu2 = 1.25
+# claim_family = gamma
+# claim_params = 4,0.25
+# gamma = 1.2
+# delta = 0.08
+# phi_eis = none
+# Phi = 0.8
+# t0 = 0.5
+# T = 1
+# k_bar = 2.1
+# mode = exact
+"""
+
+
+def test_default_comment_block_golden(capsys):
+    assert main(["solve"]) == 0
+    out = capsys.readouterr().out
+    assert "".join(l + "\n" for l in out.splitlines() if l.startswith("#")) == _GOLDEN_COMMENTS
 
 
 def test_out_writes_file(tmp_path):

@@ -166,6 +166,24 @@ def test_root_diagnostics(loglin_params):
     assert (pinned.evaluations, pinned.bracket) == (0, 0.0)
 
 
+def test_solver_keeps_the_roots_reduction(monkeypatch):
+    # the root's last evaluation is at the returned w, so CsSolver builds
+    # one ExactCoeffs and one H table per root evaluation, none of its own
+    import ricsolver.uniteis
+
+    ecos, builds = [], []
+    exact, build = ricsolver.cs.exact_coeffs, ricsolver.uniteis._build_h_table
+    monkeypatch.setattr(ricsolver.cs, "exact_coeffs", lambda p: ecos.append(p) or exact(p))
+    monkeypatch.setattr(ricsolver.uniteis, "_build_h_table",
+                        lambda co: builds.append(co) or build(co))
+    solver = CsSolver(ModelParams())
+    assert len(ecos) == 1
+    assert solver.w.evaluations == len(builds) == 11
+    assert builds[-1] is solver.coeffs and solver.coeffs.disc == solver.w
+    solver.strategy(0.5, 1.0, 0.0)
+    assert len(builds) == 11
+
+
 # StrategyPoints of the cs and unit-EIS rules at the default calibration
 # (cs pinned at w = 0.1), frozen at full precision from the implementation
 # that recomputed H (cs) or computed an unused H (unit EIS); reusing H and
