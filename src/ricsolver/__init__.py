@@ -19,6 +19,7 @@ from .errors import (
     FiniteTimeBlowup,
     FixedPointDivergence,
     InadmissibleParameter,
+    KernelOutOfRange,
     NonadmissibleValueSign,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
@@ -109,6 +110,7 @@ __all__ = [
     "Grid2D",
     "Horizon",
     "InadmissibleParameter",
+    "KernelOutOfRange",
     "InsuranceParams",
     "MarketParams",
     "ModelParams",

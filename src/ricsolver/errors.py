@@ -41,6 +41,12 @@ class QuadratureBudgetExceeded(SolverError):
     """Adaptive quadrature could not meet tolerance within its panel budget."""
 
 
+class KernelOutOfRange(SolverError):
+    """g underflows to 0, overflows or is lost to rounding at the point
+    asked for, typically at a factor value |m| far outside the factor's
+    stationary range."""
+
+
 class FixedPointDivergence(SolverError):
     """The cs steady level w has no bracketed root, or its residual is not finite."""
 

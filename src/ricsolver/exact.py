@@ -21,8 +21,15 @@ B-hat(tau) = B(0, tau), sampled from the closed form, and of A-hat(tau) =
 A(0, tau), the exact Chebyshev antiderivative of the A right-hand side.
 The interpolant degree is doubled until the trailing coefficients are
 negligible; the same table type and doubling rule (_tabulate) serve the
-H table of the exponential-quadratic modes (uniteis).  g and its
-derivatives are then one adaptive integral over the lag.
+H table of the exponential-quadratic modes (uniteis).
+
+For a fixed m, g at every t is then one Chebyshev antiderivative of
+h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), read at tau = T - t
+(g_bundle_array).  The samples of A-hat, B-hat, C-hat and the ODE
+right-hand sides at the Chebyshev points are kept per node count
+(ExactCoeffs.lag_kernel), so a g is one exponential over the points, one
+coefficient transform and one read row per t; the node count doubles per
+m under the lag table's rule.  No quadrature runs per point.
 
 coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
 independently of the table; the verification layer and the tests use them
@@ -32,13 +39,14 @@ as the reference.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DegenerateK, NonpositiveWealth, QuadratureBudgetExceeded
+from .errors import DegenerateK, KernelOutOfRange, NonpositiveWealth, QuadratureBudgetExceeded
 from .params import DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
@@ -49,6 +57,14 @@ _UNIT_PHI_TOL = 1e-9
 _TABLE_MIN_NODES = 32
 _TABLE_MAX_NODES = 1024
 _TABLE_TAIL_TOL = 1e-14
+# The accuracy the g kernel answers for, relative to g (that of the pointwise
+# quadratures, QuadratureConfig().rel_tol): its series of h-hat must give
+# h-hat(0) = 1 to this, and their rounding, eps sum_j |c_j|, must stay under
+# it times g.
+_KERNEL_REL_TOL = 1e-9
+# Largest exponent math.exp and np.exp map to a finite float.
+_LOG_MAX = math.log(sys.float_info.max)
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -79,6 +95,18 @@ class ExactCoeffs:
     def lag_table(self) -> "LagTable":
         """A-hat and B-hat on [0, T]; built at first use, then shared."""
         return _build_lag_table(self)
+
+    @cached_property
+    def _lag_kernels(self) -> dict:
+        return {}
+
+    def lag_kernel(self, n: int) -> "LagKernel":
+        """The g kernel's samples at n Chebyshev points; built at the first
+        g that needs n nodes, then shared."""
+        kernel = self._lag_kernels.get(n)
+        if kernel is None:
+            kernel = self._lag_kernels[n] = _build_lag_kernel(self, n)
+        return kernel
 
 
 @dataclass(frozen=True)
@@ -282,6 +310,54 @@ def _cheb_coef(values: np.ndarray) -> np.ndarray:
     return coef
 
 
+@cache
+def _to_coef_exact(n: int) -> np.ndarray:
+    """The matrix M with values @ M the Chebyshev coefficients of the
+    interpolant through values at the n first-kind points: (2/n) T_j at
+    point i, column 0 halved, each angle j (2 i + 1) pi / (2 n) reduced
+    mod 2 pi in integers before its cosine.  _nodes' product angles carry
+    j ulps, which add up to a few 1e-15 in a read of the O(1) values the g
+    kernel interpolates; the tables, which interpolate exponents, keep
+    _cheb_coef."""
+    i, j = np.arange(n), np.arange(n)
+    angle = (np.outer(2 * i + 1, j) % (4 * n)) * (np.pi / (2 * n))
+    M = (2.0 / n) * np.cos(angle)
+    M[:, 0] *= 0.5
+    M.flags.writeable = False
+    return M
+
+
+@cache
+def _antiderivative(n: int) -> np.ndarray:
+    """Chebyshev coefficients (n + 1 rows) of the antiderivative from y = -1
+    of each degree-(n-1) basis series; one read-only matrix per node count
+    in use."""
+    M = chebyshev.chebint(np.eye(n), lbnd=-1.0)
+    M.flags.writeable = False
+    return M
+
+
+def _lag_nodes(span: float, n: int) -> np.ndarray:
+    """The n first-kind Chebyshev points of the lag on [0, span]."""
+    return 0.5 * span * (1.0 + np.cos(_nodes(n)[0]))
+
+
+def _tail(coef: np.ndarray) -> np.ndarray:
+    """The convergence level of Chebyshev series (degree along the last
+    axis): the largest of the highest-degree eighth relative to max(1, the
+    series' largest coefficient)."""
+    a = np.abs(coef)
+    return a[..., -(a.shape[-1] // 8):].max(axis=-1) / np.maximum(1.0, a.max(axis=-1))
+
+
+def _doubled(n: int, what: str) -> int:
+    """The node count after n, the tabulations' doubling rule; past
+    _TABLE_MAX_NODES it refuses what it was tabulating."""
+    if 2 * n > _TABLE_MAX_NODES:
+        raise QuadratureBudgetExceeded(f"{what}: not converged at {n} nodes")
+    return 2 * n
+
+
 def _tabulate(span: float, coef_at) -> LagTable:
     """The LagTable of coef_at(tau), the (n + 1, k) Chebyshev coefficients
     of k lag functions built from samples at the n first-kind Chebyshev
@@ -289,19 +365,12 @@ def _tabulate(span: float, coef_at) -> LagTable:
     column has converged."""
     n = _TABLE_MIN_NODES
     while True:
-        coef = coef_at(0.5 * span * (1.0 + np.cos(_nodes(n)[0])))
-        tail = max(
-            float(np.max(np.abs(col[-(n // 8):])) / max(1.0, float(np.max(np.abs(col)))))
-            for col in coef.T
-        )
+        coef = coef_at(_lag_nodes(span, n))
+        tail = float(np.max(_tail(coef.T)))
         if tail <= _TABLE_TAIL_TOL:
             return LagTable(span=span, coef=coef, tail=tail)
-        if 2 * n > _TABLE_MAX_NODES:
-            raise QuadratureBudgetExceeded(
-                f"lag table on [0, {span}] not converged at {n} nodes: "
-                f"trailing coefficient {tail:.3e} > {_TABLE_TAIL_TOL:g}"
-            )
-        n *= 2
+        n = _doubled(n, f"lag table on [0, {span}] (trailing coefficient {tail:.3e} > "
+                        f"{_TABLE_TAIL_TOL:g})")
 
 
 def _build_lag_table(co: ExactCoeffs) -> LagTable:
@@ -318,11 +387,67 @@ def _build_lag_table(co: ExactCoeffs) -> LagTable:
     return _tabulate(span, coef_at)
 
 
+@dataclass(frozen=True)
+class LagKernel:
+    """The g integrands at the n first-kind Chebyshev points tau of [0, T],
+    as polynomials in m with lag-function coefficients.
+
+    poly[i] holds the coefficients of m^i (i = 0, 1, 2), shape (5, n) each,
+    of: the exponent A - B m - C m^2 of h-hat, then the factors 1, -lin,
+    lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m) that multiply
+    h-hat in the integrands of g, g_m, g_mm and g_t.  A-hat and B-hat come
+    from the lag table, C-hat from its closed form, (dA, dB, dC) are the
+    backward-ODE right-hand sides.  reads maps the Chebyshev coefficients of
+    an integrand to delta^phi int_0^s + its value at s, given the basis
+    row cos(j theta), j = 0..n (degrees), at s: delta^phi T/2 times
+    _antiderivative(n), plus the identity.  at_zero is the basis row at
+    tau = 0, (-1)^j for j < n.
+    """
+
+    poly: tuple[np.ndarray, np.ndarray, np.ndarray]
+    reads: np.ndarray
+    degrees: np.ndarray
+    at_zero: np.ndarray
+
+    def coefficients(self, m: np.ndarray) -> np.ndarray:
+        """Chebyshev coefficients of the four integrands for each entry of
+        the 1-d array m; shape (m.size, 4, n)."""
+        p0, p1, p2 = self.poly
+        mm = m[:, None, None]
+        rows = p0 + mm * (p1 + mm * p2)
+        if rows.size and rows[:, 0].max() > _LOG_MAX:
+            raise KernelOutOfRange(
+                f"h = exp(A - B m - C m^2) overflows on the lag grid of [0, T] "
+                f"at |m| up to {np.abs(m).max()}"
+            )
+        values = np.exp(rows[:, :1]) * rows[:, 1:]
+        return values @ _to_coef_exact(values.shape[-1])
+
+
+def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
+    T = co.params.horizon.T
+    tau = _lag_nodes(T, n)
+    AB = co.lag_table(tau)
+    A, B = AB[:, 0], AB[:, 1]
+    C = _lag_C(tau, co)
+    dA, dB, dC = abc_rhs(A, B, C, co)
+    zero, one = np.zeros(n), np.ones(n)
+    poly = (
+        np.array([A, one, -B, B * B - 2.0 * C, dA]),
+        np.array([-B, zero, -2.0 * C, 4.0 * B * C, -dB]),
+        np.array([-C, zero, zero, 4.0 * C * C, -dC]),
+    )
+    reads = co.delta_phi * 0.5 * T * _antiderivative(n)
+    reads[:n] += np.eye(n)
+    degrees = np.arange(n + 1.0)
+    return LagKernel(poly=poly, reads=reads, degrees=degrees, at_zero=(-1.0) ** degrees[:n])
+
+
 # ---------------------------------------------------------------- #
 # g and everything built on it
 
 def g_bundle(t: float, m: float, co: ExactCoeffs) -> GBundle:
-    """g with g_m, g_mm, g_t in one adaptive pass."""
+    """g with g_m, g_mm, g_t; the one-m row of g_bundle_array."""
     return exact_bundle(*map(float, g_bundle_array(t, np.array([m], dtype=float), co)[:, 0]))
 
 
@@ -332,41 +457,72 @@ def exact_bundle(g, g_m, g_mm, g_t) -> GBundle:
     return GBundle(g=g, g_m=g_m, g_mm=g_mm, g_t=g_t, u=g_m / g)
 
 
-def g_bundle_array(t: float, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
-    """Rows g, g_m, g_mm, g_t at one t for a 1-d array of m; shape (4, m.size).
+def _g_out_of_range(t, m) -> KernelOutOfRange:
+    """The refusal of a g that floating point cannot carry at (t, m)."""
+    return KernelOutOfRange(
+        f"g(t = {t}, m = {m}) underflows, overflows or is lost to rounding; "
+        "|m| is too large for this horizon"
+    )
 
-    One adaptive integral over the lag tau in [0, T - t] covers every m; its
-    error control is the max-norm over all 4 m.size columns.  A-hat and
-    B-hat come from the lag table.  All derivatives are differentiation
-    under the integral; g_t uses the backward-ODE right-hand sides for
-    (A_t, B_t, C_t) plus the boundary term -delta^phi from the moving lower
-    limit (h(t, m; t) = 1).
+
+def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
+    """Rows g, g_m, g_mm, g_t for a 1-d array of m at one t, shape
+    (4, m.size), or at each entry of a 1-d array t, shape (4, t.size, m.size).
+
+    With s = T - t, g = delta^phi int_0^s h-hat dtau + h-hat(s), and g_m,
+    g_mm and g_t the same with the integrand differentiated under the
+    integral; g_t uses the backward-ODE right-hand sides for (A_t, B_t,
+    C_t) plus the boundary term -delta^phi from the moving lower limit
+    (h(t, m; t) = 1).  For each m the four integrands are sampled at the
+    lag kernel's n points, turned into Chebyshev coefficients once for
+    every t, and read at each s: the antiderivative from tau = 0 through
+    the kernel's integration matrix, the end value through the series.
+
+    n starts at twice the lag table's node count, at most _TABLE_MAX_NODES
+    (h-hat, an exponential over the table's functions, is sharper than
+    they are: one pass serves |m| <= 8 at T = 1 and |m| <= 4 at T = 10 at
+    the default calibration) and doubles per m until the series of h-hat passes the table's rule
+    (_tail) and gives h-hat(0) = 1 to _KERNEL_REL_TOL, which catches a peak
+    at tau = 0 too narrow for any node to see; past _TABLE_MAX_NODES it
+    raises QuadratureBudgetExceeded.  A series carries about eps sum_j |c_j|
+    of rounding, large against g close to T where h-hat grows along the lag
+    (b0 < 0, large |m|); where that exceeds _KERNEL_REL_TOL g, or g is 0,
+    it raises KernelOutOfRange.  Each m is computed on its own (stacked
+    matrix products), so a column at one t equals g_bundle there bit for bit.
     """
     T = co.params.horizon.T
-    if t > T:
+    t = np.asarray(t, dtype=float)
+    if np.any(t > T):
         raise ValueError(f"t = {t} is past the terminal time T = {T}")
-    if t < 0.0:
+    if np.any(t < 0.0):
         raise ValueError(f"t = {t} is before 0; the lag table covers t in [0, T = {T}]")
-    table = co.lag_table
-
-    def columns(tau: np.ndarray) -> np.ndarray:
-        AB = table(tau)
-        A, B = AB[:, :1], AB[:, 1:]
-        C = _lag_C(tau, co)[:, None]
-        h = np.exp(A - B * m - C * m * m)
-        lin = B + 2.0 * C * m
-        dA, dB, dC = abc_rhs(A, B, C, co)
-        return np.concatenate(
-            [h, -h * lin, h * (lin * lin - 2.0 * C), h * (dA - m * dB - m * m * dC)],
-            axis=-1,
-        )
-
-    span = T - t
-    ints = adaptive_gauss(columns, 0.0, span)
-    term = columns(np.array([span]))[0]
-    out = (co.delta_phi * ints + term).reshape(4, m.size)
+    m = np.asarray(m, dtype=float)
+    theta = np.arccos(1.0 - 2.0 * t.ravel() / T)  # the basis at s is cos(j theta)
+    rows, rounding = _g_rows(theta, m, co, min(2 * co.lag_table.nodes, _TABLE_MAX_NODES))
+    out = np.moveaxis(rows, 0, -1).reshape((4,) + t.shape + m.shape)
     out[3] -= co.delta_phi
+    carried = _EPS * rounding < _KERNEL_REL_TOL * out[0]  # False where g <= 0 or NaN
+    if not carried.all():
+        raise _g_out_of_range(t, m[~carried.reshape(-1, m.size).all(axis=0)])
     return out
+
+
+def _g_rows(theta: np.ndarray, m: np.ndarray, co: ExactCoeffs, n: int):
+    """(m.size, 4, theta.size) reads delta^phi int_0^s + value at s of the
+    four g integrands, s at each angle theta, and each m's rounding level
+    sum_j |c_j|, from the lag kernel at n nodes; the m whose series have
+    not converged are read again at twice the nodes."""
+    kernel = co.lag_kernel(n)
+    coef = kernel.coefficients(m)
+    h0 = coef[:, 0] @ kernel.at_zero
+    done = (_tail(coef[:, 0]) <= _TABLE_TAIL_TOL) & (np.abs(h0 - 1.0) <= _KERNEL_REL_TOL)
+    rows = coef @ (np.cos(np.multiply.outer(theta, kernel.degrees)) @ kernel.reads).T
+    rounding = np.abs(coef).sum(axis=-1).max(axis=-1)
+    if not done.all():
+        left = m[~done]
+        n = _doubled(n, f"g kernel series of h(tau, m) at |m| = {np.abs(left).max()}")
+        rows[~done], rounding[~done] = _g_rows(theta, left, co, n)
+    return rows, rounding
 
 
 def derivs_from_g(x: float, gamma: float, k: float, gb: GBundle) -> ValueDerivs:

@@ -432,17 +432,16 @@ def empirical_condition_M(
 class TabulatedStrategy:
     """Closed-form strategy ratios tabulated on a (t, m) grid.
 
-    Pointwise evaluation of the exact ratios costs a quadrature per call,
-    far too slow inside a path loop.  g and its derivatives at every m node
-    of one t row come from one vector-valued quadrature on the exact mode's
-    lag table, and the exact solver's rule (strategy_at) runs on the whole
-    grid at once.  The four ratio surfaces (pi/x, c/x, xi1, xi2) are
-    stacked in one (n_t, n_m, 4) array and read as bilinear interpolants,
-    queries clipped to the grid box: each query blends the two t rows that
-    bracket its t, then locates its m cells once and blends their
-    neighbours for all four surfaces together.  Interpolation error is
-    O(grid step squared), well under the Euler discretization error for
-    the default grid.
+    Pointwise evaluation of the exact ratios costs a g kernel call per
+    point, too slow inside a path loop.  g and its derivatives at every m
+    node of every t row come from one g_bundle_array call, and the exact
+    solver's rule (strategy_at) runs on the whole grid at once.  The four
+    ratio surfaces (pi/x, c/x, xi1, xi2) are stacked in one (n_t, n_m, 4)
+    array and read as bilinear interpolants, queries clipped to the grid
+    box: each query blends the two t rows that bracket its t, then locates
+    its m cells once and blends their neighbours for all four surfaces
+    together.  Interpolation error is O(grid step squared), well under the
+    Euler discretization error for the default grid.
     """
 
     def __init__(self, t_nodes, m_nodes, pi_grid, c_grid, q_ratio, xi1_grid,
@@ -471,7 +470,7 @@ class TabulatedStrategy:
         solver = ExactSolver(params)
         t_nodes = np.linspace(params.horizon.t0, params.horizon.T, n_t)
         m_nodes = np.linspace(-m_max, m_max, n_m)
-        rows = np.stack([g_bundle_array(t, m_nodes, solver.coeffs) for t in t_nodes], axis=1)
+        rows = g_bundle_array(t_nodes, m_nodes, solver.coeffs)
         sp = solver.strategy_at(1.0, m_nodes[None, :], exact_bundle(*rows))
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)

@@ -35,17 +35,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .exact import (
     GBundle,
     LagTable,
     StrategyPoint,
+    _antiderivative,
     _check_wealth,
     _cheb_coef,
+    _g_out_of_range,
+    _LOG_MAX,
     _Surface,
     _tabulate,
     strategy_from_ratio,
@@ -186,16 +188,6 @@ def glh_state(t: float, co: ExpQuadCoeffs) -> tuple[float, float, float]:
     )
 
 
-@cache
-def _antiderivative(n: int) -> np.ndarray:
-    """Chebyshev coefficients (n + 1 rows) of the antiderivative from y = -1
-    of each degree-(n-1) basis series; one read-only matrix per node count
-    in use."""
-    M = chebyshev.chebint(np.eye(n), lbnd=-1.0)
-    M.flags.writeable = False
-    return M
-
-
 def _build_h_table(co: ExpQuadCoeffs) -> LagTable:
     """H-hat(tau) = H(T - tau) on [0, T] by Chebyshev collocation.
 
@@ -233,7 +225,10 @@ class ExpQuadSurface(_Surface):
         exact up to the table error in H."""
         co = self.coeffs
         G, L, H = glh_state(t, co)
-        g = math.exp(G * m * m + L * m + H)
+        expo = G * m * m + L * m + H
+        g = math.exp(expo) if expo <= _LOG_MAX else math.inf
+        if not 0.0 < g < math.inf:
+            raise _g_out_of_range(t, m)
         lin = 2.0 * G * m + L
         dG, dL, dH = glh_rhs(G, L, H, co)
         return GBundle(

@@ -554,16 +554,33 @@ def _fk_paths(
     S = np.zeros(n_paths) if collect_running else None
     h1_prev = eco.H1(mv)
     exp_prev = np.ones(n_paths) if collect_running else None
+    # Each step updates these buffers in place, in the operation order of
+    # mv = decay mv + shift + sd z, H1(mv) = h1_0 + h1_1 mv - b0 mv mv,
+    # I += (h/2)(H1 before + H1 after) and S += (h/2)(e^I before + e^I after).
+    z, h1_new, tmp = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    e = np.empty(n_paths) if collect_running else None
+    half_h = 0.5 * h
     for _ in range(n_steps):
-        z = rng.standard_normal(n_paths)
-        mv = decay * mv + shift + sd * z
-        h1_new = eco.H1(mv)
-        I = I + 0.5 * h * (h1_prev + h1_new)
-        h1_prev = h1_new
+        rng.standard_normal(out=z)
+        mv *= decay
+        mv += shift
+        z *= sd
+        mv += z
+        np.multiply(mv, eco.h1_1, out=h1_new)
+        h1_new += eco.h1_0
+        np.multiply(mv, eco.base.b0, out=tmp)
+        tmp *= mv
+        h1_new -= tmp
+        np.add(h1_prev, h1_new, out=tmp)
+        tmp *= half_h
+        I += tmp
+        h1_prev, h1_new = h1_new, h1_prev
         if collect_running:
-            e = np.exp(I)
-            S += 0.5 * h * (exp_prev + e)
-            exp_prev = e
+            np.exp(I, out=e)
+            np.add(exp_prev, e, out=tmp)
+            tmp *= half_h
+            S += tmp
+            exp_prev, e = e, exp_prev
     return I, S
 
 

@@ -258,8 +258,13 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
     (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "4",
       "--set", "t0=1"],
      "error: horizon [t0, T] = [1.0, 1.0]"),
+    # g out of floating-point reach at a huge |m|: no raw ZeroDivisionError
+    (["solve", "--m", "1e6"], "error: g kernel series of h(tau, m) at |m| = 1000000.0"),
+    (["solve", "--mode", "cs", "--m", "1e3"], "error: g(t = 0.5, m = 1000.0) underflows"),
+    (["verify", "--suite", "mc", "--set", "m0=1e6"],
+     "error: g kernel series of h(tau, m) at |m| = 1000000.0"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
-        "empty-factor", "empty-riskless"])
+        "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

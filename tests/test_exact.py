@@ -11,6 +11,7 @@ from ricsolver import (
     NonpositiveWealth,
     QuadratureBudgetExceeded,
     QuadratureConfig,
+    TabulatedStrategy,
     UnitEisSolver,
     abc_rhs,
     coeff_A,
@@ -279,3 +280,71 @@ def test_lag_table_budget_and_domain(base_params, monkeypatch):
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
     with pytest.raises(QuadratureBudgetExceeded):
         g_bundle(0.0, 0.0, co)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0])
+def test_kernel_matches_oracle_at_random_points(base_params, T):
+    # 200 random (t, m) with |m| <= 8: 20 random t, 10 random m at each;
+    # every field within 1e-12 of g (measured at most 1.5e-14, g_t at T = 10)
+    co = exact_coeffs(_with_horizon(base_params, 0.0, T))
+    rng = np.random.default_rng(int(T))
+    for t in rng.uniform(0.0, T, 20):
+        ms = rng.uniform(-8.0, 8.0, 10)
+        ref = _oracle_bundle(co, t, ms).T
+        got = exact_mod.g_bundle_array(t, ms, co)
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref[0])), (t, ms, got, ref)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0])
+def test_kernel_rows_equal_pointwise_bundles(base_params, T):
+    # each m is computed on its own, so a row of the batch is g_bundle there
+    # bit for bit, whichever other m share the call and however many nodes
+    # they need (64 or 128 at T = 1, 128 or 256 at T = 10)
+    co = exact_coeffs(_with_horizon(base_params, 0.0, T))
+    rng = np.random.default_rng(4)
+    ms = np.concatenate([np.linspace(-8.0, 8.0, 33), rng.uniform(-8.0, 8.0, 20), [-20.0, 16.0]])
+    for t in np.concatenate([[0.0, T], rng.uniform(0.0, T, 4)]):
+        rows = exact_mod.g_bundle_array(t, ms, co)
+        for m, row in zip(ms, rows.T):
+            gb = g_bundle(t, m, co)
+            assert (gb.g, gb.g_m, gb.g_mm, gb.g_t) == tuple(row), (t, m)
+        sub = rng.permutation(ms.size)[:7]
+        assert np.array_equal(exact_mod.g_bundle_array(t, ms[sub], co), rows[:, sub])
+
+
+def test_exact_g_runs_no_quadrature(base_params, monkeypatch):
+    import ricsolver.quadrature as quadrature_mod
+    import ricsolver.simulate as simulate_mod
+
+    calls = []
+    adaptive_gauss = quadrature_mod.adaptive_gauss
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return adaptive_gauss(*args, **kwargs)
+
+    solver = ExactSolver(_with_horizon(base_params, 0.0, 10.0))
+    for module in (exact_mod, quadrature_mod, simulate_mod):
+        monkeypatch.setattr(module, "adaptive_gauss", counting, raising=False)
+    rng = np.random.default_rng(6)
+    for t, m in zip(rng.uniform(0.0, 10.0, 8), rng.uniform(-4.0, 4.0, 8)):
+        solver.g(t, m)
+        solver.value(t, 1.2, m)
+        solver.strategy(t, 0.8, m)
+    TabulatedStrategy.from_exact(base_params, n_t=9, n_m=11)
+    assert calls == []
+    coeff_A(0.2, 0.9, solver.coeffs)  # the pointwise reference still integrates
+    assert len(calls) == 1
+
+
+def test_kernel_budget(base_params, monkeypatch):
+    co = exact_coeffs(_with_horizon(base_params, 0.0, 1.0))
+    # |m| = 1000 puts h's peak at tau = 0 between the first nodes: every
+    # sample is ~0 and the series converges to the wrong function, which
+    # the h-hat(0) = 1 check refuses at every node count up to the cap
+    with pytest.raises(QuadratureBudgetExceeded, match="at 1024 nodes"):
+        g_bundle(0.5, 1e3, co)
+    monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 128)  # |m| = 40 needs 256
+    assert np.isfinite(g_bundle(0.5, 8.0, co).g)
+    with pytest.raises(QuadratureBudgetExceeded, match="at 128 nodes"):
+        exact_mod.g_bundle_array(0.5, np.array([0.0, 40.0]), co)

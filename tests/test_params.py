@@ -9,8 +9,10 @@ from ricsolver import (
     ExactSolver,
     FiniteTimeBlowup,
     InadmissibleParameter,
+    KernelOutOfRange,
     ModelParams,
     NonadmissibleValueSign,
+    QuadratureBudgetExceeded,
     derive_coeffs,
     derive_k_phi,
     exact_coeffs,
@@ -227,11 +229,19 @@ def _riskless_wealth(params):
     # the claim noise takes the root of lambda mu2 before any strategy runs
     (dict(mu2=-1.0), _riskless_wealth, InadmissibleParameter),
     (dict(lam=-1.0), _riskless_wealth, InadmissibleParameter),
+    # factor values far outside the factor's range: the exact kernel's series
+    # cannot resolve h's peak at lag 0, the exponential-quadratic g underflows
+    # or, with gamma < 1 and Phi = 0, h and g overflow
+    (dict(m0=1e6), _solve_at_t0(ExactSolver), QuadratureBudgetExceeded),
+    (dict(m0=1e3), _solve_at_t0(UnitEisSolver), KernelOutOfRange),
+    (dict(m0=1e3), _solve_at_t0(CsSolver), KernelOutOfRange),
+    (dict(m0=1e3, gamma=0.5, Phi=0.0), _solve_at_t0(ExactSolver), KernelOutOfRange),
+    (dict(m0=1e3, gamma=0.5, Phi=0.0), _solve_at_t0(CsSolver), KernelOutOfRange),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
         "T0-unit", "empty-exact", "reversed-cs", "empty-table", "mu2-wealth",
-        "lambda-wealth"])
+        "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))

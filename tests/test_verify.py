@@ -27,7 +27,7 @@ from ricsolver import (
     pde_residual,
 )
 
-from ricsolver.verify import MC_DT, _ou_step
+from ricsolver.verify import MC_DT, _fk_paths, _fk_steps, _ou_step
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -336,6 +336,45 @@ def test_mc_degenerate_factor_has_zero_se(base_params):
     )
     assert se == 0.0
     assert math.isfinite(est)
+
+
+def _fk_paths_reference(params, t, m, s, n_paths, dt, seed, collect_running):
+    """The Feynman-Kac engine written plainly, one new array per step."""
+    eco = exact_coeffs(params)
+    n_steps, h = _fk_steps(s - t, dt)
+    if n_steps == 0:
+        return np.zeros(n_paths), (np.zeros(n_paths) if collect_running else None)
+    decay, shift, sd = _ou_step(eco.h2_0, eco.base.kappa, params.market.beta, h)
+    rng = np.random.Generator(np.random.Philox(seed))
+    mv = np.full(n_paths, float(m))
+    I = np.zeros(n_paths)
+    S = np.zeros(n_paths) if collect_running else None
+    h1_prev = eco.H1(mv)
+    exp_prev = np.ones(n_paths)
+    for _ in range(n_steps):
+        z = rng.standard_normal(n_paths)
+        mv = decay * mv + shift + sd * z
+        h1_new = eco.H1(mv)
+        I = I + 0.5 * h * (h1_prev + h1_new)
+        h1_prev = h1_new
+        if collect_running:
+            e = np.exp(I)
+            S = S + 0.5 * h * (exp_prev + e)
+            exp_prev = e
+    return I, S
+
+
+@pytest.mark.parametrize("collect_running", [False, True])
+@pytest.mark.parametrize("beta, t, s", [(0.25, 0.5, 1.0), (0.0, 0.5, 1.0), (0.25, 0.7, 0.7)],
+                         ids=["default", "beta0", "zero-span"])
+def test_fk_paths_in_place_matches_plain_loop(base_params, collect_running, beta, t, s):
+    params = repl(base_params, beta=beta)
+    for seed in (3, 5, 9):
+        args = (params, t, 0.4, s, 2_000, 1e-3, seed, collect_running)
+        I, S = _fk_paths(*args)
+        I_ref, S_ref = _fk_paths_reference(*args)
+        assert np.all(I == I_ref)
+        assert (S is None and S_ref is None) or np.all(S == S_ref)
 
 
 # ---------------------------------------------------------------- #
