@@ -14,25 +14,21 @@ where (A, B, C) solve, backward in t with A = B = C = 0 at t = s,
 Every coefficient of these ODEs is constant, so A, B and C depend on the
 lag tau = s - t only.  In tau, C is the zero-initial-value Riccati kernel of
 riccati.py and B its linear companion (riccati_linear_zero_ic), both closed
-form; A is one adaptive quadrature of its right-hand side over the lag.
-g is built on a lag table (LagTable), made once per ExactCoeffs at the
-first g it is asked for: Chebyshev interpolants on tau in [0, T] of
-B-hat(tau) = B(0, tau), sampled from the closed form, and of A-hat(tau) =
-A(0, tau), the exact Chebyshev antiderivative of the A right-hand side.
-The interpolant degree is doubled until the trailing coefficients are
-negligible; the same table type and doubling rule (_tabulate) serve the
-H table of the exponential-quadratic modes (uniteis).
+form; A is the integral of its right-hand side over the lag.
 
-For a fixed m, g at every t is then one Chebyshev antiderivative of
-h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), read at tau = T - t
-(g_bundle_array).  The samples of A-hat, B-hat, C-hat and the ODE
-right-hand sides at the Chebyshev points are kept per node count
-(ExactCoeffs.lag_kernel), so a g is one exponential over the points, one
-coefficient transform and one read row per t; the node count doubles per
-m under the lag table's rule.  No quadrature runs per point.
+For a fixed m, g at every t is one Chebyshev antiderivative of
+h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), A-hat(tau) = A(0, tau)
+and so on, read at tau = T - t (g_bundle_array).  Per node count the g
+kernel (LagKernel) samples B-hat, C-hat and the right-hand side of A-hat
+in closed form at the first-kind Chebyshev points of [0, T], takes A-hat
+as the antiderivative of that series, and keeps the samples with the
+backward-ODE right-hand sides.  A g is then one exponential over the
+points, one coefficient transform and one read row per t; no quadrature
+runs per point.  The series helpers and the doubling rule here also serve
+the H table of the exponential-quadratic modes (LagTable, uniteis).
 
 coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
-independently of the table; the verification layer and the tests use them
+independently of the kernel; the verification layer and the tests use them
 as the reference.
 """
 
@@ -47,13 +43,12 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .errors import DegenerateK, KernelOutOfRange, NonpositiveWealth, QuadratureBudgetExceeded
-from .params import DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
+from .params import _UNIT_PHI_TOL, DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
-_UNIT_PHI_TOL = 1e-9
-# Lag-table node counts: start, doubling cap, and the trailing-coefficient
-# level below which the interpolants count as converged.
+# Chebyshev node counts, the H table's start (the g kernel's is twice it)
+# and the cap, and the trailing-coefficient level of a converged series.
 _TABLE_MIN_NODES = 32
 _TABLE_MAX_NODES = 1024
 _TABLE_TAIL_TOL = 1e-14
@@ -92,17 +87,13 @@ class ExactCoeffs:
         return self.h2_0 - self.base.kappa * m
 
     @cached_property
-    def lag_table(self) -> "LagTable":
-        """A-hat and B-hat on [0, T]; built at first use, then shared."""
-        return _build_lag_table(self)
-
-    @cached_property
     def _lag_kernels(self) -> dict:
         return {}
 
     def lag_kernel(self, n: int) -> "LagKernel":
-        """The g kernel's samples at n Chebyshev points; built at the first
-        g that needs n nodes, then shared."""
+        """The g kernel's samples at n Chebyshev points, or at the first
+        doubling of n where the lag functions' series converge; built at
+        the first g that asks for n, then shared under n."""
         kernel = self._lag_kernels.get(n)
         if kernel is None:
             kernel = self._lag_kernels[n] = _build_lag_kernel(self, n)
@@ -112,9 +103,9 @@ class ExactCoeffs:
 @dataclass(frozen=True)
 class LagTable:
     """Chebyshev interpolants of functions of the lag tau in [0, span]: of
-    A-hat(tau) = A(0, tau) and B-hat(tau) = B(0, tau) in the exact mode
-    (ExactCoeffs.lag_table), of H at t = T - tau in the exponential-quadratic
-    ones (uniteis.ExpQuadCoeffs.h_table).
+    H at t = T - tau in the exponential-quadratic modes
+    (uniteis.ExpQuadCoeffs.h_table).  The exact mode samples its lag
+    functions in its g kernel (LagKernel).
 
     Column j of coef holds the Chebyshev coefficients of the j-th function
     in y = 2 tau / span - 1.  tail, the error estimate, is the largest of the
@@ -130,7 +121,7 @@ class LagTable:
     @property
     def nodes(self) -> int:
         """Chebyshev points sampled; coef runs to degree n, one above the
-        n-point interpolants, since an antiderivative (A-hat, H) adds one."""
+        n-point interpolants, since the antiderivative H adds one."""
         return self.coef.shape[0] - 1
 
     def __call__(self, tau) -> np.ndarray:
@@ -249,11 +240,11 @@ def coeff_B(t, s, co: ExactCoeffs):
     return _lag_B(_lag(t, s), co)
 
 
-def _dA_dtau(tau, co: ExactCoeffs):
-    """Lag derivative of A less its constant h1_0: beta^2 B^2/2 - beta^2 C - h2_0 B."""
-    B = _lag_B(tau, co)
+def _dA_dtau(B, C, co: ExactCoeffs):
+    """Lag derivative of A less its constant h1_0, beta^2 B^2/2 - beta^2 C
+    - h2_0 B, from B and C at the same lags."""
     beta2 = co.params.market.beta**2
-    return 0.5 * beta2 * B * B - beta2 * _lag_C(tau, co) - co.h2_0 * B
+    return 0.5 * beta2 * B * B - beta2 * C - co.h2_0 * B
 
 
 def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
@@ -262,7 +253,8 @@ def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAUL
     One adaptive integral over the lag; B and C are closed form at its nodes.
     """
     tau = float(_lag(t, s))
-    return float(adaptive_gauss(lambda u: _dA_dtau(u, co), 0.0, tau, quad)) + co.h1_0 * tau
+    rate = lambda u: _dA_dtau(_lag_B(u, co), _lag_C(u, co), co)
+    return float(adaptive_gauss(rate, 0.0, tau, quad)) + co.h1_0 * tau
 
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
@@ -283,31 +275,16 @@ def h_eval(t: float, m: float, s: float, co: ExactCoeffs) -> float:
 
 
 # ---------------------------------------------------------------- #
-# the lag table
+# Chebyshev series in the lag
 
 def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
     """T_j(cos theta) = cos(j theta) for j < n; shape theta.shape + (n,)."""
     return np.cos(theta[..., None] * np.arange(n))
 
 
-@cache
-def _nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The angles theta of the n first-kind Chebyshev points cos(theta),
-    and the basis _cheb_basis(theta, n) there; kept, read-only, per node
-    count in use."""
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    basis = _cheb_basis(theta, n)
-    theta.flags.writeable = basis.flags.writeable = False
-    return theta, basis
-
-
-def _cheb_coef(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients of the interpolants through the columns of
-    values (shape (n, k)) at the n first-kind points."""
-    n = values.shape[0]
-    coef = (2.0 / n) * (_nodes(n)[1].T @ values)
-    coef[0] *= 0.5
-    return coef
+def _angles(n: int) -> np.ndarray:
+    """The angles theta of the n first-kind Chebyshev points cos(theta)."""
+    return np.pi * (np.arange(n) + 0.5) / n
 
 
 @cache
@@ -315,10 +292,8 @@ def _to_coef_exact(n: int) -> np.ndarray:
     """The matrix M with values @ M the Chebyshev coefficients of the
     interpolant through values at the n first-kind points: (2/n) T_j at
     point i, column 0 halved, each angle j (2 i + 1) pi / (2 n) reduced
-    mod 2 pi in integers before its cosine.  _nodes' product angles carry
-    j ulps, which add up to a few 1e-15 in a read of the O(1) values the g
-    kernel interpolates; the tables, which interpolate exponents, keep
-    _cheb_coef."""
+    mod 2 pi in integers before its cosine (a floating product j theta_i
+    carries j ulps); read-only, one per node count in use."""
     i, j = np.arange(n), np.arange(n)
     angle = (np.outer(2 * i + 1, j) % (4 * n)) * (np.pi / (2 * n))
     M = (2.0 / n) * np.cos(angle)
@@ -339,7 +314,7 @@ def _antiderivative(n: int) -> np.ndarray:
 
 def _lag_nodes(span: float, n: int) -> np.ndarray:
     """The n first-kind Chebyshev points of the lag on [0, span]."""
-    return 0.5 * span * (1.0 + np.cos(_nodes(n)[0]))
+    return 0.5 * span * (1.0 + np.cos(_angles(n)))
 
 
 def _tail(coef: np.ndarray) -> np.ndarray:
@@ -351,8 +326,8 @@ def _tail(coef: np.ndarray) -> np.ndarray:
 
 
 def _doubled(n: int, what: str) -> int:
-    """The node count after n, the tabulations' doubling rule; past
-    _TABLE_MAX_NODES it refuses what it was tabulating."""
+    """The node count after n, the doubling rule of the H table and the g
+    kernel; past _TABLE_MAX_NODES it refuses what it was sampling."""
     if 2 * n > _TABLE_MAX_NODES:
         raise QuadratureBudgetExceeded(f"{what}: not converged at {n} nodes")
     return 2 * n
@@ -369,23 +344,12 @@ def _tabulate(span: float, coef_at) -> LagTable:
         tail = float(np.max(_tail(coef.T)))
         if tail <= _TABLE_TAIL_TOL:
             return LagTable(span=span, coef=coef, tail=tail)
-        n = _doubled(n, f"lag table on [0, {span}] (trailing coefficient {tail:.3e} > "
+        n = _doubled(n, f"H table on [0, {span}] (trailing coefficient {tail:.3e} > "
                         f"{_TABLE_TAIL_TOL:g})")
 
 
-def _build_lag_table(co: ExactCoeffs) -> LagTable:
-    """A-hat and B-hat on [0, T]: B-hat interpolates its closed form, A-hat
-    is the antiderivative of its interpolated right-hand side."""
-    span = co.params.horizon.T
-
-    def coef_at(tau: np.ndarray) -> np.ndarray:
-        c = _cheb_coef(np.stack([_dA_dtau(tau, co), _lag_B(tau, co)], axis=-1))
-        c_A = chebyshev.chebint(c[:, 0], lbnd=-1.0, scl=0.5 * span)
-        c_A[:2] += 0.5 * span * co.h1_0  # h1_0 tau = h1_0 span (1 + y) / 2
-        return np.stack([c_A, np.append(c[:, 1], 0.0)], axis=-1)
-
-    return _tabulate(span, coef_at)
-
+# ---------------------------------------------------------------- #
+# the g kernel
 
 @dataclass(frozen=True)
 class LagKernel:
@@ -395,19 +359,24 @@ class LagKernel:
     poly[i] holds the coefficients of m^i (i = 0, 1, 2), shape (5, n) each,
     of: the exponent A - B m - C m^2 of h-hat, then the factors 1, -lin,
     lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m) that multiply
-    h-hat in the integrands of g, g_m, g_mm and g_t.  A-hat and B-hat come
-    from the lag table, C-hat from its closed form, (dA, dB, dC) are the
-    backward-ODE right-hand sides.  reads maps the Chebyshev coefficients of
-    an integrand to delta^phi int_0^s + its value at s, given the basis
-    row cos(j theta), j = 0..n (degrees), at s: delta^phi T/2 times
-    _antiderivative(n), plus the identity.  at_zero is the basis row at
-    tau = 0, (-1)^j for j < n.
+    h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB, dC) are the
+    backward-ODE right-hand sides.  tail is the largest _tail of the lag
+    functions' series (A-hat's right-hand side, B-hat, C-hat).  reads maps
+    the Chebyshev coefficients of an integrand to delta^phi int_0^s + its
+    value at s, given the basis row cos(j theta), j = 0..n, at s:
+    delta^phi T/2 times _antiderivative(n), plus the identity.  at_zero is
+    the basis row at tau = 0, (-1)^j for j < n.
     """
 
     poly: tuple[np.ndarray, np.ndarray, np.ndarray]
     reads: np.ndarray
-    degrees: np.ndarray
     at_zero: np.ndarray
+    tail: float
+
+    @property
+    def nodes(self) -> int:
+        """Chebyshev points sampled."""
+        return self.at_zero.size
 
     def coefficients(self, m: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients of the four integrands for each entry of
@@ -425,11 +394,18 @@ class LagKernel:
 
 
 def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
+    """The LagKernel at n nodes or, where the series of the lag functions
+    have not converged there, co.lag_kernel at the doubled count."""
     T = co.params.horizon.T
-    tau = _lag_nodes(T, n)
-    AB = co.lag_table(tau)
-    A, B = AB[:, 0], AB[:, 1]
-    C = _lag_C(tau, co)
+    theta, tau = _angles(n), _lag_nodes(T, n)
+    B, C = _lag_B(tau, co), _lag_C(tau, co)
+    coef = np.array([_dA_dtau(B, C, co), B, C]) @ _to_coef_exact(n)
+    tail = float(np.max(_tail(coef)))
+    if tail > _TABLE_TAIL_TOL:
+        return co.lag_kernel(_doubled(n, f"lag functions on [0, {T}] (trailing coefficient "
+                                         f"{tail:.3e} > {_TABLE_TAIL_TOL:g})"))
+    # A-hat = h1_0 tau + int_0^tau _dA_dtau, with dtau = T/2 dy
+    A = co.h1_0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ (_antiderivative(n) @ coef[0]))
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (
@@ -439,8 +415,7 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     )
     reads = co.delta_phi * 0.5 * T * _antiderivative(n)
     reads[:n] += np.eye(n)
-    degrees = np.arange(n + 1.0)
-    return LagKernel(poly=poly, reads=reads, degrees=degrees, at_zero=(-1.0) ** degrees[:n])
+    return LagKernel(poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n), tail=tail)
 
 
 # ---------------------------------------------------------------- #
@@ -478,14 +453,15 @@ def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
     every t, and read at each s: the antiderivative from tau = 0 through
     the kernel's integration matrix, the end value through the series.
 
-    n starts at twice the lag table's node count, at most _TABLE_MAX_NODES
-    (h-hat, an exponential over the table's functions, is sharper than
-    they are: one pass serves |m| <= 8 at T = 1 and |m| <= 4 at T = 10 at
-    the default calibration) and doubles per m until the series of h-hat passes the table's rule
-    (_tail) and gives h-hat(0) = 1 to _KERNEL_REL_TOL, which catches a peak
-    at tau = 0 too narrow for any node to see; past _TABLE_MAX_NODES it
-    raises QuadratureBudgetExceeded.  A series carries about eps sum_j |c_j|
-    of rounding, large against g close to T where h-hat grows along the lag
+    n starts at 2 _TABLE_MIN_NODES, at most _TABLE_MAX_NODES (h-hat, an
+    exponential over the lag functions, is sharper than they are: one pass
+    serves |m| <= 8 at T = 1 and |m| <= 4 at T = 10 at the default
+    calibration, the latter at 128 nodes, where the lag functions converge).
+    It doubles per m until the series of h-hat passes _tail's rule and
+    gives h-hat(0) = 1 to _KERNEL_REL_TOL, which catches a peak at tau = 0
+    too narrow for any node to see; past _TABLE_MAX_NODES it raises
+    QuadratureBudgetExceeded.  A series carries about eps sum_j |c_j| of
+    rounding, large against g close to T where h-hat grows along the lag
     (b0 < 0, large |m|); where that exceeds _KERNEL_REL_TOL g, or g is 0,
     it raises KernelOutOfRange.  Each m is computed on its own (stacked
     matrix products), so a column at one t equals g_bundle there bit for bit.
@@ -495,10 +471,10 @@ def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
     if np.any(t > T):
         raise ValueError(f"t = {t} is past the terminal time T = {T}")
     if np.any(t < 0.0):
-        raise ValueError(f"t = {t} is before 0; the lag table covers t in [0, T = {T}]")
+        raise ValueError(f"t = {t} is before 0; the g kernel covers t in [0, T = {T}]")
     m = np.asarray(m, dtype=float)
     theta = np.arccos(1.0 - 2.0 * t.ravel() / T)  # the basis at s is cos(j theta)
-    rows, rounding = _g_rows(theta, m, co, min(2 * co.lag_table.nodes, _TABLE_MAX_NODES))
+    rows, rounding = _g_rows(theta, m, co, min(2 * _TABLE_MIN_NODES, _TABLE_MAX_NODES))
     out = np.moveaxis(rows, 0, -1).reshape((4,) + t.shape + m.shape)
     out[3] -= co.delta_phi
     carried = _EPS * rounding < _KERNEL_REL_TOL * out[0]  # False where g <= 0 or NaN
@@ -510,13 +486,15 @@ def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
 def _g_rows(theta: np.ndarray, m: np.ndarray, co: ExactCoeffs, n: int):
     """(m.size, 4, theta.size) reads delta^phi int_0^s + value at s of the
     four g integrands, s at each angle theta, and each m's rounding level
-    sum_j |c_j|, from the lag kernel at n nodes; the m whose series have
-    not converged are read again at twice the nodes."""
+    sum_j |c_j|, from the lag kernel co.lag_kernel(n), which may sample
+    more than n nodes; the m whose series have not converged are read again
+    at twice its nodes."""
     kernel = co.lag_kernel(n)
+    n = kernel.nodes
     coef = kernel.coefficients(m)
     h0 = coef[:, 0] @ kernel.at_zero
     done = (_tail(coef[:, 0]) <= _TABLE_TAIL_TOL) & (np.abs(h0 - 1.0) <= _KERNEL_REL_TOL)
-    rows = coef @ (np.cos(np.multiply.outer(theta, kernel.degrees)) @ kernel.reads).T
+    rows = coef @ (_cheb_basis(theta, n + 1) @ kernel.reads).T
     rounding = np.abs(coef).sum(axis=-1).max(axis=-1)
     if not done.all():
         left = m[~done]
@@ -586,7 +564,7 @@ class _Surface:
     Every mode's value is v = x^(1-gamma) g^k / (1-gamma) and its strategy
     strategy_from_ratio on u and c_over_x(g).  A subclass sets params, the
     exponent k and delta_phi (or overrides c_over_x) and implements
-    g(t, m) -> GBundle: the lag-table kernel in the exact mode, the
+    g(t, m) -> GBundle: the Chebyshev g kernel in the exact mode, the
     exponential-quadratic one (uniteis.ExpQuadSurface) for unit EIS and cs.
     """
 
@@ -640,7 +618,7 @@ def _check_wealth(x: float) -> None:
 
 
 class ExactSolver(_Surface):
-    """The exact mode bound to one parameter set; g is the lag-table kernel."""
+    """The exact mode bound to one parameter set; g is the Chebyshev g kernel."""
 
     aggregator = "power"
 

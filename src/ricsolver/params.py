@@ -40,6 +40,8 @@ from .errors import (
 # Division guards shared by every (Phi+gamma) and (1-gamma) denominator.
 _PHI_GAMMA_FLOOR = 1e-12
 _GAMMA_ONE_TOL = 1e-12
+# Derived phi this close to 1 belongs to the unit-EIS mode.
+_UNIT_PHI_TOL = 1e-9
 
 
 # ---------------------------------------------------------------- #
@@ -224,14 +226,21 @@ def require_claims(ins: InsuranceParams) -> None:
         raise InadmissibleParameter(f"lambda = {ins.lam!r}: the claim arrival rate cannot be negative")
 
 
+def require_correlation(rho1: float) -> None:
+    """Raise InadmissibleParameter unless |rho1| <= 1, where sqrt(1 - rho1^2) is real."""
+    if not abs(rho1) <= 1.0:
+        raise InadmissibleParameter(f"rho1 = {rho1!r}: a correlation must satisfy |rho1| <= 1")
+
+
 def require_inputs(params: ModelParams) -> None:
     """Raise InadmissibleParameter where every closed form breaks down:
-    sigma = 0 (the loadings divide by sigma), whatever require_claims
-    refuses, delta <= 0 (delta^phi and ln delta), or a horizon other than
-    0 <= t0 < T (g lives on [0, T] and is read from t0)."""
+    sigma = 0 (the loadings divide by sigma), |rho1| > 1, whatever
+    require_claims refuses, delta <= 0 (delta^phi and ln delta), or a
+    horizon other than 0 <= t0 < T (g lives on [0, T] and is read from t0)."""
     mk, pf, hz = params.market, params.preference, params.horizon
     if mk.sigma == 0.0:
         raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
+    require_correlation(mk.rho1)
     require_claims(params.insurance)
     if pf.delta <= 0.0:
         raise InadmissibleParameter(f"delta = {pf.delta!r}: time preference must be positive")
@@ -488,7 +497,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
                 add("phi_mode", True, "info", f"user phi_eis matches derived {phi:.10g}")
             add(
                 "phi_not_unit",
-                abs(phi - 1.0) > 1e-9,
+                abs(phi - 1.0) > _UNIT_PHI_TOL,
                 "error",
                 f"derived phi = {phi:.10g}; values within 1e-9 of 1 require --mode unit_eis",
             )
@@ -512,7 +521,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
                 f"kappa = {coeffs.kappa:.10g}, Delta = {coeffs.Delta:.10g}",
             )
         except InadmissibleParameter:
-            pass  # mu2, lambda or delta: failed among the input checks above
+            pass  # rho1, mu2, lambda or delta: failed among the input checks above
         except ComplexDiscriminant as exc:
             add("discriminant_real", False, "error", str(exc))
         except FiniteTimeBlowup as exc:

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
 from .exact import ExactSolver, exact_bundle, exact_coeffs, g_bundle_array
-from .params import ModelParams, require_claims, require_horizon
+from .params import ModelParams, require_claims, require_correlation, require_horizon
 
 __all__ = [
     "ConditionMReport",
@@ -191,6 +191,7 @@ def simulate_factor(
     if m0 is None:
         m0 = mk.m0
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
+    require_correlation(mk.rho1)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     if measure == "FK_tilde":
         eco = exact_coeffs(params)
@@ -251,8 +252,8 @@ def simulate_wealth(
     rho1 dW1 + sqrt(1-rho1^2) dW2.
 
     A path whose wealth reaches X <= 0 is set to exactly zero and frozen;
-    see PathBundle.  Claims with mu2 <= 0 or lambda < 0 are refused with
-    InadmissibleParameter (params.require_claims).
+    see PathBundle.  Claims with mu2 <= 0 or lambda < 0, and |rho1| > 1,
+    are refused with InadmissibleParameter.
     """
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
@@ -262,6 +263,7 @@ def simulate_wealth(
     mk, ins = params.market, params.insurance
     require_claims(ins)
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
+    require_correlation(mk.rho1)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     s_lm2 = math.sqrt(ins.lam * ins.mu2)
     drift_q = ins.lam * ins.theta1 * ins.mu1
@@ -338,7 +340,6 @@ def simulate_surplus(
     horizon: tuple[float, float] | None = None,
     seed: int = 0,
     n_paths: int = 1,
-    u0: float = 0.0,
 ) -> SurplusPath:
     """Exact compound-Poisson surplus next to its diffusion approximation.
 
@@ -376,10 +377,10 @@ def simulate_surplus(
         claims.append(sizes)
         loss_cum = np.concatenate([[0.0], np.cumsum(sizes)])
         counts = np.searchsorted(jt, mesh_rel, side="right")
-        comp[i] = u0 + ins.b * mesh_rel - loss_cum[counts]
+        comp[i] = ins.b * mesh_rel - loss_cum[counts]
         z = rng.standard_normal(n_steps)
         w = np.concatenate([[0.0], np.cumsum(z)]) * math.sqrt(h)
-        diff[i] = u0 + drift * mesh_rel + vol * w[stored]
+        diff[i] = drift * mesh_rel + vol * w[stored]
     return SurplusPath(
         mesh=t_lo + mesh_rel,
         compound=comp,

@@ -45,11 +45,11 @@ from .exact import (
     StrategyPoint,
     _antiderivative,
     _check_wealth,
-    _cheb_coef,
     _g_out_of_range,
     _LOG_MAX,
     _Surface,
     _tabulate,
+    _to_coef_exact,
     strategy_from_ratio,
 )
 from .params import ModelParams, reduction_terms, require_inputs, require_preference
@@ -209,7 +209,7 @@ def _build_h_table(co: ExpQuadCoeffs) -> LagTable:
         src = (0.5 * beta2 + co.G0) * L * L + co.h2_0 * L + beta2 * riccati_zero_ic(tau, *abc)
         Q = 0.5 * span * _antiderivative(tau.size)
         system = np.eye(tau.size) + co.disc * Q[:-1]
-        return Q @ np.linalg.solve(system, _cheb_coef((src + co.p0)[:, None]))
+        return Q @ np.linalg.solve(system, ((src + co.p0) @ _to_coef_exact(tau.size))[:, None])
 
     return _tabulate(span, coef_at)
 

@@ -263,8 +263,17 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
     (["solve", "--mode", "cs", "--m", "1e3"], "error: g(t = 0.5, m = 1000.0) underflows"),
     (["verify", "--suite", "mc", "--set", "m0=1e6"],
      "error: g kernel series of h(tau, m) at |m| = 1000000.0"),
+    # |rho1| > 1, refused before sqrt(1 - rho1^2) raises a math domain error
+    (["solve", "--set", "rho1=1.5"], "error: rho1 = 1.5: a correlation"),
+    (["solve", "--mode", "unit_eis", "--set", "rho1=1.5"], "error: rho1 = 1.5: a correlation"),
+    (["solve", "--mode", "cs", "--set", "rho1=1.5"], "error: rho1 = 1.5: a correlation"),
+    (["simulate", "--process", "factor", "--n-paths", "4", "--set", "rho1=1.5"],
+     "error: rho1 = 1.5: a correlation"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "4",
+      "--set", "rho1=1.5"], "error: rho1 = 1.5: a correlation"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
-        "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc"])
+        "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
+        "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

@@ -225,19 +225,20 @@ def test_strategies_bit_identical(base_params):
 # pinned at w = 0.1), frozen at full precision from the implementation in
 # which every mode wrote its own value layer; sharing one layer must leave
 # every bit in place.  value equals the v field at each point.  The exact
-# entries are frozen from the Chebyshev-antiderivative g kernel: v_t, v_m,
-# v_mm and v_xm moved by at most 6.1e-16 relative from the adaptive-quadrature
-# kernel's, and every field is within 3.7e-15 of a DOP853 solution (rtol
-# 2.5e-14) of the (A, B, C) ODEs with the four g integrals (3.0e-15 before).
+# entries are frozen from the g kernel that samples its lag functions in
+# closed form: v_t, v_m, v_mm and v_xm moved by at most 3.0e-15 relative from
+# the kernel that read them off a lag table, and every field is within
+# 2.1e-15 of a DOP853 solution (rtol 2.5e-14) of the (A, B, C) ODEs with the
+# four g integrals (3.7e-15 before).
 _VALUE_FROZEN = {
     ("exact", (0.5, 1.0, 0.0)): ValueDerivs(
-        v=-5.342028980244358, v_t=0.6058926858273144, v_x=1.0684057960488713,
-        v_xx=-1.2820869552586456, v_m=0.02277570995844502, v_mm=0.050727988744173454,
-        v_xm=-0.004555141991689003),
+        v=-5.342028980244358, v_t=0.6058926858273145, v_x=1.0684057960488713,
+        v_xx=-1.2820869552586456, v_m=0.02277570995844509, v_mm=0.05072798874417346,
+        v_xm=-0.004555141991689017),
     ("exact", (0.73, 2.5, -1.4)): ValueDerivs(
-        v=-4.308569953765397, v_t=0.5672246015045922, v_x=0.34468559630123163,
-        v_xx=-0.16544908622459115, v_m=-0.038897382578507056, v_mm=0.03816523907125325,
-        v_xm=0.0031117906062805636),
+        v=-4.308569953765397, v_t=0.5672246015045919, v_x=0.34468559630123163,
+        v_xx=-0.16544908622459115, v_m=-0.03889738257850699, v_mm=0.038165239071253236,
+        v_xm=0.003111790606280558),
     ("unit_eis", (0.5, 1.0, 0.0)): ValueDerivs(
         v=-5.117487245672011, v_t=0.23257921956440777, v_x=1.023497449134402,
         v_xx=-1.2281969389612823, v_m=0.02354879113909662, v_mm=0.05093037973818948,

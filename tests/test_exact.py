@@ -246,39 +246,58 @@ def test_kernel_bundle_matches_pointwise_oracle(base_params, t0, T):
             assert np.all(np.abs(got - row) <= 1e-12 * abs(row[0])), (t, m, got, row)
 
 
-def test_lag_table_built_once_per_coeffs(base_params, monkeypatch):
-    builds = []
-    build = exact_mod._build_lag_table
+def test_lag_kernel_built_once_per_node_count(base_params, monkeypatch):
+    builds, reads = [], []
+    build, coefficients = exact_mod._build_lag_kernel, exact_mod.LagKernel.coefficients
 
-    def counting(co):
-        builds.append(co)
-        return build(co)
+    def counting_build(co, n):
+        builds.append((co, n))
+        return build(co, n)
 
-    monkeypatch.setattr(exact_mod, "_build_lag_table", counting)
+    def counting_read(kernel, m):
+        reads.append(kernel.nodes)
+        return coefficients(kernel, m)
+
+    monkeypatch.setattr(exact_mod, "_build_lag_kernel", counting_build)
+    monkeypatch.setattr(exact_mod.LagKernel, "coefficients", counting_read)
     solver = ExactSolver(base_params)
     simulate_factor(base_params, measure="FK_tilde", dt=0.01, n_paths=2)
-    assert builds == []  # nothing that stops short of g pays for the table
+    assert builds == []  # nothing that stops short of g pays for a kernel
     rng = np.random.default_rng(3)
     for t, m in zip(rng.uniform(0.5, 1.0, 8), rng.uniform(-2.0, 2.0, 8)):
         solver.strategy(t, 1.0, m)
         solver.value_derivs(t, 1.3, m)
         g_bundle(t, m, solver.coeffs)
-    assert builds == [solver.coeffs]
+    assert builds == [(solver.coeffs, 64)]
+    assert reads == [64] * 24
+    # T = 10: the lag functions have not converged at 64 nodes, so the one
+    # 64-node build returns the 128-node kernel, kept under both counts
+    builds.clear()
+    reads.clear()
+    co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
+    for t, m in zip(rng.uniform(0.0, 10.0, 8), rng.uniform(-4.0, 4.0, 8)):
+        g_bundle(t, m, co)
+        exact_mod.g_bundle_array(t, np.array([m, -m]), co)
+    assert builds == [(co, 64), (co, 128)]
+    assert reads == [128] * 16
+    assert co.lag_kernel(64) is co.lag_kernel(128)
 
 
 @pytest.mark.parametrize("T", [1.0, 10.0, 50.0])
-def test_lag_table_tail_estimate(base_params, T):
-    table = exact_coeffs(_with_horizon(base_params, 0.0, T)).lag_table
-    assert 0.0 <= table.tail <= exact_mod._TABLE_TAIL_TOL
-    assert table.span == T
+def test_lag_kernel_tail_estimate(base_params, T):
+    co = exact_coeffs(_with_horizon(base_params, 0.0, T))
+    g_bundle(0.0, 0.0, co)
+    kernel = co.lag_kernel(64)  # where every g starts
+    assert 0.0 <= kernel.tail <= exact_mod._TABLE_TAIL_TOL
+    assert kernel.nodes == {1.0: 64, 10.0: 128, 50.0: 256}[T]
 
 
-def test_lag_table_budget_and_domain(base_params, monkeypatch):
+def test_lag_kernel_budget_and_domain(base_params, monkeypatch):
     co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
     with pytest.raises(ValueError, match="before 0"):
         g_bundle(-1e-3, 0.0, co)
-    monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
-    with pytest.raises(QuadratureBudgetExceeded):
+    monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 64)  # T = 10 needs 128
+    with pytest.raises(QuadratureBudgetExceeded, match="lag functions .* at 64 nodes"):
         g_bundle(0.0, 0.0, co)
 
 

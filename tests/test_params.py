@@ -19,6 +19,7 @@ from ricsolver import (
     SolverError,
     UnitEisSolver,
     psi_eval,
+    simulate_factor,
     simulate_surplus,
     simulate_wealth,
     TabulatedStrategy,
@@ -237,11 +238,18 @@ def _riskless_wealth(params):
     (dict(m0=1e3), _solve_at_t0(CsSolver), KernelOutOfRange),
     (dict(m0=1e3, gamma=0.5, Phi=0.0), _solve_at_t0(ExactSolver), KernelOutOfRange),
     (dict(m0=1e3, gamma=0.5, Phi=0.0), _solve_at_t0(CsSolver), KernelOutOfRange),
+    # a correlation past 1: sqrt(1 - rho1^2) is refused, not a math domain error
+    (dict(rho1=1.5), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(rho1=-1.5), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(rho1=1.5), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(rho1=1.5), lambda p: simulate_factor(p, n_paths=2), InadmissibleParameter),
+    (dict(rho1=1.5), _riskless_wealth, InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
         "T0-unit", "empty-exact", "reversed-cs", "empty-table", "mu2-wealth",
-        "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs"])
+        "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs",
+        "rho1-exact", "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))
