@@ -13,7 +13,8 @@ class InadmissibleParameter(SolverError):
     """A parameter sits where the closed forms are undefined: sigma = 0,
     gamma = 1, Phi + gamma at or below its positive floor, delta <= 0,
     mu2 <= 0 or lambda < 0; or where a method needs more: alpha <= 0 for
-    the cs steady level, lambda = 0 for claim arrivals."""
+    the cs steady level, lambda = 0 for claim arrivals; or a time t outside
+    [0, T] at which a solver's g, strategy or coefficients are asked for."""
 
 
 class DegenerateK(SolverError):

@@ -18,14 +18,14 @@ form; A is the integral of its right-hand side over the lag.
 
 For a fixed m, g at every t is one Chebyshev antiderivative of
 h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), A-hat(tau) = A(0, tau)
-and so on, read at tau = T - t (g_bundle_array).  Per node count the g
-kernel (LagKernel) samples B-hat, C-hat and the right-hand side of A-hat
-in closed form at the first-kind Chebyshev points of [0, T], takes A-hat
-as the antiderivative of that series, and keeps the samples with the
-backward-ODE right-hand sides.  A g is then one exponential over the
-points, one coefficient transform and one read row per t; no quadrature
-runs per point.  The series helpers and the doubling rule here also serve
-the H table of the exponential-quadratic modes (LagTable, uniteis).
+and so on, read at tau = T - t.  Per node count the g kernel (LagKernel)
+samples B-hat, C-hat and the right-hand side of A-hat in closed form at
+the first-kind Chebyshev points of [0, T], takes A-hat as the
+antiderivative of that series, and keeps the samples with the backward-ODE
+right-hand sides.  g_bundle reads g on the grid t x m: one exponential and
+one coefficient transform per m, one read row per t, no quadrature.  The
+series helpers and the doubling rule here also serve the H table of the
+exponential-quadratic modes (LagTable, uniteis).
 
 coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
 independently of the kernel; the verification layer and the tests use them
@@ -42,7 +42,8 @@ from functools import cache, cached_property
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .errors import DegenerateK, KernelOutOfRange, NonpositiveWealth, QuadratureBudgetExceeded
+from .errors import (DegenerateK, InadmissibleParameter, KernelOutOfRange, NonpositiveWealth,
+                     QuadratureBudgetExceeded)
 from .params import _UNIT_PHI_TOL, DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
 from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
@@ -130,14 +131,15 @@ class LagTable:
         The basis is cos(j arccos y) directly: numpy's chebval is a Python
         loop over the degree and would cost more than the rest of g.
         """
-        y = np.clip(2.0 * np.asarray(tau, dtype=float) / self.span - 1.0, -1.0, 1.0)
+        y = 2.0 * np.asarray(tau, dtype=float) / self.span - 1.0
+        y = np.minimum(np.maximum(y, -1.0), 1.0)
         return _cheb_basis(np.arccos(y), self.coef.shape[0]) @ self.coef
 
 
 @dataclass(frozen=True)
 class GBundle:
     """g with every derivative the verification layer consumes, and the
-    strategy's u = d(ln g)/dm as the kernel computes it."""
+    strategy's u = d(ln g)/dm as the kernel computes it, on a grid t x m."""
 
     g: float
     g_m: float
@@ -148,7 +150,7 @@ class GBundle:
 
 @dataclass(frozen=True)
 class StrategyPoint:
-    """Optimal controls and worst-case drift distortions at one (t, x, m).
+    """Optimal controls and worst-case drift distortions at (t, x, m).
 
     pi: amount in the risky asset; q: retained claim fraction; c: consumption
     rate; xi1..xi3 distort the asset, the orthogonal factor noise, and the
@@ -225,7 +227,7 @@ def _lag_B(tau, co: ExactCoeffs):
 
 def _lag(t, s) -> np.ndarray:
     tau = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-    if np.any(tau < 0.0):
+    if (tau < 0.0).any():
         raise ValueError("the coefficients need t <= s")
     return tau
 
@@ -421,17 +423,6 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
 # ---------------------------------------------------------------- #
 # g and everything built on it
 
-def g_bundle(t: float, m: float, co: ExactCoeffs) -> GBundle:
-    """g with g_m, g_mm, g_t; the one-m row of g_bundle_array."""
-    return exact_bundle(*map(float, g_bundle_array(t, np.array([m], dtype=float), co)[:, 0]))
-
-
-def exact_bundle(g, g_m, g_mm, g_t) -> GBundle:
-    """The exact mode's GBundle, u = g_m / g; of scalars, or of arrays such
-    as the rows of g_bundle_array."""
-    return GBundle(g=g, g_m=g_m, g_mm=g_mm, g_t=g_t, u=g_m / g)
-
-
 def _g_out_of_range(t, m) -> KernelOutOfRange:
     """The refusal of a g that floating point cannot carry at (t, m)."""
     return KernelOutOfRange(
@@ -440,9 +431,19 @@ def _g_out_of_range(t, m) -> KernelOutOfRange:
     )
 
 
-def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
-    """Rows g, g_m, g_mm, g_t for a 1-d array of m at one t, shape
-    (4, m.size), or at each entry of a 1-d array t, shape (4, t.size, m.size).
+def _horizon_times(t, T: float, what: str) -> np.ndarray:
+    """t as an array; InadmissibleParameter unless all of it lies in [0, T]."""
+    t = np.asarray(t, dtype=float)
+    if (t > T).any():
+        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
+    if (t < 0.0).any():
+        raise InadmissibleParameter(f"t = {t} is before 0; {what} covers t in [0, T = {T}]")
+    return t
+
+
+def g_bundle(t, m, co: ExactCoeffs) -> GBundle:
+    """g, g_m, g_mm, g_t and u = g_m / g on the grid t x m of a scalar or
+    1-d t and m, of shape t.shape + m.shape (floats at a scalar t and m).
 
     With s = T - t, g = delta^phi int_0^s h-hat dtau + h-hat(s), and g_m,
     g_mm and g_t the same with the integrand differentiated under the
@@ -464,23 +465,22 @@ def g_bundle_array(t, m: np.ndarray, co: ExactCoeffs) -> np.ndarray:
     rounding, large against g close to T where h-hat grows along the lag
     (b0 < 0, large |m|); where that exceeds _KERNEL_REL_TOL g, or g is 0,
     it raises KernelOutOfRange.  Each m is computed on its own (stacked
-    matrix products), so a column at one t equals g_bundle there bit for bit.
+    matrix products), so a column at one t is the one-point call's bit for
+    bit; several t share one matrix product, which may move the last bits.
     """
     T = co.params.horizon.T
-    t = np.asarray(t, dtype=float)
-    if np.any(t > T):
-        raise ValueError(f"t = {t} is past the terminal time T = {T}")
-    if np.any(t < 0.0):
-        raise ValueError(f"t = {t} is before 0; the g kernel covers t in [0, T = {T}]")
+    t = _horizon_times(t, T, "the g kernel")
     m = np.asarray(m, dtype=float)
-    theta = np.arccos(1.0 - 2.0 * t.ravel() / T)  # the basis at s is cos(j theta)
-    rows, rounding = _g_rows(theta, m, co, min(2 * _TABLE_MIN_NODES, _TABLE_MAX_NODES))
+    ms = m.reshape(-1)
+    theta = np.arccos(1.0 - 2.0 * t.reshape(-1) / T)  # the basis at s is cos(j theta)
+    rows, rounding = _g_rows(theta, ms, co, min(2 * _TABLE_MIN_NODES, _TABLE_MAX_NODES))
     out = np.moveaxis(rows, 0, -1).reshape((4,) + t.shape + m.shape)
     out[3] -= co.delta_phi
     carried = _EPS * rounding < _KERNEL_REL_TOL * out[0]  # False where g <= 0 or NaN
     if not carried.all():
-        raise _g_out_of_range(t, m[~carried.reshape(-1, m.size).all(axis=0)])
-    return out
+        raise _g_out_of_range(t, ms[~carried.reshape(-1, ms.size).all(axis=0)])
+    g, g_m, g_mm, g_t = out if out.ndim > 1 else out.tolist()
+    return GBundle(g=g, g_m=g_m, g_mm=g_mm, g_t=g_t, u=g_m / g)
 
 
 def _g_rows(theta: np.ndarray, m: np.ndarray, co: ExactCoeffs, n: int):
@@ -566,13 +566,17 @@ class _Surface:
     exponent k and delta_phi (or overrides c_over_x) and implements
     g(t, m) -> GBundle: the Chebyshev g kernel in the exact mode, the
     exponential-quadratic one (uniteis.ExpQuadSurface) for unit EIS and cs.
+    Every method evaluates on the grid t x m of a scalar or 1-d t and m, not
+    pairwise (each array caller wants a grid; pairwise evaluation would make
+    each one-point call search for its distinct t and m): fields have shape
+    t.shape + m.shape, x broadcasts against it, and scalars give floats.
     """
 
     params: ModelParams
     k: float
     delta_phi: float
 
-    def g(self, t: float, m: float) -> GBundle:
+    def g(self, t, m) -> GBundle:
         raise NotImplementedError
 
     def c_over_x(self, g):
@@ -580,29 +584,26 @@ class _Surface:
         return self.delta_phi / g
 
     def strategy_at(self, x, m, gb: GBundle) -> StrategyPoint:
-        """The strategy at wealth x and factor m given g there; elementwise,
-        like strategy_from_ratio, so a bundle of arrays gives arrays."""
+        """The strategy at wealth x and factor m given g there, elementwise."""
         return strategy_from_ratio(x, m, gb.u, self.c_over_x(gb.g), self.k, self.params)
 
-    def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
+    def strategy(self, t, x, m) -> StrategyPoint:
         """Optimal (pi, q, c) and worst-case (xi1, xi2, xi3) at (t, x, m)."""
         _check_wealth(x)
         return self.strategy_at(x, m, self.g(t, m))
 
-    def value(self, t: float, x: float, m: float) -> float:
+    def value(self, t, x, m):
         """v(t, x, m); requires x > 0."""
         _check_wealth(x)
         gamma = self.params.preference.gamma
         return x ** (1.0 - gamma) * self.g(t, m).g ** self.k / (1.0 - gamma)
 
-    def value_derivs(self, t: float, x: float, m: float) -> ValueDerivs:
+    def value_derivs(self, t, x, m) -> ValueDerivs:
         """ValueDerivs at (t, x, m); requires x > 0."""
         _check_wealth(x)
         return derivs_from_g(x, self.params.preference.gamma, self.k, self.g(t, m))
 
-    def strategy_and_derivs(
-        self, t: float, x: float, m: float
-    ) -> tuple[StrategyPoint, ValueDerivs]:
+    def strategy_and_derivs(self, t, x, m) -> tuple[StrategyPoint, ValueDerivs]:
         """strategy and value_derivs at (t, x, m) from one g; requires x > 0."""
         _check_wealth(x)
         gb = self.g(t, m)
@@ -612,8 +613,8 @@ class _Surface:
         )
 
 
-def _check_wealth(x: float) -> None:
-    if x <= 0.0:
+def _check_wealth(x) -> None:
+    if not (np.asarray(x) > 0.0).all():  # NaN wealth fails too
         raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
 
 
@@ -628,7 +629,7 @@ class ExactSolver(_Surface):
         self.k = self.coeffs.base.k
         self.delta_phi = self.coeffs.delta_phi
 
-    def g(self, t: float, m: float) -> GBundle:
+    def g(self, t, m) -> GBundle:
         return g_bundle(t, m, self.coeffs)
 
     strategy = _Surface.strategy  # bound per solver class, to be timed per mode

@@ -193,15 +193,16 @@ def require_preference(gamma: float, Phi: float) -> None:
 def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
     """Derive (k, phi) from (gamma, Phi, rho1).
 
-    Raises InadmissibleParameter wherever require_preference does, and
-    DegenerateK when the k denominator is within 1e-14 of
-    zero, or when the identity k(1-phi)/(1-gamma) = -1 fails beyond 1e-12.  The
-    identity holds algebraically, but next to derived phi = 1 the k
-    denominator and 1 - phi both pass through zero, each computed with
-    cancellation, so the product loses digits (Phi = 0.8, rho1 = -0.5 puts
-    phi = 1 at gamma = 0.2; gamma = 0.2001 already fails the check).
+    Raises InadmissibleParameter wherever require_preference or
+    require_correlation does, and DegenerateK when the k denominator is
+    within 1e-14 of zero, or when the identity k(1-phi)/(1-gamma) = -1 fails
+    beyond 1e-12.  The identity holds algebraically, but next to derived
+    phi = 1 the k denominator and 1 - phi both pass through zero, each
+    computed with cancellation, so the product loses digits (Phi = 0.8,
+    rho1 = -0.5 puts phi = 1 at gamma = 0.2; gamma = 0.2001 fails already).
     """
     require_preference(gamma, Phi)
+    require_correlation(rho1)
     one_g = 1.0 - gamma
     den = 1.0 - Phi / one_g + (one_g - Phi) ** 2 * rho1**2 / (one_g * (Phi + gamma))
     if abs(den) < 1e-14:

@@ -50,7 +50,7 @@ def riccati_zero_ic(tau, a: float, b: float, c: float):
     for every tau >= 0, so the formula is globally valid there.
     """
     th = np.asarray(tau, dtype=float)
-    if np.any(th < 0.0):
+    if (th < 0.0).any():
         raise ValueError("riccati_zero_ic needs tau >= 0")
     theta, P, Q = _theta_pq(a, b, c)
     E = np.exp(-theta * th)
@@ -66,7 +66,7 @@ def riccati_zero_ic_integral(tau, a: float, b: float, c: float):
     series when |Q z| is tiny, so the Q ~ 0 cancellation costs no precision.
     """
     th = np.asarray(tau, dtype=float)
-    if np.any(th < 0.0):
+    if (th < 0.0).any():
         raise ValueError("riccati_zero_ic_integral needs tau >= 0")
     theta, P, Q = _theta_pq(a, b, c)
     z = np.expm1(-theta * th) / (P + Q)
@@ -92,7 +92,7 @@ def _scaled_growth(k: float, K: float, tau: np.ndarray, decay: np.ndarray) -> np
     if k == 0.0:
         return tau * decay
     kt = k * tau
-    near = decay * np.expm1(np.clip(kt, -1.0, 1.0))
+    near = decay * np.expm1(np.minimum(np.maximum(kt, -1.0), 1.0))
     far = np.exp((k - K) * tau) - decay
     return np.where(np.abs(kt) <= 1.0, near, far) / k
 
@@ -113,7 +113,7 @@ def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: flo
     by a, so a = 0 is exact.
     """
     th = np.asarray(tau, dtype=float)
-    if np.any(th < 0.0):
+    if (th < 0.0).any():
         raise ValueError("riccati_linear_zero_ic needs tau >= 0")
     theta, P, Q = _theta_pq(a, b, c)
     k_hi = lam + 0.5 * Q

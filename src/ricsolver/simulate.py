@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
-from .exact import ExactSolver, exact_bundle, exact_coeffs, g_bundle_array
+from .exact import ExactSolver, exact_coeffs
 from .params import ModelParams, require_claims, require_correlation, require_horizon
 
 __all__ = [
@@ -434,9 +434,8 @@ class TabulatedStrategy:
     """Closed-form strategy ratios tabulated on a (t, m) grid.
 
     Pointwise evaluation of the exact ratios costs a g kernel call per
-    point, too slow inside a path loop.  g and its derivatives at every m
-    node of every t row come from one g_bundle_array call, and the exact
-    solver's rule (strategy_at) runs on the whole grid at once.  The four
+    point, too slow inside a path loop.  The table is one call of the
+    exact solver's strategy on the grid of t and m nodes.  The four
     ratio surfaces (pi/x, c/x, xi1, xi2) are stacked in one (n_t, n_m, 4)
     array and read as bilinear interpolants, queries clipped to the grid
     box: each query blends the two t rows that bracket its t, then locates
@@ -468,11 +467,9 @@ class TabulatedStrategy:
         n_m: int = 121,
         m_max: float = 4.0,
     ) -> "TabulatedStrategy":
-        solver = ExactSolver(params)
         t_nodes = np.linspace(params.horizon.t0, params.horizon.T, n_t)
         m_nodes = np.linspace(-m_max, m_max, n_m)
-        rows = g_bundle_array(t_nodes, m_nodes, solver.coeffs)
-        sp = solver.strategy_at(1.0, m_nodes[None, :], exact_bundle(*rows))
+        sp = ExactSolver(params).strategy(t_nodes, 1.0, m_nodes)
         return cls(t_nodes, m_nodes, sp.pi_over_x, sp.c_over_x, sp.q_over_x,
                    sp.xi1, sp.xi2, sp.xi3)
 

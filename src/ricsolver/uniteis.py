@@ -21,14 +21,15 @@ equation dH/dtau = -disc H + s(tau), H(0) = 0, whose source s is a
 quadratic form in (G, L); each coefficient object tabulates it once, at
 first use, as a Chebyshev series on tau in [0, T] (ExpQuadCoeffs.h_table,
 an exact.LagTable), so (G, L, H) at any t is two closed forms and one
-table read.  coeff_H evaluates H pointwise by adaptive quadrature,
-independently of the table, as the reference.  The log-linearized mode
-(cs.py) reduces to the same three equations with its own constants and
-discount rate: each mode has one coefficient object, an ExpQuadCoeffs
-(unit_coeffs here, cs.cs_reduction there), and both solvers are an
-ExpQuadSurface, whose g is read off (G, L, H).  The constants the
-reductions share with the exact mode come from params.reduction_terms;
-unit EIS is its k = 1 case.
+table read, at one t or an array of them; ExpQuadSurface.g and
+unit_strategy read them on the grid t x m (exact._Surface).  coeff_H
+evaluates H pointwise by adaptive quadrature, independently of the table,
+as the reference.  The log-linearized mode (cs.py) reduces to the same
+three equations with its own constants and discount rate: each mode has
+one coefficient object, an ExpQuadCoeffs (unit_coeffs here,
+cs.cs_reduction there), and both solvers are an ExpQuadSurface, whose g is
+read off (G, L, H).  The constants the reductions share with the exact
+mode come from params.reduction_terms; unit EIS is its k = 1 case.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
+from .errors import InadmissibleParameter
 from .exact import (
     GBundle,
     LagTable,
@@ -46,6 +48,7 @@ from .exact import (
     _antiderivative,
     _check_wealth,
     _g_out_of_range,
+    _horizon_times,
     _LOG_MAX,
     _Surface,
     _tabulate,
@@ -114,9 +117,7 @@ class ExpQuadCoeffs:
 
 def coeff_G(t, co: ExpQuadCoeffs):
     """G(t), vectorized over t (requires t <= T)."""
-    tau = co.params.horizon.T - np.asarray(t, dtype=float)
-    a, b, c = co.kernel_abc()
-    return riccati_zero_ic(tau, a, b, c)
+    return riccati_zero_ic(co.params.horizon.T - np.asarray(t, dtype=float), *co.kernel_abc())
 
 
 def _lag_L(tau, co: ExpQuadCoeffs):
@@ -128,8 +129,8 @@ def _lag_L(tau, co: ExpQuadCoeffs):
 def coeff_L(t, co: ExpQuadCoeffs):
     """L(t), vectorized over t (requires t <= T)."""
     t, T = np.asarray(t, dtype=float), co.params.horizon.T
-    if np.any(t > T):
-        raise ValueError(f"t = {t} is past the terminal time T = {T}")
+    if (t > T).any():
+        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
     return _lag_L(T - t, co)
 
 
@@ -143,7 +144,7 @@ def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
     """
     T, beta = co.params.horizon.T, co.params.market.beta
     if t > T:
-        raise ValueError(f"t = {t} is past the terminal time T = {T}")
+        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
     if t == T:
         return 0.0
 
@@ -172,20 +173,13 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
     return dG, dL, dH
 
 
-def glh_state(t: float, co: ExpQuadCoeffs) -> tuple[float, float, float]:
-    """(G, L, H) at time t in [0, T]: G and L closed form, H one read of the
-    table co.h_table."""
+def glh_state(t, co: ExpQuadCoeffs):
+    """(G, L, H) at t in [0, T], each of t's shape (floats at a scalar t): G
+    and L closed form, H one read of the table co.h_table."""
     T = co.params.horizon.T
-    if t > T:
-        raise ValueError(f"t = {t} is past the terminal time T = {T}")
-    if t < 0.0:
-        raise ValueError(f"t = {t} is before 0; the H table covers t in [0, T = {T}]")
-    tau = T - t
-    return (
-        float(riccati_zero_ic(tau, *co.kernel_abc())),
-        float(_lag_L(tau, co)),
-        float(co.h_table(tau)[0]),
-    )
+    tau = T - _horizon_times(t, T, "the H table")
+    H = co.h_table(tau)[..., 0]
+    return riccati_zero_ic(tau, *co.kernel_abc()), _lag_L(tau, co), H if H.ndim else float(H)
 
 
 def _build_h_table(co: ExpQuadCoeffs) -> LagTable:
@@ -220,14 +214,21 @@ class ExpQuadSurface(_Surface):
 
     coeffs: ExpQuadCoeffs
 
-    def g(self, t: float, m: float) -> GBundle:
-        """g with derivatives; g_t via the ODE right-hand sides, so it is
-        exact up to the table error in H."""
+    def g(self, t, m) -> GBundle:
+        """g with derivatives on the grid t x m; g_t via the ODE right-hand
+        sides, so it is exact up to the table error in H."""
         co = self.coeffs
         G, L, H = glh_state(t, co)
+        if getattr(m, "ndim", 0):  # t down, m across the grid
+            G, L, H = np.expand_dims((G, L, H), -1)
         expo = G * m * m + L * m + H
-        g = math.exp(expo) if expo <= _LOG_MAX else math.inf
-        if not 0.0 < g < math.inf:
+        if getattr(expo, "ndim", 0):
+            g = np.exp(np.minimum(expo, _LOG_MAX))  # no overflow to warn of
+            fits = ((expo <= _LOG_MAX) & (g > 0.0)).all()  # False at NaN
+        else:  # math.exp at a point: numpy's exp can miss it by an ulp
+            g = math.exp(expo) if expo <= _LOG_MAX else math.inf
+            fits = 0.0 < g < math.inf
+        if not fits:
             raise _g_out_of_range(t, m)
         lin = 2.0 * G * m + L
         dG, dL, dH = glh_rhs(G, L, H, co)
@@ -291,14 +292,17 @@ def unit_coeffs(params: ModelParams) -> ExpQuadCoeffs:
 # ---------------------------------------------------------------- #
 # strategy and solver
 
-def unit_strategy(t: float, x: float, m: float, co: ExpQuadCoeffs) -> StrategyPoint:
-    """Optimal controls and worst-case distortions; c*/x = delta exactly.
+def unit_strategy(t, x, m, co: ExpQuadCoeffs) -> StrategyPoint:
+    """Optimal controls and worst-case distortions on the grid t x m; c*/x = delta.
 
     Needs only G and L, both closed form, so no quadrature is involved.
     """
     _check_wealth(x)
-    u = 2.0 * coeff_G(t, co) * m + coeff_L(t, co)
-    return strategy_from_ratio(x, m, u, co.params.preference.delta, 1.0, co.params)
+    tau = co.params.horizon.T - _horizon_times(t, co.params.horizon.T, "the strategy")
+    G, L = riccati_zero_ic(tau, *co.kernel_abc()), _lag_L(tau, co)
+    if getattr(m, "ndim", 0):
+        G, L = np.expand_dims((G, L), -1)
+    return strategy_from_ratio(x, m, 2.0 * G * m + L, co.params.preference.delta, 1.0, co.params)
 
 
 class UnitEisSolver(ExpQuadSurface):
@@ -315,5 +319,5 @@ class UnitEisSolver(ExpQuadSurface):
         """c*/x = delta, whatever g is."""
         return self.params.preference.delta
 
-    def strategy(self, t: float, x: float, m: float) -> StrategyPoint:
+    def strategy(self, t, x, m) -> StrategyPoint:
         return unit_strategy(t, x, m, self.coeffs)

@@ -8,6 +8,7 @@ import ricsolver.exact as exact_mod
 from ricsolver import (
     CsSolver,
     ExactSolver,
+    InadmissibleParameter,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
     QuadratureConfig,
@@ -233,6 +234,11 @@ def _oracle_bundle(co, t, ms, n=24):
     return np.array(rows)
 
 
+def _fields(gb):
+    """The rows g, g_m, g_mm, g_t of a bundle, stacked on a leading axis."""
+    return np.array([gb.g, gb.g_m, gb.g_mm, gb.g_t])
+
+
 @pytest.mark.parametrize("t0, T", [(0.5, 1.0), (0.0, 10.0), (0.0, 50.0)])
 def test_kernel_bundle_matches_pointwise_oracle(base_params, t0, T):
     # every field within 1e-12 of g; measured at most 5.2e-14 (g_t at T = 50)
@@ -277,7 +283,7 @@ def test_lag_kernel_built_once_per_node_count(base_params, monkeypatch):
     co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
     for t, m in zip(rng.uniform(0.0, 10.0, 8), rng.uniform(-4.0, 4.0, 8)):
         g_bundle(t, m, co)
-        exact_mod.g_bundle_array(t, np.array([m, -m]), co)
+        g_bundle(t, np.array([m, -m]), co)
     assert builds == [(co, 64), (co, 128)]
     assert reads == [128] * 16
     assert co.lag_kernel(64) is co.lag_kernel(128)
@@ -294,7 +300,7 @@ def test_lag_kernel_tail_estimate(base_params, T):
 
 def test_lag_kernel_budget_and_domain(base_params, monkeypatch):
     co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
-    with pytest.raises(ValueError, match="before 0"):
+    with pytest.raises(InadmissibleParameter, match="before 0"):
         g_bundle(-1e-3, 0.0, co)
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 64)  # T = 10 needs 128
     with pytest.raises(QuadratureBudgetExceeded, match="lag functions .* at 64 nodes"):
@@ -310,7 +316,7 @@ def test_kernel_matches_oracle_at_random_points(base_params, T):
     for t in rng.uniform(0.0, T, 20):
         ms = rng.uniform(-8.0, 8.0, 10)
         ref = _oracle_bundle(co, t, ms).T
-        got = exact_mod.g_bundle_array(t, ms, co)
+        got = _fields(g_bundle(t, ms, co))
         assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref[0])), (t, ms, got, ref)
 
 
@@ -323,12 +329,12 @@ def test_kernel_rows_equal_pointwise_bundles(base_params, T):
     rng = np.random.default_rng(4)
     ms = np.concatenate([np.linspace(-8.0, 8.0, 33), rng.uniform(-8.0, 8.0, 20), [-20.0, 16.0]])
     for t in np.concatenate([[0.0, T], rng.uniform(0.0, T, 4)]):
-        rows = exact_mod.g_bundle_array(t, ms, co)
+        rows = _fields(g_bundle(t, ms, co))
         for m, row in zip(ms, rows.T):
             gb = g_bundle(t, m, co)
             assert (gb.g, gb.g_m, gb.g_mm, gb.g_t) == tuple(row), (t, m)
         sub = rng.permutation(ms.size)[:7]
-        assert np.array_equal(exact_mod.g_bundle_array(t, ms[sub], co), rows[:, sub])
+        assert np.array_equal(_fields(g_bundle(t, ms[sub], co)), rows[:, sub])
 
 
 def test_exact_g_runs_no_quadrature(base_params, monkeypatch):
@@ -366,4 +372,4 @@ def test_kernel_budget(base_params, monkeypatch):
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 128)  # |m| = 40 needs 256
     assert np.isfinite(g_bundle(0.5, 8.0, co).g)
     with pytest.raises(QuadratureBudgetExceeded, match="at 128 nodes"):
-        exact_mod.g_bundle_array(0.5, np.array([0.0, 40.0]), co)
+        g_bundle(0.5, np.array([0.0, 40.0]), co)

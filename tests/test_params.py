@@ -85,6 +85,20 @@ def test_k_phi_near_unit_phi_is_typed(base_params):
     assert not validate(p).ok
 
 
+def test_k_phi_refuses_correlation_outside_unit_interval(base_params):
+    # rho1^2 > 1 still gives a k and phi (-1.6 and 1.125 at rho1 = 1.5),
+    # which every solver refuses; validate must not report rows built on them
+    with pytest.raises(InadmissibleParameter, match="rho1 = 1.5"):
+        derive_k_phi(1.2, 0.8, 1.5)
+    report = validate(repl(base_params, rho1=1.5))
+    failed = {c.name: c.message for c in report.hard_failures}
+    assert {"rho1_range", "k_phi_derivable"} <= set(failed)
+    assert "|rho1| <= 1" in failed["k_phi_derivable"]
+    names = {c.name for c in report.checks}
+    assert not names & {"phi_mode", "phi_not_unit", "aggregator_case",
+                        "suff_risk_aversion_window", "suff_reversion_floor"}
+
+
 def test_exact_coeffs_unit_phi_is_typed(base_params):
     # 1 - gamma - Phi = 2^-40 exactly, so derive_k_phi's identity holds, but
     # derived phi = 1 + 2^-40 lies inside exact_coeffs' 1e-9 band around 1

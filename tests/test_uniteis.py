@@ -300,7 +300,7 @@ def test_glh_state_runs_no_quadrature(base_params, monkeypatch):
 
 def test_h_table_budget_and_domain(base_params, monkeypatch):
     co = unit_coeffs(_with(base_params, T=10.0))
-    with pytest.raises(ValueError, match="before 0"):
+    with pytest.raises(InadmissibleParameter, match="before 0"):
         glh_state(-1e-3, co)
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
     with pytest.raises(QuadratureBudgetExceeded):
