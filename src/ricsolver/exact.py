@@ -249,14 +249,22 @@ def _dA_dtau(B, C, co: ExactCoeffs):
     return 0.5 * beta2 * B * B - beta2 * C - co.h2_0 * B
 
 
-def coeff_A(t: float, s: float, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD) -> float:
-    """A(t, s) = int_0^{s-t} [beta^2 B^2/2 - beta^2 C - h2_0 B](tau) dtau + h1_0 (s-t).
+def coeff_A(t, s, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD):
+    """A(t, s) = int_0^{s-t} [beta^2 B^2/2 - beta^2 C - h2_0 B](tau) dtau + h1_0 (s-t)
+    over broadcastable t <= s (a float at a scalar pair).
 
-    One adaptive integral over the lag; B and C are closed form at its nodes.
+    One adaptive integral serves every lag: with tau = v (s-t), each lag is a
+    column of one integrand over v in [0, 1], whose panels the lags share.  B
+    and C are closed form at its nodes; the g kernel is not read.
     """
-    tau = float(_lag(t, s))
-    rate = lambda u: _dA_dtau(_lag_B(u, co), _lag_C(u, co), co)
-    return float(adaptive_gauss(rate, 0.0, tau, quad)) + co.h1_0 * tau
+    span = _lag(t, s)
+
+    def rate(v):
+        tau = np.multiply.outer(v, span)
+        return span * _dA_dtau(_lag_B(tau, co), _lag_C(tau, co), co)
+
+    A = adaptive_gauss(rate, 0.0, 1.0, quad) + co.h1_0 * span
+    return A if np.ndim(A) else float(A)
 
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
@@ -468,6 +476,7 @@ def g_bundle(t, m, co: ExactCoeffs) -> GBundle:
     matrix products), so a column at one t is the one-point call's bit for
     bit; several t share one matrix product, which may move the last bits.
     """
+    _check_factor(m)
     T = co.params.horizon.T
     t = _horizon_times(t, T, "the g kernel")
     m = np.asarray(m, dtype=float)
@@ -569,7 +578,8 @@ class _Surface:
     Every method evaluates on the grid t x m of a scalar or 1-d t and m, not
     pairwise (each array caller wants a grid; pairwise evaluation would make
     each one-point call search for its distinct t and m): fields have shape
-    t.shape + m.shape, x broadcasts against it, and scalars give floats.
+    t.shape + m.shape, x broadcasts against it, and scalars give floats.  A
+    NaN or infinite m raises InadmissibleParameter before any kernel work.
     """
 
     params: ModelParams
@@ -616,6 +626,11 @@ class _Surface:
 def _check_wealth(x) -> None:
     if not (np.asarray(x) > 0.0).all():  # NaN wealth fails too
         raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
+
+
+def _check_factor(m) -> None:  # a float costs one math.isfinite
+    if not (math.isfinite(m) if isinstance(m, float) else np.isfinite(m).all()):
+        raise InadmissibleParameter(f"m = {m} is not finite; the factor takes real values")
 
 
 class ExactSolver(_Surface):

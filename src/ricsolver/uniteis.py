@@ -46,6 +46,7 @@ from .exact import (
     LagTable,
     StrategyPoint,
     _antiderivative,
+    _check_factor,
     _check_wealth,
     _g_out_of_range,
     _horizon_times,
@@ -217,6 +218,7 @@ class ExpQuadSurface(_Surface):
     def g(self, t, m) -> GBundle:
         """g with derivatives on the grid t x m; g_t via the ODE right-hand
         sides, so it is exact up to the table error in H."""
+        _check_factor(m)
         co = self.coeffs
         G, L, H = glh_state(t, co)
         if getattr(m, "ndim", 0):  # t down, m across the grid
@@ -298,6 +300,7 @@ def unit_strategy(t, x, m, co: ExpQuadCoeffs) -> StrategyPoint:
     Needs only G and L, both closed form, so no quadrature is involved.
     """
     _check_wealth(x)
+    _check_factor(m)
     tau = co.params.horizon.T - _horizon_times(t, co.params.horizon.T, "the strategy")
     G, L = riccati_zero_ic(tau, *co.kernel_abc()), _lag_L(tau, co)
     if getattr(m, "ndim", 0):

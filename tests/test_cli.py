@@ -271,9 +271,16 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
      "error: rho1 = 1.5: a correlation"),
     (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "4",
       "--set", "rho1=1.5"], "error: rho1 = 1.5: a correlation"),
+    # a NaN factor value, refused before any kernel work
+    (["solve", "--m", "nan"], "error: m = nan is not finite"),
+    (["solve", "--mode", "unit_eis", "--m", "nan"], "error: m = nan is not finite"),
+    (["solve", "--mode", "cs", "--m", "nan"], "error: m = nan is not finite"),
+    # the saddle check draws its perturbations as one block
+    (["verify", "--suite", "saddle", "--samples", "-1"], "error: samples = -1 must be >= 0"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
         "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
-        "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth"])
+        "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth", "nan-m-exact", "nan-m-unit",
+        "nan-m-cs", "samples-negative"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

@@ -143,6 +143,21 @@ def test_nonpositive_wealth_rejected(base_params, mode, method):
             getattr(solver, method)(0.5, x, 0.0)
 
 
+@pytest.mark.parametrize("mode", [ExactSolver, UnitEisSolver, CsSolver],
+                         ids=["exact", "unit_eis", "cs"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_factor_rejected(base_params, monkeypatch, mode, bad):
+    # refused by name before any kernel work: the exact kernel used to double
+    # to 1024 nodes on a NaN and the exponential-quadratic strategy returned NaN
+    solver = mode(base_params)
+    monkeypatch.setattr(exact_mod, "_g_rows", None)  # a kernel read would fail otherwise
+    for m in (bad, np.array([0.3, bad, -0.2])):
+        for call in (lambda: solver.g(0.6, m), lambda: solver.strategy(0.6, 1.0, m),
+                     lambda: solver.value(0.6, 1.0, m)):
+            with pytest.raises(InadmissibleParameter, match=r"^m = .* is not finite"):
+                call()
+
+
 def test_retention_ratio_closed_form(base_params):
     # q*/x is m- and t-free: theta1 mu1 / ((Phi + gamma) mu2)
     solver = ExactSolver(base_params)

@@ -27,7 +27,8 @@ from ricsolver import (
     pde_residual,
 )
 
-from ricsolver.verify import MC_DT, _fk_paths, _fk_steps, _ou_step
+from ricsolver.exact import coeff_A
+from ricsolver.verify import MC_DT, _fk_paths, _fk_steps, _lag_pairs, _ou_step, pde_suite
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -173,6 +174,53 @@ def test_abc_bounds_margin_nonnegative(base_params):
         assert abc_bounds_margin(base_params, t, s) >= -1e-12
 
 
+def test_lag_pairs_are_the_pairwise_draws():
+    # one (50, 2) block, scaled as Generator.uniform scales: the bits of the
+    # interleaved t, s draws the suites made before
+    for seed in (0, 5, 11):
+        rng = np.random.default_rng(seed)
+        pairs = []
+        for _ in range(50):
+            t = rng.uniform(0.0, 1.0 - 0.02)
+            pairs.append((t, rng.uniform(t + 0.01, 1.0)))
+        t, s = _lag_pairs(np.random.default_rng(seed), 1.0)
+        assert list(zip(t.tolist(), s.tolist())) == pairs
+
+
+def test_coefficient_checks_on_arrays_match_pointwise(base_params):
+    # one call over the 50 pairs of the ode suite against 50 one-pair calls.
+    # coeff_A shares one quadrature between the lags, whose panel sums are
+    # matrix products: a lag's last bit may depend on how many share the call
+    t, s = _lag_pairs(np.random.default_rng(0), base_params.horizon.T)
+    co = exact_coeffs(base_params)
+    A = coeff_A(t, s, co)
+    A_one = np.array([coeff_A(ti, si, co) for ti, si in zip(t, s)])
+    assert A.shape == (50,)
+    assert np.all(np.abs(A - A_one) <= 1e-15 * np.abs(A_one))
+    for check in (abc_ode_residual, abc_bounds_margin):
+        r = check(base_params, t, s)
+        r_one = [check(base_params, ti, si) for ti, si in zip(t, s)]
+        assert r.shape == (50,)
+        assert np.all(np.abs(r - r_one) <= 1e-12)
+    for value in (coeff_A(0.2, 0.9, co), r_one[0], abc_ode_residual(base_params, 0.2, 0.9)):
+        assert type(value) is float
+    assert abc_bounds_margin(base_params, 0.0, 1.0) >= -1e-12
+
+
+def test_pde_suite_builds_one_unit_table(base_params, monkeypatch):
+    # the unit-EIS row and the negative control share one solver: one H
+    # table for unit EIS, eleven for the cs root's evaluations
+    import ricsolver.uniteis as uniteis_mod
+
+    calls = []
+    build = uniteis_mod._build_h_table
+    monkeypatch.setattr(uniteis_mod, "_build_h_table", lambda co: calls.append(co) or build(co))
+    rows = pde_suite(base_params)
+    assert all(r.passed for r in rows)
+    assert len(calls) == 12
+    assert sum(co.disc == base_params.preference.delta for co in calls) == 1
+
+
 # ---------------------------------------------------------------- #
 # saddle point
 
@@ -214,6 +262,78 @@ def test_saddle_check_reads_one_g(base_params, monkeypatch):
     assert calls == [(0.5, 0.0)]
     sp, d = solver.strategy_and_derivs(0.7, 1.3, -0.4)
     assert (sp, d) == (solver.strategy(0.7, 1.3, -0.4), solver.value_derivs(0.7, 1.3, -0.4))
+
+
+@pytest.mark.parametrize("mode", [ExactSolver, UnitEisSolver], ids=["power", "unit"])
+def test_bracket_on_arrays_matches_scalar_calls(base_params, loglin_params, mode):
+    rng = np.random.default_rng(4)
+    for params in (base_params, loglin_params):
+        solver = mode(params)
+        point = (0.6, 1.2, 0.3)
+        sp, d = solver.strategy_and_derivs(*point)
+        u = rng.uniform(-0.2, 0.2, size=(6, 40))
+        u[:, :3] = 0.0  # the optimum itself
+        u[2, 3] = -2.0  # c <= 0: f = -inf
+        ctrl = (sp.pi + u[0], sp.q + u[1], sp.c * (1.0 + u[2]))
+        dist = (sp.xi1 + u[3], sp.xi2 + u[4], sp.xi3 + u[5])
+        xs = rng.uniform(0.5, 2.0, 40)
+        b = {}
+        for kind, c, xi, x in (("ctrl", ctrl, (sp.xi1, sp.xi2, sp.xi3), point[1]),
+                               ("dist", (sp.pi, sp.q, sp.c), dist, xs)):
+            b[kind] = hjbi_bracket(c, xi, (point[0], x, point[2]), d, params, solver.aggregator)
+            one = [hjbi_bracket(tuple(np.broadcast_to(z, 40)[i] for z in c),
+                                tuple(np.broadcast_to(z, 40)[i] for z in xi),
+                                (point[0], np.broadcast_to(x, 40)[i], point[2]),
+                                d, params, solver.aggregator) for i in range(40)]
+            assert b[kind].shape == (40,)
+            assert b[kind].tolist() == one
+            assert type(one[0]) is float
+        assert abs(b["ctrl"][0]) <= 1e-10 * (1.0 + abs(d.v))
+        assert b["ctrl"][3] == -math.inf
+        assert np.isinf(b["dist"][3:]).all() == (params.preference.Phi == 0.0)
+
+
+class _Overconsuming(ExactSolver):
+    """The exact mode with consumption 5 % above its optimum."""
+
+    def c_over_x(self, g):
+        return 1.05 * super().c_over_x(g)
+
+
+def test_saddle_check_fails_off_the_optimum(base_params):
+    # negative control: a wrong consumption rule must not pass
+    solver = _Overconsuming(base_params)
+    rep = hjbi_saddle_check(solver, (0.6, 1.0, 0.3), samples=20, seed=0)
+    assert not rep.passed
+    assert abs(rep.bracket_at_optimum) > 100.0 * rep.tolerance
+    assert rep.n_violations == len(rep.violations) >= 1
+    # on the saddle suite's 10 x 10 grid every point is flagged
+    t0, T = base_params.horizon.t0, base_params.horizon.T
+    ts = t0 + (T - t0) * (np.arange(10) + 0.5) / 10.0
+    ms = np.linspace(-2.0, 2.0, 10)
+    rep = hjbi_saddle_check(solver, (ts, 1.0, ms), samples=20, seed=0)
+    assert rep.n_violations.shape == (10, 10)
+    assert (rep.n_violations >= 1).all()
+    assert rep.n_violations.sum() == len(rep.violations)
+    assert "at (t, m) = (" in rep.violations[0]
+
+
+def test_saddle_grid_check_matches_points(base_params):
+    # the grid check: one g on the grid and one draw block; at a point the
+    # block is the stream the per-sample draws made, so a 1 x 1 grid and the
+    # point agree on every perturbation
+    solver = ExactSolver(base_params)
+    rep = hjbi_saddle_check(solver, (np.array([0.6]), 1.0, np.array([0.3])), samples=20,
+                            seed=4)
+    one = hjbi_saddle_check(solver, (0.6, 1.0, 0.3), samples=20, seed=4)
+    assert rep.passed and one.passed
+    assert rep.bracket_at_optimum.shape == (1, 1)
+    assert rep.bracket_at_optimum[0, 0] == one.bracket_at_optimum
+    assert type(one.bracket_at_optimum) is float and type(one.n_violations) is int
+    ts, ms = np.linspace(0.05, 0.95, 4), np.linspace(-2.0, 2.0, 5)
+    rep = hjbi_saddle_check(solver, (ts, 1.0, ms), samples=20, seed=4)
+    assert rep.passed and rep.n_violations.shape == (4, 5) and not rep.n_violations.any()
+    assert rep.n_control_perturbations == rep.n_distortion_perturbations == 20
 
 
 def test_saddle_unit_mode(base_params):
