@@ -38,7 +38,6 @@ from .exact import (
     coeff_B,
     coeff_C,
     exact_coeffs,
-    h_eval,
 )
 from .params import (
     ClaimDist,
@@ -55,7 +54,7 @@ from .params import (
     validate,
     wealth_offset,
 )
-from .quadrature import QuadratureConfig, adaptive_gauss
+from .quadrature import adaptive_gauss
 from .riccati import riccati_zero_ic, riccati_zero_ic_integral
 from .simulate import (
     ConditionMReport,
@@ -119,7 +118,6 @@ __all__ = [
     "PathBundle",
     "PreferenceParams",
     "QuadratureBudgetExceeded",
-    "QuadratureConfig",
     "SaddleReport",
     "SingularLinearSystem",
     "SolverError",
@@ -145,7 +143,6 @@ __all__ = [
     "fd_solve_g",
     "glh_rhs",
     "glh_state",
-    "h_eval",
     "hjbi_bracket",
     "hjbi_saddle_check",
     "mc_feynman_kac",

@@ -60,8 +60,8 @@ def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
     squares leftover, identically zero at the derived exponent k; it is
     computed from its formula rather than pinned to zero.
     """
-    if w <= 0.0:
-        raise ValueError(f"steady consumption-wealth level w = {w!r} must be positive")
+    if not w > 0.0:  # NaN fails too
+        raise InadmissibleParameter(f"steady consumption-wealth level w = {w!r} must be positive")
     params, base = eco.params, eco.base
     p0 = eco.h1_0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
     return ExpQuadCoeffs(

@@ -39,7 +39,9 @@ class NonpositiveWealth(SolverError):
 
 
 class QuadratureBudgetExceeded(SolverError):
-    """Adaptive quadrature could not meet tolerance within its panel budget."""
+    """Adaptive quadrature could not meet tolerance within its panel budget,
+    or a Chebyshev series (the g kernel, the H table) did not converge
+    within its node-doubling budget."""
 
 
 class KernelOutOfRange(SolverError):

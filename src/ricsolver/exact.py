@@ -27,9 +27,9 @@ one coefficient transform per m, one read row per t, no quadrature.  The
 series helpers and the doubling rule here also serve the H table of the
 exponential-quadratic modes (LagTable, uniteis).
 
-coeff_A, coeff_B and h_eval evaluate the same coefficients pointwise,
-independently of the kernel; the verification layer and the tests use them
-as the reference.
+coeff_B and coeff_C are the closed forms at any pair t <= s, and coeff_A
+reads the kernel's own series of A-hat there, so the verification layer
+checks the coefficients g uses.  Nothing here runs a quadrature.
 """
 
 from __future__ import annotations
@@ -45,16 +45,16 @@ from numpy.polynomial import chebyshev
 from .errors import (DegenerateK, InadmissibleParameter, KernelOutOfRange, NonpositiveWealth,
                      QuadratureBudgetExceeded)
 from .params import _UNIT_PHI_TOL, DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
-from .quadrature import DEFAULT_QUAD, QuadratureConfig, adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
-# Chebyshev node counts, the H table's start (the g kernel's is twice it)
-# and the cap, and the trailing-coefficient level of a converged series.
+# Chebyshev node counts, the H table's start, the g kernel's and the cap,
+# and the trailing-coefficient level of a converged series.
 _TABLE_MIN_NODES = 32
 _TABLE_MAX_NODES = 1024
+_KERNEL_MIN_NODES = min(2 * _TABLE_MIN_NODES, _TABLE_MAX_NODES)
 _TABLE_TAIL_TOL = 1e-14
-# The accuracy the g kernel answers for, relative to g (that of the pointwise
-# quadratures, QuadratureConfig().rel_tol): its series of h-hat must give
+# The accuracy the g kernel answers for, relative to g (that of the adaptive
+# quadrature, quadrature._REL_TOL): its series of h-hat must give
 # h-hat(0) = 1 to this, and their rounding, eps sum_j |c_j|, must stay under
 # it times g.
 _KERNEL_REL_TOL = 1e-9
@@ -227,8 +227,8 @@ def _lag_B(tau, co: ExactCoeffs):
 
 def _lag(t, s) -> np.ndarray:
     tau = np.asarray(s, dtype=float) - np.asarray(t, dtype=float)
-    if (tau < 0.0).any():
-        raise ValueError("the coefficients need t <= s")
+    if not (tau >= 0.0).all():  # NaN fails too
+        raise InadmissibleParameter(f"the coefficients need t <= s, got lag s - t = {tau}")
     return tau
 
 
@@ -249,22 +249,20 @@ def _dA_dtau(B, C, co: ExactCoeffs):
     return 0.5 * beta2 * B * B - beta2 * C - co.h2_0 * B
 
 
-def coeff_A(t, s, co: ExactCoeffs, quad: QuadratureConfig = DEFAULT_QUAD):
+def coeff_A(t, s, co: ExactCoeffs):
     """A(t, s) = int_0^{s-t} [beta^2 B^2/2 - beta^2 C - h2_0 B](tau) dtau + h1_0 (s-t)
-    over broadcastable t <= s (a float at a scalar pair).
-
-    One adaptive integral serves every lag: with tau = v (s-t), each lag is a
-    column of one integrand over v in [0, 1], whose panels the lags share.  B
-    and C are closed form at its nodes; the g kernel is not read.
-    """
-    span = _lag(t, s)
-
-    def rate(v):
-        tau = np.multiply.outer(v, span)
-        return span * _dA_dtau(_lag_B(tau, co), _lag_C(tau, co), co)
-
-    A = adaptive_gauss(rate, 0.0, 1.0, quad) + co.h1_0 * span
-    return A if np.ndim(A) else float(A)
+    over broadcastable t <= s with s - t <= T (a float at a scalar pair): the
+    g kernel's series h1_0 tau + T/2 sum_j a_j (T_j(y) - (-1)^j), y = 2 tau/T - 1,
+    a its a_coef.  The basis row at tau = 0 is (-1)^j exactly, so A(t, t) = 0
+    exactly; each lag sums on its own, so arrays give the one-pair bits."""
+    T = co.params.horizon.T
+    tau = _lag(t, s)
+    if (tau > T).any():
+        raise InadmissibleParameter(f"lag s - t = {tau} exceeds T = {T}, the g kernel's span")
+    a = co.lag_kernel(_KERNEL_MIN_NODES).a_coef
+    basis = _cheb_basis(np.arccos(2.0 * tau / T - 1.0), a.size) - (-1.0) ** np.arange(a.size)
+    A = co.h1_0 * tau + 0.5 * T * (basis * a).sum(axis=-1)
+    return A if A.ndim else float(A)
 
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
@@ -274,14 +272,6 @@ def abc_rhs(A, B, C, co: ExactCoeffs):
     dB = (base.kappa + 2.0 * beta2 * C) * B - 2.0 * co.h2_0 * C + co.h1_1
     dA = -0.5 * beta2 * B * B + beta2 * C + co.h2_0 * B - co.h1_0
     return dA, dB, dC
-
-
-def h_eval(t: float, m: float, s: float, co: ExactCoeffs) -> float:
-    """h(t, m; s) = exp(A - B m - C m^2)."""
-    A = coeff_A(t, s, co)
-    B = coeff_B(t, s, co)
-    C = coeff_C(t, s, co)
-    return math.exp(A - B * m - C * m * m)
 
 
 # ---------------------------------------------------------------- #
@@ -375,12 +365,14 @@ class LagKernel:
     the Chebyshev coefficients of an integrand to delta^phi int_0^s + its
     value at s, given the basis row cos(j theta), j = 0..n, at s:
     delta^phi T/2 times _antiderivative(n), plus the identity.  at_zero is
-    the basis row at tau = 0, (-1)^j for j < n.
+    the basis row at tau = 0, (-1)^j for j < n.  a_coef holds the n + 1
+    coefficients of int_{-1}^y of A-hat's right-hand side (coeff_A).
     """
 
     poly: tuple[np.ndarray, np.ndarray, np.ndarray]
     reads: np.ndarray
     at_zero: np.ndarray
+    a_coef: np.ndarray
     tail: float
 
     @property
@@ -415,7 +407,8 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
         return co.lag_kernel(_doubled(n, f"lag functions on [0, {T}] (trailing coefficient "
                                          f"{tail:.3e} > {_TABLE_TAIL_TOL:g})"))
     # A-hat = h1_0 tau + int_0^tau _dA_dtau, with dtau = T/2 dy
-    A = co.h1_0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ (_antiderivative(n) @ coef[0]))
+    a_coef = _antiderivative(n) @ coef[0]
+    A = co.h1_0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (
@@ -425,7 +418,8 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     )
     reads = co.delta_phi * 0.5 * T * _antiderivative(n)
     reads[:n] += np.eye(n)
-    return LagKernel(poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n), tail=tail)
+    return LagKernel(poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n), a_coef=a_coef,
+                     tail=tail)
 
 
 # ---------------------------------------------------------------- #
@@ -444,8 +438,8 @@ def _horizon_times(t, T: float, what: str) -> np.ndarray:
     t = np.asarray(t, dtype=float)
     if (t > T).any():
         raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
-    if (t < 0.0).any():
-        raise InadmissibleParameter(f"t = {t} is before 0; {what} covers t in [0, T = {T}]")
+    if not (t >= 0.0).all():
+        raise InadmissibleParameter(f"t = {t} is before 0 or not a number; {what} covers [0, {T}]")
     return t
 
 
@@ -462,7 +456,7 @@ def g_bundle(t, m, co: ExactCoeffs) -> GBundle:
     every t, and read at each s: the antiderivative from tau = 0 through
     the kernel's integration matrix, the end value through the series.
 
-    n starts at 2 _TABLE_MIN_NODES, at most _TABLE_MAX_NODES (h-hat, an
+    n starts at _KERNEL_MIN_NODES, at most _TABLE_MAX_NODES (h-hat, an
     exponential over the lag functions, is sharper than they are: one pass
     serves |m| <= 8 at T = 1 and |m| <= 4 at T = 10 at the default
     calibration, the latter at 128 nodes, where the lag functions converge).
@@ -482,7 +476,7 @@ def g_bundle(t, m, co: ExactCoeffs) -> GBundle:
     m = np.asarray(m, dtype=float)
     ms = m.reshape(-1)
     theta = np.arccos(1.0 - 2.0 * t.reshape(-1) / T)  # the basis at s is cos(j theta)
-    rows, rounding = _g_rows(theta, ms, co, min(2 * _TABLE_MIN_NODES, _TABLE_MAX_NODES))
+    rows, rounding = _g_rows(theta, ms, co, _KERNEL_MIN_NODES)
     out = np.moveaxis(rows, 0, -1).reshape((4,) + t.shape + m.shape)
     out[3] -= co.delta_phi
     carried = _EPS * rounding < _KERNEL_REL_TOL * out[0]  # False where g <= 0 or NaN

@@ -4,15 +4,14 @@ Integrands are called with a numpy array of abscissae and must return either
 shape (n,) or (n, k); all k components are integrated in one pass and the
 error control is applied to the max-norm across components. The adaptive
 driver compares a low/high Gauss pair per panel and bisects the worst panel
-until the combined error estimate meets tolerance, which is the right shape
-for the smooth exponential integrands this package produces (no endpoint
-singularities, no oscillation).
+until the combined error estimate meets tolerance.  Only uniteis.coeff_H,
+the pointwise reference for H, integrates with it: every g, strategy and
+coefficient of the solvers is closed form or a Chebyshev series.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cache
 from typing import Callable
 
@@ -20,26 +19,10 @@ import numpy as np
 
 from .errors import QuadratureBudgetExceeded
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Error targets and refinement budget for adaptive integration."""
-
-    abs_tol: float = 1e-10
-    rel_tol: float = 1e-9
-    max_subdivisions: int = 400
-
-    def __post_init__(self) -> None:
-        if self.abs_tol <= 0.0 or self.rel_tol <= 0.0:
-            raise ValueError(
-                f"tolerances must be positive, got abs_tol={self.abs_tol}, "
-                f"rel_tol={self.rel_tol}"
-            )
-        if self.max_subdivisions < 1:
-            raise ValueError(f"max_subdivisions must be >= 1, got {self.max_subdivisions}")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+# Error targets and bisection budget of adaptive_gauss.
+_ABS_TOL = 1e-10
+_REL_TOL = 1e-9
+_MAX_SUBDIVISIONS = 400
 
 # ---------------------------------------------------------------- #
 # the Gauss-Legendre pair
@@ -71,17 +54,12 @@ def _panel(f, lo: float, hi: float):
     return i2, float(np.max(np.abs(i2 - i1)))
 
 
-def adaptive_gauss(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    quad: QuadratureConfig = DEFAULT_QUAD,
-):
-    """Integrate f over [a, b] to quad's tolerances.
+def adaptive_gauss(f: Callable[[np.ndarray], np.ndarray], a: float, b: float):
+    """Integrate f over [a, b] to the module's tolerances.
 
     Returns a float for scalar integrands, an ndarray of component integrals
     otherwise. Raises QuadratureBudgetExceeded if the error estimate cannot
-    be brought under max(abs_tol, rel_tol*|I|) within max_subdivisions
+    be brought under max(_ABS_TOL, _REL_TOL*|I|) within _MAX_SUBDIVISIONS
     bisections.
     """
     if b < a:
@@ -98,10 +76,10 @@ def adaptive_gauss(
     while True:
         total = sum(entry[4] for entry in heap)
         total_err = sum(entry[5] for entry in heap)
-        tol = max(quad.abs_tol, quad.rel_tol * float(np.max(np.abs(total))))
+        tol = max(_ABS_TOL, _REL_TOL * float(np.max(np.abs(total))))
         if total_err <= tol:
             return float(total) if np.ndim(total) == 0 else total
-        if splits >= quad.max_subdivisions:
+        if splits >= _MAX_SUBDIVISIONS:
             raise QuadratureBudgetExceeded(
                 f"error estimate {total_err:.3e} > tolerance {tol:.3e} "
                 f"after {splits} subdivisions on [{a}, {b}]"

@@ -258,7 +258,7 @@ def simulate_wealth(
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
         raise ValueError('measure "Q_xi" needs a distortion_fn')
-    if x0 <= 0.0:
+    if not x0 > 0.0:  # NaN fails too
         raise NonpositiveWealth(f"x0 must be positive, got {x0}")
     mk, ins = params.market, params.insurance
     require_claims(ins)

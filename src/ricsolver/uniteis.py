@@ -40,7 +40,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InadmissibleParameter
 from .exact import (
     GBundle,
     LagTable,
@@ -117,8 +116,9 @@ class ExpQuadCoeffs:
 
 
 def coeff_G(t, co: ExpQuadCoeffs):
-    """G(t), vectorized over t (requires t <= T)."""
-    return riccati_zero_ic(co.params.horizon.T - np.asarray(t, dtype=float), *co.kernel_abc())
+    """G(t), vectorized over t in [0, T]."""
+    T = co.params.horizon.T
+    return riccati_zero_ic(T - _horizon_times(t, T, "G"), *co.kernel_abc())
 
 
 def _lag_L(tau, co: ExpQuadCoeffs):
@@ -128,11 +128,9 @@ def _lag_L(tau, co: ExpQuadCoeffs):
 
 
 def coeff_L(t, co: ExpQuadCoeffs):
-    """L(t), vectorized over t (requires t <= T)."""
-    t, T = np.asarray(t, dtype=float), co.params.horizon.T
-    if (t > T).any():
-        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
-    return _lag_L(T - t, co)
+    """L(t), vectorized over t in [0, T]."""
+    T = co.params.horizon.T
+    return _lag_L(T - _horizon_times(t, T, "L"), co)
 
 
 def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
@@ -144,8 +142,7 @@ def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
     is tiny.  L and G are closed form at the nodes.
     """
     T, beta = co.params.horizon.T, co.params.market.beta
-    if t > T:
-        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
+    t = float(_horizon_times(t, T, "H"))
     if t == T:
         return 0.0
 

@@ -257,19 +257,21 @@ def abc_ode_residual(params: ModelParams, t, s):
     """Max relative residual of the coefficient ODE system at each pair of
     broadcastable t and s (a float at a scalar pair).
 
-    The t-derivatives of the closed forms of (A, B, C) are taken by
-    central differences with step 1e-4 and compared to the stated
-    right-hand sides; each residual is normalized by max(|rhs|, 1).  One
-    coefficient object serves every pair, and one coeff_A call covers the
-    lags at t, t + h and t - h.
+    The t-derivatives of (A, B, C) (B and C closed form, A the g kernel's
+    series) are taken by central differences with step 1e-4, one-sided on
+    t, t + h, t + 2h where t - h < 0, and compared to the stated right-hand
+    sides; each residual is normalized by max(|rhs|, 1).  One coefficient
+    object and one coeff_A call serve every pair and stencil time.
     """
     h = _ODE_H
     co = exact_coeffs(params)
     t, s = np.broadcast_arrays(t, s)
-    ts = np.stack([t, t + h, t - h])
+    one_sided = t - h < 0.0
+    ts = np.stack([t, t + h, np.where(one_sided, t + 2 * h, t - h)])
     A, B, C = coeff_A(ts, s, co), coeff_B(ts, s, co), coeff_C(ts, s, co)
     rhs = abc_rhs(A[0], B[0], C[0], co)
-    fd = [(y[1] - y[2]) / (2 * h) for y in (A, B, C)]
+    fd = [np.where(one_sided, (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2 * h), (y[1] - y[2]) / (2 * h))
+          for y in (A, B, C)]
     r = np.max([np.abs(f - r) / np.maximum(np.abs(r), 1.0) for f, r in zip(fd, rhs)], axis=0)
     return r if r.ndim else float(r)
 
@@ -307,9 +309,9 @@ def abc_bounds_margin(params: ModelParams, t, s):
     broadcastable t and s (a float at a scalar pair).
 
     Bounds (gamma > 1, rho1 <= 0): 0 <= C <= min(b0 (s-t), 2 b0/(2 kappa
-    + Delta)); |B| <= |b1| (s-t); A >= A1 (T-t)(s-t) + A2 (s-t).  A
-    nonnegative return means every bound holds.  One coefficient object
-    and one coeff_A call serve every pair.
+    + Delta)); |B| <= |b1| (s-t); A >= A1 (T-t)(s-t) + A2 (s-t), with A
+    the g kernel's series.  A nonnegative return means every bound holds.
+    One coefficient object and one coeff_A call serve every pair.
     """
     co = exact_coeffs(params)
     base = co.base

@@ -275,12 +275,16 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
     (["solve", "--m", "nan"], "error: m = nan is not finite"),
     (["solve", "--mode", "unit_eis", "--m", "nan"], "error: m = nan is not finite"),
     (["solve", "--mode", "cs", "--m", "nan"], "error: m = nan is not finite"),
+    # and a NaN time, refused by the horizon guard, not as a huge |m|
+    (["solve", "--t", "nan"], "error: t = nan is before 0 or not a number"),
+    (["solve", "--mode", "unit_eis", "--t", "nan"], "error: t = nan is before 0 or not a number"),
+    (["solve", "--mode", "cs", "--t", "nan"], "error: t = nan is before 0 or not a number"),
     # the saddle check draws its perturbations as one block
     (["verify", "--suite", "saddle", "--samples", "-1"], "error: samples = -1 must be >= 0"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
         "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
         "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth", "nan-m-exact", "nan-m-unit",
-        "nan-m-cs", "samples-negative"])
+        "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

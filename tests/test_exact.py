@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,18 +12,21 @@ from ricsolver import (
     InadmissibleParameter,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
-    QuadratureConfig,
     TabulatedStrategy,
     UnitEisSolver,
+    abc_bounds_margin,
+    abc_ode_residual,
     abc_rhs,
     coeff_A,
     coeff_B,
     coeff_C,
     exact_coeffs,
-    h_eval,
     simulate_factor,
+    unit_coeffs,
 )
 from ricsolver.exact import g_bundle
+from ricsolver.uniteis import coeff_H
+from ricsolver.verify import SUITES
 
 # values recomputed by hand / by the oracles below and frozen
 G_T0_M0 = 1.3357372266  # g(0.5, 0) at the default calibration
@@ -65,25 +69,35 @@ def test_abc_terminal_values(base_params):
     assert coeff_C(0.7, 0.7, co) == 0.0
 
 
-def test_h_is_exponential_quadratic(base_params):
-    co = exact_coeffs(base_params)
-    t, s = 0.5, 0.9
-    A, B, C = coeff_A(t, s, co), coeff_B(t, s, co), coeff_C(t, s, co)
-    for m in (-1.5, 0.0, 0.8):
-        assert h_eval(t, m, s, co) == pytest.approx(
-            math.exp(A - B * m - C * m * m), rel=1e-14
-        )
+# panel edges in the lag, growing geometrically from 0 where the transients
+# of A and B sit, up to the longest horizon tested
+_EDGES = (0.0, 0.25, 1.0, 4.0, 16.0, 64.0)
+
+
+def _A_oracle(co, tau, n=24):
+    """A at the lags tau, independent of the g kernel: h1_0 tau plus the
+    n-node Gauss-Legendre integral of dA/dtau over closed-form B and C on
+    the panels _EDGES clipped to [0, tau]."""
+    tau = np.asarray(tau, dtype=float)[..., None]
+    x, w = np.polynomial.legendre.leggauss(n)
+    A = co.h1_0 * tau[..., 0]
+    for lo, hi in zip(_EDGES, _EDGES[1:]):
+        lo, hi = np.minimum(lo, tau), np.minimum(hi, tau)
+        u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
+        rate = exact_mod._dA_dtau(coeff_B(0.0, u, co), coeff_C(0.0, u, co), co)
+        A = A + 0.5 * (hi - lo)[..., 0] * (rate @ w)
+    return A
 
 
 def test_g_matches_trapezoid_oracle(base_params):
     # g(t, m) = delta^phi * int_t^T h(t, m, s) ds + h(t, m, T), rebuilt here
-    # from independent h evaluations on a fine s-mesh
+    # from h = exp(A - B m - C m^2) on a fine s-mesh, with A from _A_oracle
     co = exact_coeffs(base_params)
     dp = base_params.preference.delta ** co.base.phi
     T = base_params.horizon.T
     for t, m in [(0.5, 0.0), (0.5, -1.0), (0.8, 0.5), (0.99, 2.0)]:
         ss = np.linspace(t, T, 4001)
-        hs = np.array([h_eval(t, m, s, co) for s in ss])
+        hs = np.exp(_A_oracle(co, ss - t) - coeff_B(t, ss, co) * m - coeff_C(t, ss, co) * m * m)
         ref = dp * np.trapezoid(hs, ss) + hs[-1]
         gv = g_bundle(t, m, co)
         assert gv.g == pytest.approx(ref, rel=1e-8)
@@ -208,9 +222,6 @@ def test_strategy_amounts_scale_with_wealth(base_params):
 # ---------------------------------------------------------------- #
 # lag-table kernel
 
-_TIGHT = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-14, max_subdivisions=2000)
-
-
 def _with_horizon(params, t0, T):
     return dataclasses.replace(params, horizon=dataclasses.replace(params.horizon, t0=t0, T=T))
 
@@ -218,20 +229,19 @@ def _with_horizon(params, t0, T):
 def _oracle_bundle(co, t, ms, n=24):
     """(g, g_m, g_mm, g_t) for each m from the pointwise coefficients.
 
-    h = exp(A - B m - C m^2) with A, B, C from coeff_A / coeff_B / coeff_C
-    at tight tolerances (what h_eval evaluates), integrated over s in [t, T]
-    by n-node Gauss-Legendre on panels growing geometrically from s = t,
-    where the transients of A and B sit.  g_m and g_mm differentiate h in m;
+    h = exp(A - B m - C m^2) with A from _A_oracle and B, C from coeff_B /
+    coeff_C, integrated over s in [t, T] by n-node Gauss-Legendre on the
+    panels t + _EDGES.  g_m and g_mm differentiate h in m;
     g_t comes from the reduced equation
     g_t + beta^2 g_mm / 2 + H2 g_m + H1 g + delta^phi = 0.
     """
     T = co.params.horizon.T
-    edges = np.unique(np.clip(t + np.array([0.0, 0.25, 1.0, 4.0, 16.0, 64.0]), t, T))
+    edges = np.unique(np.clip(t + np.array(_EDGES), t, T))
     x, w = np.polynomial.legendre.leggauss(n)
     panels = list(zip(edges, edges[1:]))
     s = np.concatenate([0.5 * (a + b) + 0.5 * (b - a) * x for a, b in panels] + [[T]])
     ws = np.concatenate([0.5 * (b - a) * w for a, b in panels] + [np.empty(0)])
-    A = np.array([coeff_A(t, si, co, _TIGHT) for si in s])
+    A = _A_oracle(co, s - t)
     B = np.array([coeff_B(t, si, co) for si in s])
     C = np.array([coeff_C(t, si, co) for si in s])
     rows = []
@@ -265,6 +275,26 @@ def test_kernel_bundle_matches_pointwise_oracle(base_params, t0, T):
             gb = exact_mod.g_bundle(t, m, co)
             got = np.array([gb.g, gb.g_m, gb.g_mm, gb.g_t])
             assert np.all(np.abs(got - row) <= 1e-12 * abs(row[0])), (t, m, got, row)
+
+
+@pytest.mark.parametrize("T", [1.0, 10.0, 50.0])
+def test_coeff_A_reads_the_kernel_series(base_params, T):
+    # coeff_A is the A that g uses: at the kernel's own nodes it is within
+    # 1e-15 max(1, |A|) of the kernel's values (measured 1.9e-16 at T = 50)
+    co = exact_coeffs(_with_horizon(base_params, 0.0, T))
+    coeff_A(0.0, 0.5 * T, co)
+    kernel = co._lag_kernels[64]  # built by that call: coeff_A reads the kernel
+    A_kernel = kernel.poly[0][0]
+    A = coeff_A(0.0, exact_mod._lag_nodes(T, kernel.nodes), co)
+    assert np.all(np.abs(A - A_kernel) <= 1e-15 * np.maximum(1.0, np.abs(A_kernel)))
+    # exactly 0 at lag 0, for a scalar and for arrays of any size
+    assert coeff_A(0.3, 0.3, co) == 0.0
+    for size in (1, 2, 7, 50, 333):
+        t = np.linspace(0.0, T, size)
+        assert np.all(coeff_A(t, t, co) == 0.0)
+    for t, s in ((0.0, 1.001 * T), (0.5, 0.4), (math.nan, 0.5)):
+        with pytest.raises(InadmissibleParameter):
+            coeff_A(t, s, co)
 
 
 def test_lag_kernel_built_once_per_node_count(base_params, monkeypatch):
@@ -352,29 +382,25 @@ def test_kernel_rows_equal_pointwise_bundles(base_params, T):
         assert np.array_equal(_fields(g_bundle(t, ms[sub], co)), rows[:, sub])
 
 
-def test_exact_g_runs_no_quadrature(base_params, monkeypatch):
-    import ricsolver.quadrature as quadrature_mod
-    import ricsolver.simulate as simulate_mod
-
-    calls = []
-    adaptive_gauss = quadrature_mod.adaptive_gauss
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return adaptive_gauss(*args, **kwargs)
-
+def test_exact_g_runs_no_quadrature(base_params, quadrature_calls):
     solver = ExactSolver(_with_horizon(base_params, 0.0, 10.0))
-    for module in (exact_mod, quadrature_mod, simulate_mod):
-        monkeypatch.setattr(module, "adaptive_gauss", counting, raising=False)
     rng = np.random.default_rng(6)
     for t, m in zip(rng.uniform(0.0, 10.0, 8), rng.uniform(-4.0, 4.0, 8)):
         solver.g(t, m)
         solver.value(t, 1.2, m)
         solver.strategy(t, 0.8, m)
     TabulatedStrategy.from_exact(base_params, n_t=9, n_m=11)
-    assert calls == []
-    coeff_A(0.2, 0.9, solver.coeffs)  # the pointwise reference still integrates
-    assert len(calls) == 1
+    # nor do the coefficient checks, which read A from the kernel's series,
+    # or any verify suite
+    t, s = np.array([0.0, 0.2, 0.5]), np.array([1.0, 0.9, 0.6])
+    coeff_A(t, s, solver.coeffs)
+    abc_ode_residual(base_params, t, s)
+    abc_bounds_margin(base_params, t, s)
+    for suite in SUITES.values():
+        suite(base_params, SimpleNamespace(seed=0, samples=2, n_paths=100))
+    assert quadrature_calls == []
+    coeff_H(0.5, unit_coeffs(base_params))  # the pointwise reference for H still integrates
+    assert len(quadrature_calls) == 1
 
 
 def test_kernel_budget(base_params, monkeypatch):

@@ -12,6 +12,7 @@ from ricsolver import (
     KernelOutOfRange,
     ModelParams,
     NonadmissibleValueSign,
+    NonpositiveWealth,
     QuadratureBudgetExceeded,
     derive_coeffs,
     derive_k_phi,
@@ -23,9 +24,12 @@ from ricsolver import (
     simulate_surplus,
     simulate_wealth,
     TabulatedStrategy,
+    coeff_B,
+    unit_coeffs,
     validate,
     wealth_offset,
 )
+from ricsolver.uniteis import coeff_G, coeff_H, coeff_L
 from ricsolver.verify import _bound_constants
 
 
@@ -213,9 +217,9 @@ def _solve_at_t0(solver_cls):
     return run
 
 
-def _riskless_wealth(params):
+def _riskless_wealth(params, x0=1.0):
     zero = lambda t, x, m: (0.0 * x, 0.0 * x, 0.0 * x)
-    return simulate_wealth(params, 1.0, zero, n_paths=2)
+    return simulate_wealth(params, x0, zero, n_paths=2)
 
 
 @pytest.mark.parametrize("kw, run, error", [
@@ -258,12 +262,26 @@ def _riskless_wealth(params):
     (dict(rho1=1.5), _solve_at_t0(CsSolver), InadmissibleParameter),
     (dict(rho1=1.5), lambda p: simulate_factor(p, n_paths=2), InadmissibleParameter),
     (dict(rho1=1.5), _riskless_wealth, InadmissibleParameter),
+    # an evaluation time that is not a number, and a reversed or too-late one
+    (dict(), lambda p: ExactSolver(p).g(math.nan, 0.3), InadmissibleParameter),
+    (dict(), lambda p: CsSolver(p).g(math.nan, 0.3), InadmissibleParameter),
+    (dict(), lambda p: UnitEisSolver(p).strategy(math.nan, 1.0, 0.3), InadmissibleParameter),
+    (dict(), lambda p: coeff_G(1.5, unit_coeffs(p)), InadmissibleParameter),
+    (dict(), lambda p: coeff_L(math.nan, unit_coeffs(p)), InadmissibleParameter),
+    (dict(), lambda p: coeff_H(math.nan, unit_coeffs(p)), InadmissibleParameter),
+    (dict(), lambda p: coeff_B(0.6, 0.5, exact_coeffs(p)), InadmissibleParameter),
+    # a NaN initial wealth and a pinned cs level that is not positive
+    (dict(), lambda p: _riskless_wealth(p, math.nan), NonpositiveWealth),
+    (dict(), lambda p: CsSolver(p, w=-1.0), InadmissibleParameter),
+    (dict(), lambda p: CsSolver(p, w=math.nan), InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
         "T0-unit", "empty-exact", "reversed-cs", "empty-table", "mu2-wealth",
         "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs",
-        "rho1-exact", "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth"])
+        "rho1-exact", "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth",
+        "nan-t-exact", "nan-t-cs", "nan-t-unit", "past-T-G", "nan-t-L", "nan-t-H",
+        "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))

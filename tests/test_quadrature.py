@@ -3,11 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ricsolver import (
-    QuadratureBudgetExceeded,
-    QuadratureConfig,
-    adaptive_gauss,
-)
+import ricsolver.quadrature as quadrature_mod
+from ricsolver import QuadratureBudgetExceeded, adaptive_gauss
 
 
 def test_adaptive_gauss_oscillatory():
@@ -16,10 +13,10 @@ def test_adaptive_gauss_oscillatory():
     assert val == pytest.approx(1.0 - math.cos(10.0), abs=1e-9)
 
 
-def test_adaptive_gauss_budget():
-    quad = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-15, max_subdivisions=1)
+def test_adaptive_gauss_budget(monkeypatch):
+    monkeypatch.setattr(quadrature_mod, "_MAX_SUBDIVISIONS", 1)
     with pytest.raises(QuadratureBudgetExceeded):
-        adaptive_gauss(lambda x: np.sin(50.0 * x) / (1e-4 + x * x), 0.0, 20.0, quad)
+        adaptive_gauss(lambda x: np.sin(50.0 * x) / (1e-4 + x * x), 0.0, 20.0)
 
 
 def test_adaptive_gauss_bounds_order():

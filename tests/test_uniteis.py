@@ -20,7 +20,6 @@ from ricsolver import (
     steady_state_w,
     unit_coeffs,
 )
-from ricsolver.quadrature import adaptive_gauss
 from ricsolver.uniteis import coeff_H
 
 # structural constants at the default calibration, frozen by hand
@@ -280,22 +279,14 @@ def test_h_table_built_once_per_coeffs(base_params, monkeypatch):
     assert builds == [unit.coeffs, cs.coeffs]
 
 
-def test_glh_state_runs_no_quadrature(base_params, monkeypatch):
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return adaptive_gauss(*args, **kwargs)
-
-    for module in (uniteis_mod, exact_mod):
-        monkeypatch.setattr(module, "adaptive_gauss", counting)
+def test_glh_state_runs_no_quadrature(base_params, quadrature_calls):
     steady_state_w(base_params)
     for co in (unit_coeffs(base_params), cs_reduction(0.3, exact_coeffs(base_params))):
         for t in (0.5, 0.77, 1.0):
             glh_state(t, co)
-    assert calls == []
+    assert quadrature_calls == []
     coeff_H(0.5, unit_coeffs(base_params))  # the pointwise reference still integrates
-    assert len(calls) == 1
+    assert len(quadrature_calls) == 1
 
 
 def test_h_table_budget_and_domain(base_params, monkeypatch):
