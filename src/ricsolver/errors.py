@@ -14,11 +14,14 @@ class InadmissibleParameter(SolverError):
     gamma = 1, Phi + gamma at or below its positive floor, delta <= 0,
     mu2 <= 0 or lambda < 0; or where a method needs more: alpha <= 0 for
     the cs steady level, lambda = 0 for claim arrivals; or a time t outside
-    [0, T] at which a solver's g, strategy or coefficients are asked for."""
+    [0, T] at which a solver's g, strategy or coefficients are asked for,
+    or a negative or NaN lag of the Riccati closed forms."""
 
 
 class DegenerateK(SolverError):
-    """The denominator defining the exponent k is numerically zero."""
+    """The exponent pair (k, phi) = ((1-gamma)/D, 1 + D) has no exact-mode
+    closed form: D = 0, k is not finite, or derived phi lies within the
+    band around 1 where g^k loses accuracy (the unit-EIS mode's)."""
 
 
 class ComplexDiscriminant(SolverError):

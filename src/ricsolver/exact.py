@@ -44,7 +44,8 @@ from numpy.polynomial import chebyshev
 
 from .errors import (DegenerateK, InadmissibleParameter, KernelOutOfRange, NonpositiveWealth,
                      QuadratureBudgetExceeded)
-from .params import _UNIT_PHI_TOL, DerivedCoeffs, ModelParams, derive_coeffs, reduction_terms
+from .params import (_UNIT_PHI_TOL, DerivedCoeffs, ModelParams, _horizon_times, derive_coeffs,
+                     reduction_terms)
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 # Chebyshev node counts, the H table's start, the g kernel's and the cap,
@@ -187,15 +188,11 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
     if abs(base.phi - 1.0) <= _UNIT_PHI_TOL:
         raise DegenerateK(
             f"derived phi = {base.phi!r} is within {_UNIT_PHI_TOL} of 1; "
-            "this mode has a removable singularity there, use the unit-EIS solver"
+            "use the unit-EIS solver there"
         )
     mk, pf = params.market, params.preference
     kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(params, base.k)
-    # delta/(1 - 1/phi) is written as delta*phi/(phi-1) so phi = 0 is fine;
-    # phi = 1 is excluded above.
-    h1_0 = ((1.0 - pf.gamma) / base.k) * (
-        mk.r + premium + claims - pf.delta * base.phi / (base.phi - 1.0)
-    )
+    h1_0 = ((1.0 - pf.gamma) / base.k) * (mk.r + premium + claims) - pf.delta * base.phi
     return ExactCoeffs(
         params=params,
         base=base,
@@ -431,16 +428,6 @@ def _g_out_of_range(t, m) -> KernelOutOfRange:
         f"g(t = {t}, m = {m}) underflows, overflows or is lost to rounding; "
         "|m| is too large for this horizon"
     )
-
-
-def _horizon_times(t, T: float, what: str) -> np.ndarray:
-    """t as an array; InadmissibleParameter unless all of it lies in [0, T]."""
-    t = np.asarray(t, dtype=float)
-    if (t > T).any():
-        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
-    if not (t >= 0.0).all():
-        raise InadmissibleParameter(f"t = {t} is before 0 or not a number; {what} covers [0, {T}]")
-    return t
 
 
 def g_bundle(t, m, co: ExactCoeffs) -> GBundle:

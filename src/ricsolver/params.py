@@ -11,13 +11,13 @@ Conventions used throughout the package:
     and elasticity of intertemporal substitution phi; ambiguity aversion is
     Phi >= 0, entering through the scaled penalty Psi = Phi/((1-gamma)v)
 
-In the exact (non-unit-EIS) mode, phi is not free: the closed form requires
+In the exact (non-unit-EIS) mode, phi is not free: with the one factor
 
-    k   = 1 / (1 - Phi/(1-gamma) + (1-gamma-Phi)^2 rho1^2 / ((1-gamma)(Phi+gamma)))
-    phi = 2 - gamma - Phi + (1-gamma-Phi)^2 rho1^2 / (Phi+gamma)
+    D = (1-gamma-Phi) [1 + (1-gamma-Phi) rho1^2 / (Phi+gamma)]
 
-which satisfy k*(1-phi)/(1-gamma) = -1; that identity is what makes the
-reduced equation for g linear. derive_k_phi enforces it to 1e-12.
+the closed form requires k = (1-gamma)/D and phi = 1 + D, so that
+k*(1-phi)/(1-gamma) = -1 holds by construction; that identity is what
+makes the reduced equation for g linear.
 """
 
 from __future__ import annotations
@@ -40,8 +40,9 @@ from .errors import (
 # Division guards shared by every (Phi+gamma) and (1-gamma) denominator.
 _PHI_GAMMA_FLOOR = 1e-12
 _GAMMA_ONE_TOL = 1e-12
-# Derived phi this close to 1 belongs to the unit-EIS mode.
-_UNIT_PHI_TOL = 1e-9
+# Derived phi this close to 1 belongs to the unit-EIS mode: g -> 1 while
+# k = (1-gamma)/(phi-1) grows, so g^k carries about 7e-16/|phi-1| of rounding.
+_UNIT_PHI_TOL = 1e-6
 
 
 # ---------------------------------------------------------------- #
@@ -191,31 +192,21 @@ def require_preference(gamma: float, Phi: float) -> None:
 
 
 def derive_k_phi(gamma: float, Phi: float, rho1: float) -> Tuple[float, float]:
-    """Derive (k, phi) from (gamma, Phi, rho1).
+    """Derive (k, phi) = ((1-gamma)/D, 1 + D) from (gamma, Phi, rho1).
 
     Raises InadmissibleParameter wherever require_preference or
-    require_correlation does, and DegenerateK when the k denominator is
-    within 1e-14 of zero, or when the identity k(1-phi)/(1-gamma) = -1 fails
-    beyond 1e-12.  The identity holds algebraically, but next to derived
-    phi = 1 the k denominator and 1 - phi both pass through zero, each
-    computed with cancellation, so the product loses digits (Phi = 0.8,
-    rho1 = -0.5 puts phi = 1 at gamma = 0.2; gamma = 0.2001 fails already).
+    require_correlation does, and DegenerateK where D = 0 or k is not
+    finite.  D -> 0 is derived phi -> 1, the unit-EIS limit; exact_coeffs
+    refuses phi within _UNIT_PHI_TOL of 1.
     """
     require_preference(gamma, Phi)
     require_correlation(rho1)
     one_g = 1.0 - gamma
-    den = 1.0 - Phi / one_g + (one_g - Phi) ** 2 * rho1**2 / (one_g * (Phi + gamma))
-    if abs(den) < 1e-14:
-        raise DegenerateK(f"k denominator {den:.3e} is numerically zero")
-    k = 1.0 / den
-    phi = 2.0 - gamma - Phi + (one_g - Phi) ** 2 * rho1**2 / (Phi + gamma)
-    identity = k * (1.0 - phi) / one_g + 1.0
-    if abs(identity) > 1e-12:
-        raise DegenerateK(
-            f"k(1-phi)/(1-gamma) + 1 = {identity:.3e} exceeds 1e-12; "
-            f"derived phi = {phi!r} is too close to 1"
-        )
-    return k, phi
+    D = (one_g - Phi) * (1.0 + (one_g - Phi) * rho1**2 / (Phi + gamma))
+    k = one_g / D if D != 0.0 else math.inf
+    if not math.isfinite(k):
+        raise DegenerateK(f"k = (1-gamma)/D is not finite at D = {D:.3e}")
+    return k, 1.0 + D
 
 
 def require_claims(ins: InsuranceParams) -> None:
@@ -252,6 +243,16 @@ def require_horizon(t0: float, T: float) -> None:
     """Raise InadmissibleParameter unless 0 <= t0 < T."""
     if not 0.0 <= t0 < T:
         raise InadmissibleParameter(f"horizon [t0, T] = [{t0!r}, {T!r}] must satisfy 0 <= t0 < T")
+
+
+def _horizon_times(t, T: float, what: str) -> np.ndarray:
+    """t as an array; InadmissibleParameter unless all of it lies in [0, T]."""
+    t = np.asarray(t, dtype=float)
+    if (t > T).any():
+        raise InadmissibleParameter(f"t = {t} is past the terminal time T = {T}")
+    if not (t >= 0.0).all():
+        raise InadmissibleParameter(f"t = {t} is before 0 or not a number; {what} covers [0, {T}]")
+    return t
 
 
 def reduction_terms(params: ModelParams, k: float) -> Tuple[float, ...]:
@@ -309,13 +310,11 @@ def wealth_offset(x1: float, t: float, params: ModelParams) -> float:
 
     Adds the discounted value of the net premium margin b - (1+theta1)
     *lambda*mu1 over [t, T]:  x = x1 + margin * (1 - e^{-r(T-t)})/r, with
-    the r -> 0 limit margin*(T-t).
+    the r -> 0 limit margin*(T-t).  InadmissibleParameter unless t is in [0, T].
     """
     hz, ins, r = params.horizon, params.insurance, params.market.r
-    if t > hz.T:
-        raise ValueError(f"t = {t} is past the terminal time T = {hz.T}")
+    tau = hz.T - float(_horizon_times(t, hz.T, "the wealth offset"))
     margin = ins.b - (1.0 + ins.theta1) * ins.lam * ins.mu1
-    tau = hz.T - t
     if abs(r) < 1e-12:
         return x1 + margin * tau
     return x1 + margin * (1.0 - math.exp(-r * tau)) / r
@@ -500,7 +499,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
                 "phi_not_unit",
                 abs(phi - 1.0) > _UNIT_PHI_TOL,
                 "error",
-                f"derived phi = {phi:.10g}; values within 1e-9 of 1 require --mode unit_eis",
+                f"derived phi = {phi:.10g}; values within {_UNIT_PHI_TOL:g} of 1 require --mode unit_eis",
             )
         case, diag = _a31_case(pf.gamma, phi)
         add(

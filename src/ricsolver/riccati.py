@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ComplexDiscriminant, FiniteTimeBlowup
+from .errors import ComplexDiscriminant, FiniteTimeBlowup, InadmissibleParameter
 
 __all__ = ["riccati_linear_zero_ic", "riccati_zero_ic", "riccati_zero_ic_integral"]
 
@@ -50,8 +50,8 @@ def riccati_zero_ic(tau, a: float, b: float, c: float):
     for every tau >= 0, so the formula is globally valid there.
     """
     th = np.asarray(tau, dtype=float)
-    if (th < 0.0).any():
-        raise ValueError("riccati_zero_ic needs tau >= 0")
+    if not (th >= 0.0).all():  # NaN fails too
+        raise InadmissibleParameter(f"riccati_zero_ic needs tau >= 0, got tau = {th}")
     theta, P, Q = _theta_pq(a, b, c)
     E = np.exp(-theta * th)
     out = 2.0 * c * (1.0 - E) / (P + Q * E)
@@ -66,8 +66,8 @@ def riccati_zero_ic_integral(tau, a: float, b: float, c: float):
     series when |Q z| is tiny, so the Q ~ 0 cancellation costs no precision.
     """
     th = np.asarray(tau, dtype=float)
-    if (th < 0.0).any():
-        raise ValueError("riccati_zero_ic_integral needs tau >= 0")
+    if not (th >= 0.0).all():  # NaN fails too
+        raise InadmissibleParameter(f"riccati_zero_ic_integral needs tau >= 0, got tau = {th}")
     theta, P, Q = _theta_pq(a, b, c)
     z = np.expm1(-theta * th) / (P + Q)
     qz = Q * z
@@ -113,8 +113,8 @@ def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: flo
     by a, so a = 0 is exact.
     """
     th = np.asarray(tau, dtype=float)
-    if (th < 0.0).any():
-        raise ValueError("riccati_linear_zero_ic needs tau >= 0")
+    if not (th >= 0.0).all():  # NaN fails too
+        raise InadmissibleParameter(f"riccati_linear_zero_ic needs tau >= 0, got tau = {th}")
     theta, P, Q = _theta_pq(a, b, c)
     k_hi = lam + 0.5 * Q
     decay = np.exp(-k_hi * th)

@@ -48,14 +48,13 @@ from .exact import (
     _check_factor,
     _check_wealth,
     _g_out_of_range,
-    _horizon_times,
     _LOG_MAX,
     _Surface,
     _tabulate,
     _to_coef_exact,
     strategy_from_ratio,
 )
-from .params import ModelParams, reduction_terms, require_inputs, require_preference
+from .params import ModelParams, _horizon_times, reduction_terms, require_inputs, require_preference
 from .quadrature import adaptive_gauss
 from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 

@@ -35,7 +35,7 @@ from .exact import (
     coeff_C,
     exact_coeffs,
 )
-from .params import ModelParams, derive_k_phi, reduction_terms
+from .params import ModelParams, derive_k_phi
 from .simulate import _steps
 from .uniteis import ExpQuadCoeffs, UnitEisSolver
 
@@ -280,28 +280,16 @@ def _bound_constants(co: ExactCoeffs) -> tuple[float, float, float]:
     """(b1, A1, A2) of the bounds |B| <= |b1| (s-t) and
     A >= A1 (T-t)(s-t) + A2 (s-t).
 
-    b1 scales the B bound; A1 = -h2_0 b1 and A2 is the constant drift of A
-    minus the C-bound tail.  The drift must include the time-preference
-    term -delta phi (it sits in the A equation through
-    ((1-gamma)/k) delta/(1-1/phi) = delta phi); without it the stated lower
-    bound on A is violated whenever delta phi > 0.
+    b1 scales the B bound; A1 = -h2_0 b1 and A2 is the constant drift h1_0
+    of A minus the C-bound tail.
     """
-    mk, pf = co.params.market, co.params.preference
-    base = co.base
-    k, Delta = base.k, base.Delta
+    mk, pf, base = co.params.market, co.params.preference, co.base
     one_g = 1.0 - pf.gamma
-    kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(co.params, k)
-    bracket = (
-        4.0 * (one_g - pf.Phi) * b0 * k * mk.beta * mk.rho1 / (one_g * (2.0 * kappa + Delta))
-        - 1.0
-    )
-    b1 = h1_1 * bracket
-    A2 = (
-        (one_g / k) * (mk.r + premium + claims)
-        - pf.delta * base.phi
-        - 2.0 * b0 * mk.beta**2 / (2.0 * kappa + Delta)
-    )
-    return b1, -h2_0 * b1, A2
+    denom = 2.0 * base.kappa + base.Delta
+    bracket = 4.0 * (one_g - pf.Phi) * base.b0 * base.k * mk.beta * mk.rho1 / (one_g * denom) - 1.0
+    b1 = co.h1_1 * bracket
+    A2 = co.h1_0 - 2.0 * base.b0 * mk.beta**2 / denom
+    return b1, -co.h2_0 * b1, A2
 
 
 def abc_bounds_margin(params: ModelParams, t, s):

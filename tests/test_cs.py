@@ -181,10 +181,10 @@ def test_solver_keeps_the_roots_reduction(monkeypatch):
                         lambda co: builds.append(co) or build(co))
     solver = CsSolver(ModelParams())
     assert len(ecos) == 1
-    assert solver.w.evaluations == len(builds) == 11
+    assert solver.w.evaluations == len(builds) == 10
     assert builds[-1] is solver.coeffs and solver.coeffs.disc == solver.w
     solver.strategy(0.5, 1.0, 0.0)
-    assert len(builds) == 11
+    assert len(builds) == 10
 
 
 # StrategyPoints of the cs and unit-EIS rules at the default calibration
@@ -192,15 +192,18 @@ def test_solver_keeps_the_roots_reduction(monkeypatch):
 # that recomputed H (cs) or computed an unused H (unit EIS); reusing H and
 # dropping the unused one must leave every bit in place.  The cs xi2 at
 # (0.5, 1, 0) is frozen from the closed-form L(0.5) = -0.020069752763339686,
-# which a 40-digit ODE solution (-0.0200697527633396851) confirms.
+# which a 40-digit ODE solution (-0.0200697527633396851) confirms.  The cs
+# entries were re-frozen when k and phi came from one factor D (k moved by
+# one ulp to the correctly rounded 8/35); each is within 2.2e-16 of a
+# 40-digit mpmath solution of the (G, L, H) ODEs with 40-digit constants.
 _CS_FROZEN = {
     (0.5, 1.0, 0.0): StrategyPoint(
-        pi=0.6321677688440498, q=0.08, c=0.6458075409837901, xi1=0.09885315698495203,
+        pi=0.6321677688440498, q=0.08, c=0.6458075409837902, xi1=0.09885315698495203,
         xi2=0.003972780740737167, xi3=0.07155417527999328, pi_over_x=0.6321677688440498,
-        q_over_x=0.08, c_over_x=0.6458075409837901),
+        q_over_x=0.08, c_over_x=0.6458075409837902),
     (0.73, 2.5, -1.4): StrategyPoint(
         pi=-7.22413124659235, q=0.2, c=1.7358396052984766, xi1=-0.4576556002180893,
-        xi2=-0.008121239071045012, xi3=0.07155417527999328, pi_over_x=-2.88965249863694,
+        xi2=-0.008121239071045014, xi3=0.07155417527999328, pi_over_x=-2.88965249863694,
         q_over_x=0.08, c_over_x=0.6943358421193906),
 }
 _UNIT_FROZEN = {
@@ -232,15 +235,18 @@ def test_strategies_bit_identical(base_params):
 # closed form: v_t, v_m, v_mm and v_xm moved by at most 3.0e-15 relative from
 # the kernel that read them off a lag table, and every field is within
 # 2.1e-15 of a DOP853 solution (rtol 2.5e-14) of the (A, B, C) ODEs with the
-# four g integrals (3.7e-15 before).
+# four g integrals (3.7e-15 before).  The exact and cs entries were
+# re-frozen when k and phi came from one factor D: each field moved by at
+# most 4.0e-16 and is within 9.2e-16 of a 40-digit mpmath solution (the
+# (A, B, C) or (G, L, H) ODEs and the g integrals, 40-digit constants).
 _VALUE_FROZEN = {
     ("exact", (0.5, 1.0, 0.0)): ValueDerivs(
-        v=-5.342028980244358, v_t=0.6058926858273145, v_x=1.0684057960488713,
-        v_xx=-1.2820869552586456, v_m=0.02277570995844509, v_mm=0.05072798874417346,
-        v_xm=-0.004555141991689017),
+        v=-5.342028980244358, v_t=0.6058926858273143, v_x=1.0684057960488713,
+        v_xx=-1.2820869552586456, v_m=0.022775709958445082, v_mm=0.050727988744173454,
+        v_xm=-0.004555141991689016),
     ("exact", (0.73, 2.5, -1.4)): ValueDerivs(
-        v=-4.308569953765397, v_t=0.5672246015045919, v_x=0.34468559630123163,
-        v_xx=-0.16544908622459115, v_m=-0.03889738257850699, v_mm=0.038165239071253236,
+        v=-4.308569953765397, v_t=0.5672246015045918, v_x=0.34468559630123163,
+        v_xx=-0.16544908622459115, v_m=-0.03889738257850699, v_mm=0.03816523907125325,
         v_xm=0.003111790606280558),
     ("unit_eis", (0.5, 1.0, 0.0)): ValueDerivs(
         v=-5.117487245672011, v_t=0.23257921956440777, v_x=1.023497449134402,
@@ -251,7 +257,7 @@ _VALUE_FROZEN = {
         v_xx=-0.1612467965210151, v_m=-0.03943365079231593, v_mm=0.03893406472294531,
         v_xm=0.0031546920633852733),
     ("cs", (0.5, 1.0, 0.0)): ValueDerivs(
-        v=-5.140847503076252, v_t=0.2781337689506351, v_x=1.02816950061525,
+        v=-5.140847503076252, v_t=0.27813376895063496, v_x=1.02816950061525,
         v_xx=-1.2338034007383, v_m=0.02358298020131943, v_mm=0.05106431855912825,
         v_xm=-0.004716596040263884),
     ("cs", (0.73, 2.5, -1.4)): ValueDerivs(

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 from ricsolver import (
@@ -17,7 +18,6 @@ from ricsolver import (
     derive_coeffs,
     derive_k_phi,
     exact_coeffs,
-    SolverError,
     UnitEisSolver,
     psi_eval,
     simulate_factor,
@@ -29,6 +29,7 @@ from ricsolver import (
     validate,
     wealth_offset,
 )
+from ricsolver.riccati import riccati_linear_zero_ic, riccati_zero_ic, riccati_zero_ic_integral
 from ricsolver.uniteis import coeff_G, coeff_H, coeff_L
 from ricsolver.verify import _bound_constants
 
@@ -79,14 +80,21 @@ def test_k_phi_degenerate():
 
 
 def test_k_phi_near_unit_phi_is_typed(base_params):
-    # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma = 0.2; just above
-    # it the k(1-phi)/(1-gamma) = -1 identity loses digits to cancellation
+    # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma = 0.2.  k and phi
+    # come from one factor D, so gamma = 0.2001 (phi - 1 = -1e-4) answers;
+    # only derived phi inside the unit-EIS band is refused, and typed
     p = repl(base_params, Phi=0.8, rho1=-0.5, gamma=0.2001)
-    with pytest.raises(DegenerateK):
-        derive_k_phi(0.2001, 0.8, -0.5)
-    with pytest.raises(SolverError):
-        ExactSolver(p)
-    assert not validate(p).ok
+    assert math.isfinite(ExactSolver(p).value(0.5, 1.0, 0.3))
+    assert validate(p).ok
+    gamma = 0.2 + 1e-7
+    p = repl(base_params, Phi=0.8, rho1=-0.5, gamma=gamma)
+    assert 0.0 < 1.0 - derive_k_phi(gamma, 0.8, -0.5)[1] < 1e-6
+    for solver in (ExactSolver, CsSolver):
+        with pytest.raises(DegenerateK, match="derived phi"):
+            solver(p)
+    report = validate(p)
+    assert "phi_not_unit" in [c.name for c in report.hard_failures]
+    assert "k_phi_derivable" in [c.name for c in report.checks if c.passed]
 
 
 def test_k_phi_refuses_correlation_outside_unit_interval(base_params):
@@ -104,8 +112,8 @@ def test_k_phi_refuses_correlation_outside_unit_interval(base_params):
 
 
 def test_exact_coeffs_unit_phi_is_typed(base_params):
-    # 1 - gamma - Phi = 2^-40 exactly, so derive_k_phi's identity holds, but
-    # derived phi = 1 + 2^-40 lies inside exact_coeffs' 1e-9 band around 1
+    # 1 - gamma - Phi = 2^-40 exactly, so derive_k_phi answers, but derived
+    # phi = 1 + 2^-40 (1 + 2^-42) lies inside exact_coeffs' band around 1
     Phi = 0.5 - 2.0**-40
     p = repl(base_params, gamma=0.5, Phi=Phi, rho1=-0.5)
     _, phi = derive_k_phi(0.5, Phi, -0.5)
@@ -274,6 +282,16 @@ def _riskless_wealth(params, x0=1.0):
     (dict(), lambda p: _riskless_wealth(p, math.nan), NonpositiveWealth),
     (dict(), lambda p: CsSolver(p, w=-1.0), InadmissibleParameter),
     (dict(), lambda p: CsSolver(p, w=math.nan), InadmissibleParameter),
+    # the exported Riccati closed forms at a negative or NaN lag
+    (dict(), lambda p: riccati_zero_ic(-0.1, -0.1, -10.0, 0.1), InadmissibleParameter),
+    (dict(), lambda p: riccati_zero_ic_integral(math.nan, -0.1, -10.0, 0.1),
+     InadmissibleParameter),
+    (dict(), lambda p: riccati_linear_zero_ic(np.array([0.2, math.nan]), -0.1, -10.0, 0.1,
+                                              5.0, 0.2, -0.1), InadmissibleParameter),
+    # the wealth offset at a time past T, NaN or before 0
+    (dict(), lambda p: wealth_offset(1.0, 1.5, p), InadmissibleParameter),
+    (dict(), lambda p: wealth_offset(1.0, math.nan, p), InadmissibleParameter),
+    (dict(), lambda p: wealth_offset(1.0, -3.0, p), InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
@@ -281,7 +299,9 @@ def _riskless_wealth(params, x0=1.0):
         "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs",
         "rho1-exact", "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth",
         "nan-t-exact", "nan-t-cs", "nan-t-unit", "past-T-G", "nan-t-L", "nan-t-H",
-        "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs"])
+        "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs",
+        "negative-tau-riccati", "nan-tau-integral", "nan-tau-linear", "past-T-offset",
+        "nan-t-offset", "negative-t-offset"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))

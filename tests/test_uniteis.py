@@ -181,9 +181,10 @@ def test_g_m_consistency(base_params):
 
 def test_exact_mode_converges_to_unit_eis(base_params):
     # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma* = 0.2.  At
-    # gamma* + eps the exact mode's gaps to the unit-EIS solution at gamma*
-    # fall linearly in 1 - phi (about 2.7, 0.195 and 1.41 times 1 - phi for
-    # pi/x, c/x and v), so each tenfold cut of eps cuts them about tenfold.
+    # gamma* + eps the exact and cs modes' gaps to the unit-EIS solution at
+    # gamma* fall linearly in 1 - phi (about 2.7, 0.195 and 1.41 times 1 - phi
+    # for pi/x, c/x and v), so each tenfold cut of eps cuts them about
+    # tenfold, down to eps = 1e-5, ten times the unit-EIS band of derived phi.
     def at(gamma):
         return dataclasses.replace(
             base_params,
@@ -194,14 +195,15 @@ def test_exact_mode_converges_to_unit_eis(base_params):
     point = (0.5, 1.0, 0.3)
     unit = UnitEisSolver(at(0.2))
     su, vu = unit.strategy(*point), unit.value(*point)
-    gaps = []
-    for eps in (1e-1, 1e-2, 1e-3):
-        ex = ExactSolver(at(0.2 + eps))
-        s, v = ex.strategy(*point), ex.value(*point)
-        gaps.append(np.array([abs(s.pi_over_x - su.pi_over_x),
-                              abs(s.c_over_x - su.c_over_x), abs(v - vu)]))
-    for coarse, fine in zip(gaps, gaps[1:]):
-        assert np.all(fine * 6.0 <= coarse), (coarse, fine)
+    for solver in (ExactSolver, CsSolver):
+        gaps = []
+        for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5):
+            ex = solver(at(0.2 + eps))
+            s, v = ex.strategy(*point), ex.value(*point)
+            gaps.append(np.array([abs(s.pi_over_x - su.pi_over_x),
+                                  abs(s.c_over_x - su.c_over_x), abs(v - vu)]))
+        for coarse, fine in zip(gaps, gaps[1:]):
+            assert np.all(fine * 6.0 <= coarse), (solver.__name__, coarse, fine)
 
 
 # ---------------------------------------------------------------- #

@@ -27,7 +27,8 @@ from ricsolver import (
 )
 
 from ricsolver.exact import coeff_A
-from ricsolver.verify import MC_DT, _fk_paths, _fk_steps, _lag_pairs, _ou_step, pde_suite
+from ricsolver.verify import (MC_DT, _fk_paths, _fk_steps, _lag_pairs, _ou_step, fd_suite, pde_suite,
+                              saddle_suite)
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -208,9 +209,20 @@ def test_coefficient_checks_on_arrays_match_pointwise(base_params):
     assert abc_ode_residual(base_params, np.array([0.0, 5e-5, 0.2]), 1.0).max() <= 1e-9
 
 
+def test_suites_pass_next_to_unit_phi(base_params):
+    # Phi = 0.8, rho1 = -0.5 put derived phi = 1 at gamma = 0.2; ten times
+    # the unit-EIS band above it, k = (1-gamma)/(phi-1) is about -8e4 and
+    # every row of the saddle, pde and fd suites still passes
+    p = repl(base_params, Phi=0.8, rho1=-0.5, gamma=0.2 + 1e-5)
+    rows = saddle_suite(p, samples=20, seed=0) + pde_suite(p) + fd_suite(p)
+    assert len(rows) == 100 + 4 + 20
+    failed = [r for r in rows if not r.passed]
+    assert not failed, failed
+
+
 def test_pde_suite_builds_one_unit_table(base_params, monkeypatch):
     # the unit-EIS row and the negative control share one solver: one H
-    # table for unit EIS, eleven for the cs root's evaluations
+    # table for unit EIS, ten for the cs root's evaluations
     import ricsolver.uniteis as uniteis_mod
 
     calls = []
@@ -218,7 +230,7 @@ def test_pde_suite_builds_one_unit_table(base_params, monkeypatch):
     monkeypatch.setattr(uniteis_mod, "_build_h_table", lambda co: calls.append(co) or build(co))
     rows = pde_suite(base_params)
     assert all(r.passed for r in rows)
-    assert len(calls) == 12
+    assert len(calls) == 11
     assert sum(co.disc == base_params.preference.delta for co in calls) == 1
 
 
