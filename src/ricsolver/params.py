@@ -372,22 +372,25 @@ def _a31_case(gamma: float, phi: float) -> Tuple[Optional[str], str]:
     (ii)  gamma > 1, phi < 1 and gamma*phi <= 1
     (iii) gamma < 1, phi < 1
     (iv)  gamma < 1, phi > 1 and gamma*phi >= 1
-    Returns (case or None, diagnostic message).
+    Returns (case or None, diagnostic message).  The message prints each
+    number in its shortest round-trip form, so a printed inequality holds
+    for the printed numbers.
     """
+    gamma, phi = float(gamma), float(phi)
     gp = gamma * phi
     if gamma > 1.0 and phi > 1.0:
-        return "i", f"gamma={gamma:g} > 1 and phi={phi:g} > 1"
+        return "i", f"gamma={gamma!r} > 1 and phi={phi!r} > 1"
     if gamma > 1.0 and phi < 1.0:
         if gp <= 1.0:
-            return "ii", f"gamma={gamma:g} > 1, phi={phi:g} < 1, gamma*phi={gp:g} <= 1"
-        return None, f"gamma>1 and phi<1 but gamma*phi={gp:g} > 1 breaks case (ii)"
+            return "ii", f"gamma={gamma!r} > 1, phi={phi!r} < 1, gamma*phi={gp!r} <= 1"
+        return None, f"gamma>1 and phi<1 but gamma*phi={gp!r} > 1 breaks case (ii)"
     if gamma < 1.0 and phi < 1.0:
-        return "iii", f"gamma={gamma:g} < 1 and phi={phi:g} < 1"
+        return "iii", f"gamma={gamma!r} < 1 and phi={phi!r} < 1"
     if gamma < 1.0 and phi > 1.0:
         if gp >= 1.0:
-            return "iv", f"gamma={gamma:g} < 1, phi={phi:g} > 1, gamma*phi={gp:g} >= 1"
-        return None, f"gamma<1 and phi>1 but gamma*phi={gp:g} < 1 breaks case (iv)"
-    return None, f"no case covers gamma={gamma:g}, phi={phi:g}"
+            return "iv", f"gamma={gamma!r} < 1, phi={phi!r} > 1, gamma*phi={gp!r} >= 1"
+        return None, f"gamma<1 and phi>1 but gamma*phi={gp!r} < 1 breaks case (iv)"
+    return None, f"no case covers gamma={gamma!r}, phi={phi!r}"
 
 
 def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...] = ()) -> ValidationReport:

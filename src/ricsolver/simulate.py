@@ -442,6 +442,11 @@ class TabulatedStrategy:
     its m cells once and blends their neighbours for all four surfaces
     together.  Interpolation error is O(grid step squared), well under the
     Euler discretization error for the default grid.
+
+    The last lookup is kept, keyed on t and a copy of the contents of m, so
+    a wealth step's strategy_fn and distortion_fn calls at the same (t, m)
+    locate the cells once.  The kept values are read-only: the arrays
+    distortion_fn returns are views of them and refuse in-place writes.
     """
 
     def __init__(self, t_nodes, m_nodes, pi_grid, c_grid, q_ratio, xi1_grid,
@@ -458,6 +463,7 @@ class TabulatedStrategy:
             raise ValueError(f"ratio grids must have shape {(self._t.size, self._m.size)}")
         self.q_ratio = float(q_ratio)
         self.xi3 = float(xi3)
+        self._last = None  # (t, copy of m, values) of the last lookup
 
     @classmethod
     def from_exact(
@@ -474,12 +480,24 @@ class TabulatedStrategy:
                    sp.xi1, sp.xi2, sp.xi3)
 
     def _lookup(self, t, m) -> np.ndarray:
+        """(..., 4) read-only _interp values, kept for the next call at the
+        same t and the same contents of m."""
+        t, last = float(t), self._last
+        if last is not None and last[0] == t and np.array_equal(last[1], m):
+            return last[2]
+        m = np.array(m, dtype=float)  # a copy: the caller may write to its m
+        r = self._interp(t, m)
+        r.flags.writeable = False
+        self._last = (t, m, r)  # one tuple: a reader never sees half an update
+        return r
+
+    def _interp(self, t: float, m) -> np.ndarray:
         """(..., 4) bilinear values at scalar t and array m, clipped to the box."""
         tn, mn, v = self._t, self._m, self._v
-        t = min(max(float(t), tn[0]), tn[-1])
+        t = min(max(t, tn[0]), tn[-1])
         i = min(int(np.searchsorted(tn, t, side="right")) - 1, tn.size - 2)
         wt = (t - tn[i]) / (tn[i + 1] - tn[i])
-        m = np.clip(np.asarray(m, dtype=float), mn[0], mn[-1])
+        m = np.clip(m, mn[0], mn[-1])
         j = np.minimum(np.searchsorted(mn, m, side="right") - 1, mn.size - 2)
         wm = ((m - mn[j]) / (mn[j + 1] - mn[j]))[..., None]
         row = v[i] * (1.0 - wt) + v[i + 1] * wt

@@ -17,6 +17,9 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable
@@ -498,6 +501,46 @@ def _fk_steps(span: float, dt: float) -> tuple[int, float]:
     return (0, 0.0) if span == 0.0 else _steps(span, dt)
 
 
+def _normal_blocks(rng: np.random.Generator, n_paths: int, n_steps: int):
+    """The n_steps standard-normal blocks of n_paths that rng draws in turn,
+    each drawn one step ahead on a worker thread.
+
+    The worker owns rng and fills two buffers in turn: it draws block k + 1
+    while the caller uses block k, which goes back to the worker when the
+    caller asks for the next one.  One stream drawn in order gives the bits
+    of a serial loop.  An exception in the draw is raised to the caller.
+    Close the generator (contextlib.closing) so the worker is joined on
+    every exit, return or raise.
+    """
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty(n_paths))
+
+    def draw():
+        try:
+            for _ in range(n_steps):
+                z = free.get()
+                if z is None:  # the caller stopped early
+                    return
+                rng.standard_normal(out=z)
+                filled.put(z)
+        except BaseException as exc:
+            filled.put(exc)
+
+    worker = threading.Thread(target=draw, name="ricsolver-fk-normals", daemon=True)
+    worker.start()
+    try:
+        for _ in range(n_steps):
+            z = filled.get()
+            if isinstance(z, BaseException):
+                raise z
+            yield z
+            free.put(z)
+    finally:
+        free.put(None)
+        worker.join()
+
+
 def _fk_paths(
     params: ModelParams,
     t: float,
@@ -514,7 +557,10 @@ def _fk_paths(
     the only step bias left is the trapezoid's, second order in dt.
     Returns (I_final, S_running) where I_final[i] = int_t^s H1 along path i
     (trapezoid) and S_running[i] = int_t^s exp(I(u)) du (trapezoid in u,
-    present only when collect_running).
+    present only when collect_running).  One Philox(seed) stream gives one
+    normal block per step; a worker thread draws it one step ahead of the
+    step arithmetic (_normal_blocks), so the bits are those of drawing
+    each block at the top of its step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths = {n_paths} must be >= 1")
@@ -537,30 +583,30 @@ def _fk_paths(
     # Each step updates these buffers in place, in the operation order of
     # mv = decay mv + shift + sd z, H1(mv) = h1_0 + h1_1 mv - b0 mv mv,
     # I += (h/2)(H1 before + H1 after) and S += (h/2)(e^I before + e^I after).
-    z, h1_new, tmp = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+    h1_new, tmp = np.empty(n_paths), np.empty(n_paths)
     e = np.empty(n_paths) if collect_running else None
     half_h = 0.5 * h
-    for _ in range(n_steps):
-        rng.standard_normal(out=z)
-        mv *= decay
-        mv += shift
-        z *= sd
-        mv += z
-        np.multiply(mv, eco.h1_1, out=h1_new)
-        h1_new += eco.h1_0
-        np.multiply(mv, eco.base.b0, out=tmp)
-        tmp *= mv
-        h1_new -= tmp
-        np.add(h1_prev, h1_new, out=tmp)
-        tmp *= half_h
-        I += tmp
-        h1_prev, h1_new = h1_new, h1_prev
-        if collect_running:
-            np.exp(I, out=e)
-            np.add(exp_prev, e, out=tmp)
+    with closing(_normal_blocks(rng, n_paths, n_steps)) as blocks:
+        for z in blocks:
+            mv *= decay
+            mv += shift
+            z *= sd
+            mv += z
+            np.multiply(mv, eco.h1_1, out=h1_new)
+            h1_new += eco.h1_0
+            np.multiply(mv, eco.base.b0, out=tmp)
+            tmp *= mv
+            h1_new -= tmp
+            np.add(h1_prev, h1_new, out=tmp)
             tmp *= half_h
-            S += tmp
-            exp_prev, e = e, exp_prev
+            I += tmp
+            h1_prev, h1_new = h1_new, h1_prev
+            if collect_running:
+                np.exp(I, out=e)
+                np.add(exp_prev, e, out=tmp)
+                tmp *= half_h
+                S += tmp
+                exp_prev, e = e, exp_prev
     return I, S
 
 
@@ -587,7 +633,10 @@ def mc_feynman_kac(
 
     Exact OU factor steps of uniform width span/round(span/dt) (dt is a
     target), one counter-based stream for the whole batch with one draw
-    block per step, trapezoid accumulation of the discount integral.
+    block per step, trapezoid accumulation of the discount integral.  A
+    worker thread draws each block one step ahead of the step arithmetic
+    and is joined before the call returns or raises; the stream is drawn
+    in order, so the result has the bits of a serial loop.
     """
     I, _ = _fk_paths(params, t, m, s, n_paths, dt, seed, collect_running=False)
     return _mean_se(np.exp(I))

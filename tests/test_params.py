@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -170,6 +171,32 @@ def test_validate_default_ok(base_params):
     report = validate(base_params)
     assert report.ok
     assert not report.hard_failures
+
+
+_CASE_TERM = re.compile(r"(gamma\*phi|gamma|phi)=(\S+?),? (<=|>=|<|>) 1\b")
+
+
+@pytest.mark.parametrize("gamma, Phi, rho1", [
+    (1.2, 0.8, -0.5),         # the default calibration, case (ii)
+    (0.2000001, 0.8, -0.5),   # case (iii), phi = 1 - 1e-7 up to rounding
+    (1.0000001, 0.0, -0.9),   # case (ii), gamma*phi = 1 - 2e-15
+    (0.2000001, 0.0, -0.9),   # gamma*phi < 1 breaks case (iv)
+])
+def test_validate_aggregator_case_prints_round_trip_numbers(base_params, gamma, Phi, rho1):
+    # each printed number parses back to the float it names, and the
+    # printed inequality holds for it
+    _, phi = derive_k_phi(gamma, Phi, rho1)
+    exact = {"gamma": gamma, "phi": float(phi), "gamma*phi": gamma * float(phi)}
+    report = validate(repl(base_params, gamma=gamma, Phi=Phi, rho1=rho1))
+    (msg,) = [c.message for c in report.checks if c.name == "aggregator_case"]
+    terms = _CASE_TERM.findall(msg)
+    assert terms, msg
+    holds = {"<": float.__lt__, ">": float.__gt__, "<=": float.__le__, ">=": float.__ge__}
+    for name, text, op in terms:
+        assert float(text) == exact[name] and repr(float(text)) == text, msg
+        assert holds[op](float(text), 1.0), msg
+    if (gamma, Phi, rho1) == (1.2, 0.8, -0.5):
+        assert msg == "case (ii) holds: gamma=1.2 > 1, phi=0.125 < 1, gamma*phi=0.15 <= 1"
 
 
 def test_validate_premium_loading_hard_failure(base_params):

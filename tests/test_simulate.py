@@ -245,6 +245,56 @@ def test_tabulated_lookup_matches_scipy_bilinear():
         assert np.array_equal(q, 0.08 * x) and np.all(xi3 == -0.2)
 
 
+def _counting_interp(tab):
+    """Wrap tab's uncached cell lookup and return its call counter."""
+    calls, interp = [0], tab._interp
+
+    def spy(t, m):
+        calls[0] += 1
+        return interp(t, m)
+
+    tab._interp = spy
+    return calls
+
+
+def test_tabulated_locates_cells_once_per_t_and_m(base_params):
+    tab = TabulatedStrategy.from_exact(base_params)
+    fresh = TabulatedStrategy.from_exact(base_params)
+    calls = _counting_interp(tab)
+    m = np.linspace(-2.0, 2.0, 9)
+    x = np.full(9, 1.5)
+    pi, q, c = tab.strategy_fn(0.7, x, m)
+    xi = tab.distortion_fn(0.7, m.copy())  # equal contents, another array
+    assert calls[0] == 1
+    for got, want in zip((pi, q, c) + xi, fresh.strategy_fn(0.7, x, m) + fresh.distortion_fn(0.7, m)):
+        assert np.array_equal(got, want)
+    # the kept values refuse in-place writes, so a caller cannot corrupt them
+    with pytest.raises(ValueError, match="read-only"):
+        xi[0][0] = 99.0
+    # a new t, or m written in place, is located afresh
+    tab.distortion_fn(0.8, m)
+    m[3] += 0.25
+    xi_new = tab.distortion_fn(0.8, m)
+    assert calls[0] == 3
+    for got, want in zip(xi_new, fresh.distortion_fn(0.8, m)):
+        assert np.array_equal(got, want)
+
+
+def test_tabulated_memo_keeps_wealth_bits(base_params):
+    # Q_xi wealth paths with the kept lookup equal those with none
+    tab = TabulatedStrategy.from_exact(base_params)
+    plain = TabulatedStrategy.from_exact(base_params)
+    plain._lookup = lambda t, m: plain._interp(float(t), np.array(m, dtype=float))
+    calls = _counting_interp(tab)
+    runs = [simulate_wealth(base_params, 1.0, s.strategy_fn, measure="Q_xi",
+                            distortion_fn=s.distortion_fn, dt=1e-2, seed=17, n_paths=200)
+            for s in (tab, plain)]
+    n_steps = runs[0].mesh.size - 1
+    assert calls[0] == n_steps + 1  # one per step, not one per call
+    for field in ("x", "m", "pi_ratio", "q_ratio", "c_ratio"):
+        assert np.array_equal(getattr(runs[0], field), getattr(runs[1], field))
+
+
 def test_tabulated_rejects_bad_nodes():
     grid = np.zeros((3, 3))
     args = (grid, grid, 0.1, grid, grid, 0.0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -509,6 +510,75 @@ def test_fk_paths_in_place_matches_plain_loop(base_params, collect_running, beta
         I_ref, S_ref = _fk_paths_reference(*args)
         assert np.all(I == I_ref)
         assert (S is None and S_ref is None) or np.all(S == S_ref)
+
+
+class _Draws:
+    """Stands in for np.random.Generator: fill(out) writes each normal block
+    and records the thread that drew it."""
+
+    def __init__(self, fill):
+        self.fill, self.threads = fill, []
+
+    def __call__(self, bit_generator):
+        return self
+
+    def standard_normal(self, out):
+        self.threads.append(threading.current_thread())
+        self.fill(out)
+
+
+@pytest.mark.parametrize("collect_running", [False, True])
+def test_fk_paths_draws_on_a_worker_joined_on_return(base_params, monkeypatch, collect_running):
+    args = (base_params, 0.5, 0.4, 1.0, 2_000, 1e-3, 5, collect_running)
+    want = _fk_paths(*args)
+    real = np.random.Generator(np.random.Philox(5))
+    draws = _Draws(lambda out: real.standard_normal(out=out))
+    monkeypatch.setattr(np.random, "Generator", draws)
+    before = threading.active_count()
+    got = _fk_paths(*args)
+    assert threading.active_count() == before
+    assert len(draws.threads) == 500
+    assert all(th is not threading.current_thread() for th in draws.threads)
+    for a, b in zip(got, want):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("collect_running", [False, True])
+def test_fk_paths_joins_worker_when_a_step_raises(base_params, monkeypatch, collect_running):
+    # normals of 1e300 overflow mv * b0 * mv in the caller's step arithmetic
+    monkeypatch.setattr(np.random, "Generator", _Draws(lambda out: out.fill(1e300)))
+    before = threading.active_count()
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        _fk_paths(base_params, 0.5, 0.4, 1.0, 2_000, 1e-3, 5, collect_running)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("collect_running", [False, True])
+def test_fk_paths_raises_the_draws_exception(base_params, monkeypatch, collect_running):
+    n = [0]
+
+    def fill(out):
+        n[0] += 1
+        if n[0] == 3:
+            raise RuntimeError("draw 3 failed")
+        out.fill(0.0)
+
+    monkeypatch.setattr(np.random, "Generator", _Draws(fill))
+    before = threading.active_count()
+    caught = []
+
+    def call():
+        try:
+            _fk_paths(base_params, 0.5, 0.4, 1.0, 2_000, 1e-3, 5, collect_running)
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)  # a hang fails here instead of stalling the suite
+    assert not caller.is_alive(), "the draw's exception left the caller waiting"
+    assert [str(e) for e in caught] == ["draw 3 failed"]
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------- #
