@@ -22,15 +22,16 @@ common one-shot approximation.
 The reinsurance ratio q/x is untouched by the approximation and stays
 identical to the exact mode's at machine precision.
 
-The mode's coefficient object is the ExpQuadCoeffs that cs_reduction builds
-from the exact mode's ExactCoeffs at w; CsSolver is an ExpQuadSurface, so
-its g, value and derivatives are the unit-EIS mode's code on these
-constants, and its strategy is the exact mode's rule on that g.
+The mode's coefficient object is the exact mode's zero-discount reduction
+(ExactCoeffs.lag) with the discount swapped to w (cs_reduction); CsSolver is
+an ExpQuadSurface, so its g, value and derivatives are the unit-EIS mode's
+code on these constants, and its strategy is the exact mode's rule on g.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 from .errors import FixedPointDivergence, InadmissibleParameter
 from .exact import ExactCoeffs, _Surface, exact_coeffs
@@ -53,27 +54,18 @@ def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
     """ExpQuadCoeffs of the log-linearized mode at steady level w, built
     from the exact mode's coefficients eco.
 
-    Everything except the consumption term is shared with the exact mode,
-    so the affine sources h1_0, h1_1, h2_0 are taken from there verbatim;
-    the linearization only adds w (1 - ln w + phi ln delta) to the constant
-    source and swaps the discount rate to w.  G0 is the completion-of-
-    squares leftover, identically zero at the derived exponent k; it is
-    computed from its formula rather than pinned to zero.
+    It is eco.lag, the exact mode's zero-discount reduction, with the
+    discount rate w and with w (1 - ln w + phi ln delta) added to its
+    constant source: everything except the consumption term is shared with
+    the exact mode.  G0 is the completion-of-squares leftover, identically
+    zero at the derived exponent k; it is computed from its formula rather
+    than pinned to zero.
     """
     if not w > 0.0:  # NaN fails too
         raise InadmissibleParameter(f"steady consumption-wealth level w = {w!r} must be positive")
-    params, base = eco.params, eco.base
-    p0 = eco.h1_0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
-    return ExpQuadCoeffs(
-        params=params,
-        G0=quadratic_noise_coeff(base.k, params),
-        G3=base.b0,
-        disc=w,
-        d1=-base.kappa,
-        h1_src=eco.h1_1,
-        h2_0=eco.h2_0,
-        p0=p0,
-    )
+    params, base, lag = eco.params, eco.base, eco.lag
+    p0 = lag.p0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
+    return replace(lag, G0=quadratic_noise_coeff(base.k, params), disc=w, p0=p0)
 
 
 class SteadyLevel(float):

@@ -11,25 +11,22 @@ where (A, B, C) solve, backward in t with A = B = C = 0 at t = s,
     dB/dt = (kappa + 2 beta^2 C) B - 2 h2_0 C + h1_1
     dA/dt = -(1/2) beta^2 B^2 + beta^2 C + h2_0 B - h1_0.
 
-Every coefficient of these ODEs is constant, so A, B and C depend on the
-lag tau = s - t only.  In tau, C is the zero-initial-value Riccati kernel of
-riccati.py and B its linear companion (riccati_linear_zero_ic), both closed
-form; A is the integral of its right-hand side over the lag.
+The coefficients are constant, so A, B and C depend on the lag tau = s - t
+only, and there (-C, -B, A) are the (G, L, H) of an exponential-quadratic
+reduction at zero discount (ExactCoeffs.lag, an ExpQuadCoeffs of the family
+uniteis solves): B and C are -L and -G of it, closed form (riccati.py).
 
 For a fixed m, g at every t is one Chebyshev antiderivative of
 h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), A-hat(tau) = A(0, tau)
-and so on, read at tau = T - t.  Per node count the g kernel (LagKernel)
-samples B-hat, C-hat and the right-hand side of A-hat in closed form at
-the first-kind Chebyshev points of [0, T], takes A-hat as the
-antiderivative of that series, and keeps the samples with the backward-ODE
-right-hand sides.  g_bundle reads g on the grid t x m: one exponential and
-one coefficient transform per m, one read row per t, no quadrature.  The
-series helpers and the doubling rule here also serve the H table of the
-exponential-quadratic modes (LagTable, uniteis).
-
-coeff_B and coeff_C are the closed forms at any pair t <= s, and coeff_A
-reads the kernel's own series of A-hat there, so the verification layer
-checks the coefficients g uses.  Nothing here runs a quadrature.
+and so on, read at tau = T - t.  The g kernel (LagKernel) samples B-hat,
+C-hat and the right-hand side of A-hat at the first-kind Chebyshev points
+of [0, T], takes A-hat as the antiderivative of their series, and keeps the
+samples with the backward-ODE right-hand sides.  g_bundle reads g on the
+grid t x m: one exponential and one coefficient transform per m, one read
+row per t, no quadrature.  One series type (LagSeries) and one doubling
+loop (_tabulate) serve the kernel's lag functions and the H table of every
+exponential-quadratic reduction.  coeff_A reads the kernel's own series of
+A-hat, so the verification layer checks the coefficients g uses.
 """
 
 from __future__ import annotations
@@ -65,12 +62,66 @@ _EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
+class ExpQuadCoeffs:
+    """Constants of one exponential-quadratic reduction, with the
+    parameter set it was built from.  g = exp(G m^2 + L m + H) solves
+
+        g_t + (1/2) beta^2 g_mm + G0 g_m^2 / g + H2(m) g_m + (H1(m) - disc ln g) g = 0
+
+    when (G, L, H) solve the equations of uniteis.  disc is the discount
+    rate on L and H (delta at unit EIS, the steady level w in cs, 0 in
+    ExactCoeffs.lag); d1 is the slope of the m-drift; h1_src the constant
+    source in the L equation; p0 the constant source in the H equation.
+    """
+
+    params: ModelParams
+    G0: float
+    G3: float
+    disc: float
+    d1: float
+    h1_src: float
+    h2_0: float
+    p0: float
+
+    @property
+    def G1(self) -> float:
+        return -2.0 * (self.params.market.beta**2 + 2.0 * self.G0)
+
+    @property
+    def G2(self) -> float:
+        return self.disc - 2.0 * self.d1
+
+    def kernel_abc(self) -> tuple[float, float, float]:
+        """Riccati coefficients of G in the lag variable tau = T - t."""
+        return -self.G1, -self.G2, -self.G3
+
+    def H1(self, m):
+        """Discount of the reduced equation, p0 + h1_src m - G3 m^2."""
+        return self.p0 + self.h1_src * m - self.G3 * m * m
+
+    def H2(self, m):
+        """Factor drift of the reduced equation, h2_0 + d1 m."""
+        return self.h2_0 + self.d1 * m
+
+    def source(self, G, L):
+        """The source of the H equation less p0,
+        (beta^2/2 + G0) L^2 + h2_0 L + beta^2 G."""
+        beta2 = self.params.market.beta**2
+        return (0.5 * beta2 + self.G0) * L * L + self.h2_0 * L + beta2 * G
+
+    @cached_property
+    def h_table(self) -> "LagSeries":
+        """H at t = T - tau for tau in [0, T]; built at first use, then shared."""
+        return _build_h_table(self)
+
+
+@dataclass(frozen=True)
 class ExactCoeffs:
     """DerivedCoeffs plus the reduced-equation constants.
 
     The reduced equation for g is
-        g_t + (1/2) beta^2 g_mm + H2(m) g_m + H1(m) g + delta^phi = 0
-    with the discount H1 and the drift H2 below.
+        g_t + (1/2) beta^2 g_mm + H2(m) g_m + H1(m) g + delta^phi = 0,
+    with the discount H1 and the drift H2 of lag.
     """
 
     params: ModelParams
@@ -80,13 +131,21 @@ class ExactCoeffs:
     h2_0: float
     delta_phi: float
 
+    @cached_property
+    def lag(self) -> ExpQuadCoeffs:
+        """The zero-discount reduction (disc = G0 = 0) that h = exp(A - B m
+        - C m^2) solves: B and C are its -L and -G at the lag, A its H."""
+        base = self.base
+        return ExpQuadCoeffs(params=self.params, G0=0.0, G3=base.b0, disc=0.0, d1=-base.kappa,
+                             h1_src=self.h1_1, h2_0=self.h2_0, p0=self.h1_0)
+
     def H1(self, m):
-        """Discount of the reduced equation, h1_0 + h1_1 m - b0 m^2."""
-        return self.h1_0 + self.h1_1 * m - self.base.b0 * m * m
+        """Discount of the reduced equation, lag.H1."""
+        return self.lag.H1(m)
 
     def H2(self, m):
-        """Factor drift of the reduced equation, h2_0 - kappa m."""
-        return self.h2_0 - self.base.kappa * m
+        """Factor drift of the reduced equation, lag.H2."""
+        return self.lag.H2(m)
 
     @cached_property
     def _lag_kernels(self) -> dict:
@@ -95,46 +154,40 @@ class ExactCoeffs:
     def lag_kernel(self, n: int) -> "LagKernel":
         """The g kernel's samples at n Chebyshev points, or at the first
         doubling of n where the lag functions' series converge; built at
-        the first g that asks for n, then shared under n."""
+        the first g that asks for n, then kept under n and under its own
+        node count."""
         kernel = self._lag_kernels.get(n)
         if kernel is None:
             kernel = self._lag_kernels[n] = _build_lag_kernel(self, n)
+            self._lag_kernels[kernel.nodes] = kernel
         return kernel
 
 
 @dataclass(frozen=True)
-class LagTable:
-    """Chebyshev interpolants of functions of the lag tau in [0, span]: of
-    H at t = T - tau in the exponential-quadratic modes
-    (uniteis.ExpQuadCoeffs.h_table).  The exact mode samples its lag
-    functions in its g kernel (LagKernel).
-
-    Column j of coef holds the Chebyshev coefficients of the j-th function
-    in y = 2 tau / span - 1.  tail, the error estimate, is the largest of the
-    highest-degree eighth of any column relative to max(1, that column's
-    largest coefficient): an absolute measure for the O(1) exponents these
-    functions are.
+class LagSeries:
+    """Chebyshev series of k functions of the lag tau in [0, span] from
+    samples at `nodes` first-kind Chebyshev points: H of an exponential-
+    quadratic reduction (ExpQuadCoeffs.h_table), the g kernel's lag
+    functions (LagKernel.series).  Row i of rows holds the i-th function's
+    coefficients in y = 2 tau / span - 1; H's row is one longer, since the
+    antiderivative adds a degree.  tail, the error estimate, is the largest
+    _tail of the rows: an absolute measure for these O(1) exponents.
     """
 
     span: float
-    coef: np.ndarray
+    nodes: int
+    rows: np.ndarray
     tail: float
 
-    @property
-    def nodes(self) -> int:
-        """Chebyshev points sampled; coef runs to degree n, one above the
-        n-point interpolants, since the antiderivative H adds one."""
-        return self.coef.shape[0] - 1
-
     def __call__(self, tau) -> np.ndarray:
-        """The tabulated functions at the lags tau; shape tau.shape + (k,).
+        """The functions read at the lags tau; shape tau.shape + (k,).
 
         The basis is cos(j arccos y) directly: numpy's chebval is a Python
         loop over the degree and would cost more than the rest of g.
         """
         y = 2.0 * np.asarray(tau, dtype=float) / self.span - 1.0
         y = np.minimum(np.maximum(y, -1.0), 1.0)
-        return _cheb_basis(np.arccos(y), self.coef.shape[0]) @ self.coef
+        return _cheb_basis(np.arccos(y), self.rows.shape[-1]) @ self.rows.T
 
 
 @dataclass(frozen=True)
@@ -206,20 +259,15 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
 # ---------------------------------------------------------------- #
 # A, B, C
 
-def _lag_C(tau, co: ExactCoeffs):
-    """C at lag tau: y' = -2 beta^2 y^2 - 2 kappa y + b0, y(0) = 0."""
-    return riccati_zero_ic(
-        tau, -2.0 * co.params.market.beta**2, -2.0 * co.base.kappa, co.base.b0
-    )
+def _lag_G(tau, co: ExpQuadCoeffs):
+    """G at lag tau = T - t: y' = -G1 y^2 - G2 y - G3, y(0) = 0."""
+    return riccati_zero_ic(tau, *co.kernel_abc())
 
 
-def _lag_B(tau, co: ExactCoeffs):
-    """B at lag tau: z' = -(kappa + 2 beta^2 C) z + 2 h2_0 C - h1_1, z(0) = 0."""
-    base = co.base
-    return riccati_linear_zero_ic(
-        tau, -2.0 * co.params.market.beta**2, -2.0 * base.kappa, base.b0,
-        base.kappa, 2.0 * co.h2_0, -co.h1_1,
-    )
+def _lag_L(tau, co: ExpQuadCoeffs):
+    """L at lag tau = T - t: z' = -(disc - d1 - G1 G) z + 2 h2_0 G + h1_src."""
+    a, b, c = co.kernel_abc()
+    return riccati_linear_zero_ic(tau, a, b, c, co.disc - co.d1, 2.0 * co.h2_0, co.h1_src)
 
 
 def _lag(t, s) -> np.ndarray:
@@ -230,13 +278,15 @@ def _lag(t, s) -> np.ndarray:
 
 
 def coeff_C(t, s, co: ExactCoeffs):
-    """C(t, s), vectorized over broadcastable t and s (requires t <= s)."""
-    return _lag_C(_lag(t, s), co)
+    """C(t, s) = -G of co.lag at the lag s - t, vectorized over
+    broadcastable t and s (requires t <= s)."""
+    return -_lag_G(_lag(t, s), co.lag)
 
 
 def coeff_B(t, s, co: ExactCoeffs):
-    """B(t, s), vectorized over broadcastable t and s (requires t <= s)."""
-    return _lag_B(_lag(t, s), co)
+    """B(t, s) = -L of co.lag at the lag s - t, vectorized over
+    broadcastable t and s (requires t <= s)."""
+    return -_lag_L(_lag(t, s), co.lag)
 
 
 def _dA_dtau(B, C, co: ExactCoeffs):
@@ -323,26 +373,49 @@ def _tail(coef: np.ndarray) -> np.ndarray:
 
 
 def _doubled(n: int, what: str) -> int:
-    """The node count after n, the doubling rule of the H table and the g
-    kernel; past _TABLE_MAX_NODES it refuses what it was sampling."""
+    """The node count after n, the doubling rule of every lag series; past
+    _TABLE_MAX_NODES it refuses what it was sampling."""
     if 2 * n > _TABLE_MAX_NODES:
         raise QuadratureBudgetExceeded(f"{what}: not converged at {n} nodes")
     return 2 * n
 
 
-def _tabulate(span: float, coef_at) -> LagTable:
-    """The LagTable of coef_at(tau), the (n + 1, k) Chebyshev coefficients
-    of k lag functions built from samples at the n first-kind Chebyshev
-    points tau of [0, span].  n doubles from _TABLE_MIN_NODES until every
-    column has converged."""
-    n = _TABLE_MIN_NODES
+def _tabulate(span: float, coef_at, start: int, what: str) -> LagSeries:
+    """The LagSeries of coef_at(tau), the Chebyshev coefficient rows of k
+    lag functions built from samples at the n first-kind Chebyshev points
+    tau of [0, span].  n doubles from start until every row has converged."""
+    n = start
     while True:
-        coef = coef_at(_lag_nodes(span, n))
-        tail = float(np.max(_tail(coef.T)))
+        rows = coef_at(_lag_nodes(span, n))
+        tail = float(np.max(_tail(rows)))
         if tail <= _TABLE_TAIL_TOL:
-            return LagTable(span=span, coef=coef, tail=tail)
-        n = _doubled(n, f"H table on [0, {span}] (trailing coefficient {tail:.3e} > "
+            return LagSeries(span=span, nodes=n, rows=rows, tail=tail)
+        n = _doubled(n, f"{what} on [0, {span}] (trailing coefficient {tail:.3e} > "
                         f"{_TABLE_TAIL_TOL:g})")
+
+
+def _build_h_table(co: ExpQuadCoeffs) -> LagSeries:
+    """H-hat(tau) = H(T - tau) on [0, T] by Chebyshev collocation, from
+    _TABLE_MIN_NODES nodes.
+
+    In the lag, dH/dtau = -disc H + s with H(0) = 0 and the source
+    s = co.source(G, L) + p0, closed form at the nodes.  The equation is
+    collocated in integral form: with Q the antiderivative from tau = 0,
+    H = Q H' and (I + disc Q) H' = s at the nodes.  It is solved on the
+    Chebyshev coefficients of H', where it is the same system (the
+    degree-n term Q adds vanishes at first-kind nodes), and H = Q H' is the
+    series' one row.  No weight e^{disc tau} appears, so disc T is not
+    bounded by overflow.
+    """
+    span = co.params.horizon.T
+
+    def coef_at(tau: np.ndarray) -> np.ndarray:
+        src = co.source(_lag_G(tau, co), _lag_L(tau, co))
+        Q = 0.5 * span * _antiderivative(tau.size)
+        system = np.eye(tau.size) + co.disc * Q[:-1]
+        return (Q @ np.linalg.solve(system, ((src + co.p0) @ _to_coef_exact(tau.size))[:, None])).T
+
+    return _tabulate(span, coef_at, _TABLE_MIN_NODES, "H table")
 
 
 # ---------------------------------------------------------------- #
@@ -353,29 +426,29 @@ class LagKernel:
     """The g integrands at the n first-kind Chebyshev points tau of [0, T],
     as polynomials in m with lag-function coefficients.
 
-    poly[i] holds the coefficients of m^i (i = 0, 1, 2), shape (5, n) each,
-    of: the exponent A - B m - C m^2 of h-hat, then the factors 1, -lin,
-    lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m) that multiply
-    h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB, dC) are the
-    backward-ODE right-hand sides.  tail is the largest _tail of the lag
-    functions' series (A-hat's right-hand side, B-hat, C-hat).  reads maps
-    the Chebyshev coefficients of an integrand to delta^phi int_0^s + its
-    value at s, given the basis row cos(j theta), j = 0..n, at s:
-    delta^phi T/2 times _antiderivative(n), plus the identity.  at_zero is
-    the basis row at tau = 0, (-1)^j for j < n.  a_coef holds the n + 1
-    coefficients of int_{-1}^y of A-hat's right-hand side (coeff_A).
+    series holds the lag functions' series (A-hat's right-hand side, B-hat,
+    C-hat), from n nodes.  poly[i] holds the coefficients of m^i (i = 0, 1,
+    2), shape (5, n) each, of: the exponent A - B m - C m^2 of h-hat, then
+    the factors 1, -lin, lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m)
+    that multiply h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB,
+    dC) are the backward-ODE right-hand sides.  reads maps the Chebyshev
+    coefficients of an integrand to delta^phi int_0^s + its value at s,
+    given the basis row cos(j theta), j = 0..n, at s: delta^phi T/2 times
+    _antiderivative(n), plus the identity.  at_zero is the basis row at
+    tau = 0, (-1)^j for j < n.  a_coef holds the n + 1 coefficients of
+    int_{-1}^y of A-hat's right-hand side (coeff_A).
     """
 
+    series: LagSeries
     poly: tuple[np.ndarray, np.ndarray, np.ndarray]
     reads: np.ndarray
     at_zero: np.ndarray
     a_coef: np.ndarray
-    tail: float
 
     @property
     def nodes(self) -> int:
         """Chebyshev points sampled."""
-        return self.at_zero.size
+        return self.series.nodes
 
     def coefficients(self, m: np.ndarray) -> np.ndarray:
         """Chebyshev coefficients of the four integrands for each entry of
@@ -393,18 +466,20 @@ class LagKernel:
 
 
 def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
-    """The LagKernel at n nodes or, where the series of the lag functions
-    have not converged there, co.lag_kernel at the doubled count."""
-    T = co.params.horizon.T
-    theta, tau = _angles(n), _lag_nodes(T, n)
-    B, C = _lag_B(tau, co), _lag_C(tau, co)
-    coef = np.array([_dA_dtau(B, C, co), B, C]) @ _to_coef_exact(n)
-    tail = float(np.max(_tail(coef)))
-    if tail > _TABLE_TAIL_TOL:
-        return co.lag_kernel(_doubled(n, f"lag functions on [0, {T}] (trailing coefficient "
-                                         f"{tail:.3e} > {_TABLE_TAIL_TOL:g})"))
+    """The LagKernel at the first of n, 2n, ... nodes where the series of
+    the lag functions converge."""
+    T, lag, samples = co.params.horizon.T, co.lag, {}  # samples: n -> (tau, B, C)
+
+    def coef_at(tau: np.ndarray) -> np.ndarray:
+        B, C = -_lag_L(tau, lag), -_lag_G(tau, lag)
+        samples[tau.size] = tau, B, C
+        return np.array([_dA_dtau(B, C, co), B, C]) @ _to_coef_exact(tau.size)
+
+    series = _tabulate(T, coef_at, n, "lag functions")
+    n = series.nodes
+    (tau, B, C), theta = samples[n], _angles(n)
     # A-hat = h1_0 tau + int_0^tau _dA_dtau, with dtau = T/2 dy
-    a_coef = _antiderivative(n) @ coef[0]
+    a_coef = _antiderivative(n) @ series.rows[0]
     A = co.h1_0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
@@ -415,8 +490,8 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     )
     reads = co.delta_phi * 0.5 * T * _antiderivative(n)
     reads[:n] += np.eye(n)
-    return LagKernel(poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n), a_coef=a_coef,
-                     tail=tail)
+    return LagKernel(series=series, poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n),
+                     a_coef=a_coef)
 
 
 # ---------------------------------------------------------------- #

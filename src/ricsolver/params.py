@@ -225,11 +225,18 @@ def require_correlation(rho1: float) -> None:
 
 
 def require_inputs(params: ModelParams) -> None:
-    """Raise InadmissibleParameter where every closed form breaks down:
-    sigma = 0 (the loadings divide by sigma), |rho1| > 1, whatever
-    require_claims refuses, delta <= 0 (delta^phi and ln delta), or a
-    horizon other than 0 <= t0 < T (g lives on [0, T] and is read from t0)."""
-    mk, pf, hz = params.market, params.preference, params.horizon
+    """Raise InadmissibleParameter where every closed form breaks down: a
+    constant they read that is not finite, sigma = 0 (the loadings divide
+    by sigma), |rho1| > 1, whatever require_claims refuses, delta <= 0
+    (delta^phi and ln delta), or a horizon other than 0 <= t0 < T < inf (g
+    lives on [0, T] and is read from t0)."""
+    mk, ins, pf, hz = params.market, params.insurance, params.preference, params.horizon
+    for key, value in (("r", mk.r), ("a", mk.a), ("sigma", mk.sigma), ("beta", mk.beta),
+                       ("alpha", mk.alpha), ("theta1", ins.theta1), ("lambda", ins.lam),
+                       ("mu1", ins.mu1), ("mu2", ins.mu2), ("gamma", pf.gamma),
+                       ("delta", pf.delta), ("Phi", pf.Phi)):
+        if not math.isfinite(value):
+            raise InadmissibleParameter(f"{key} = {value!r}: the closed forms need a finite value")
     if mk.sigma == 0.0:
         raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
     require_correlation(mk.rho1)
@@ -240,9 +247,10 @@ def require_inputs(params: ModelParams) -> None:
 
 
 def require_horizon(t0: float, T: float) -> None:
-    """Raise InadmissibleParameter unless 0 <= t0 < T."""
-    if not 0.0 <= t0 < T:
-        raise InadmissibleParameter(f"horizon [t0, T] = [{t0!r}, {T!r}] must satisfy 0 <= t0 < T")
+    """Raise InadmissibleParameter unless 0 <= t0 < T < inf."""
+    if not 0.0 <= t0 < T < math.inf:
+        raise InadmissibleParameter(
+            f"horizon [t0, T] = [{t0!r}, {T!r}] must satisfy 0 <= t0 < T < inf")
 
 
 def _horizon_times(t, T: float, what: str) -> np.ndarray:

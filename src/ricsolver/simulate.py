@@ -128,7 +128,7 @@ class ConditionMReport:
 # shared mesh helpers
 
 def _steps(span: float, dt: float) -> tuple[int, float]:
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails too
         raise ValueError(f"dt = {dt} must be positive")
     n = max(1, round(span / dt))
     return n, span / n
@@ -194,7 +194,7 @@ def simulate_factor(
     require_correlation(mk.rho1)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     if measure == "FK_tilde":
-        eco = exact_coeffs(params)
+        lag = exact_coeffs(params).lag
 
     rng = np.random.Generator(np.random.Philox(seed))
     m = np.full(n_paths, float(m0))
@@ -209,7 +209,7 @@ def simulate_factor(
         if measure == "P":
             drift = -mk.alpha * m
         elif measure == "FK_tilde":
-            drift = eco.H2(m)
+            drift = lag.H2(m)
         else:
             xi1, xi2, _ = distortion_fn(t, m)
             drift = -(mk.alpha * m + mk.beta * mk.rho1 * xi1 + mk.beta * rho_c * xi2)

@@ -14,49 +14,42 @@ zero terminal values,
     L' = [G1 G + (disc - d1)] L - (2 h2_0 G + h1_src),
     H' = disc H - [(beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0],
 
-with G1 = -2 (beta^2 + 2 G0) and G2 = disc - 2 d1.  In the lag tau = T - t,
-G is the zero-initial-value Riccati kernel of riccati.py and L its linear
-companion (riccati_linear_zero_ic), both closed form.  H solves the linear
-equation dH/dtau = -disc H + s(tau), H(0) = 0, whose source s is a
-quadratic form in (G, L); each coefficient object tabulates it once, at
-first use, as a Chebyshev series on tau in [0, T] (ExpQuadCoeffs.h_table,
-an exact.LagTable), so (G, L, H) at any t is two closed forms and one
-table read, at one t or an array of them; ExpQuadSurface.g and
-unit_strategy read them on the grid t x m (exact._Surface).  coeff_H
-evaluates H pointwise by adaptive quadrature, independently of the table,
-as the reference.  The log-linearized mode (cs.py) reduces to the same
-three equations with its own constants and discount rate: each mode has
-one coefficient object, an ExpQuadCoeffs (unit_coeffs here,
-cs.cs_reduction there), and both solvers are an ExpQuadSurface, whose g is
-read off (G, L, H).  The constants the reductions share with the exact
-mode come from params.reduction_terms; unit EIS is its k = 1 case.
+with G1 = -2 (beta^2 + 2 G0) and G2 = disc - 2 d1.  The constants are an
+ExpQuadCoeffs (exact.py, with the shared series code): unit_coeffs here,
+cs.cs_reduction for the log-linearized mode, and ExactCoeffs.lag, whose
+zero-discount (G, L, H) are the exact kernel's (-C, -B, A).  In the lag
+tau = T - t, G and L are closed form (riccati.py).  H solves dH/dtau =
+-disc H + s(tau), H(0) = 0, with s quadratic in (G, L) (ExpQuadCoeffs.source
+plus p0); each coefficient object tabulates it once, at first use, as a
+Chebyshev series on [0, T] (ExpQuadCoeffs.h_table, an exact.LagSeries), so
+(G, L, H) at any t is two closed forms and one table read.  ExpQuadSurface,
+the unit-EIS and cs solvers, reads g off them on the grid t x m
+(exact._Surface); coeff_H integrates H pointwise as the reference.  The
+constants shared with the exact mode come from params.reduction_terms;
+unit EIS is its k = 1 case.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .exact import (
+    ExpQuadCoeffs,
     GBundle,
-    LagTable,
     StrategyPoint,
-    _antiderivative,
     _check_factor,
     _check_wealth,
     _g_out_of_range,
+    _lag_G,
+    _lag_L,
     _LOG_MAX,
     _Surface,
-    _tabulate,
-    _to_coef_exact,
     strategy_from_ratio,
 )
 from .params import ModelParams, _horizon_times, reduction_terms, require_inputs, require_preference
 from .quadrature import adaptive_gauss
-from .riccati import riccati_linear_zero_ic, riccati_zero_ic
 
 __all__ = [
     "ExpQuadCoeffs",
@@ -74,56 +67,12 @@ __all__ = [
 
 
 # ---------------------------------------------------------------- #
-# shared exponential-quadratic reduction
-
-@dataclass(frozen=True)
-class ExpQuadCoeffs:
-    """Constants of one exponential-quadratic reduction, with the
-    parameter set it was built from.
-
-    disc is the discount rate acting on L and H (delta here, the steady
-    consumption-wealth level in the log-linearized mode); d1 is the slope
-    of the m-drift; h1_src the constant source in the L equation; p0 the
-    constant source in the H equation.
-    """
-
-    params: ModelParams
-    G0: float
-    G3: float
-    disc: float
-    d1: float
-    h1_src: float
-    h2_0: float
-    p0: float
-
-    @property
-    def G1(self) -> float:
-        return -2.0 * (self.params.market.beta**2 + 2.0 * self.G0)
-
-    @property
-    def G2(self) -> float:
-        return self.disc - 2.0 * self.d1
-
-    def kernel_abc(self) -> tuple[float, float, float]:
-        """Riccati coefficients of G in the lag variable tau = T - t."""
-        return -self.G1, -self.G2, -self.G3
-
-    @cached_property
-    def h_table(self) -> LagTable:
-        """H at t = T - tau for tau in [0, T]; built at first use, then shared."""
-        return _build_h_table(self)
-
+# the exponential-quadratic reduction's (G, L, H)
 
 def coeff_G(t, co: ExpQuadCoeffs):
     """G(t), vectorized over t in [0, T]."""
     T = co.params.horizon.T
-    return riccati_zero_ic(T - _horizon_times(t, T, "G"), *co.kernel_abc())
-
-
-def _lag_L(tau, co: ExpQuadCoeffs):
-    """L at lag tau = T - t: z' = -(disc - d1 - G1 G) z + 2 h2_0 G + h1_src."""
-    a, b, c = co.kernel_abc()
-    return riccati_linear_zero_ic(tau, a, b, c, co.disc - co.d1, 2.0 * co.h2_0, co.h1_src)
+    return _lag_G(T - _horizon_times(t, T, "G"), co)
 
 
 def coeff_L(t, co: ExpQuadCoeffs):
@@ -140,16 +89,13 @@ def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
     with the affine term switching to its disc -> 0 limit p0 (T-t) when disc
     is tiny.  L and G are closed form at the nodes.
     """
-    T, beta = co.params.horizon.T, co.params.market.beta
+    T = co.params.horizon.T
     t = float(_horizon_times(t, T, "H"))
     if t == T:
         return 0.0
 
     def f(s: np.ndarray) -> np.ndarray:
-        L = _lag_L(T - s, co)
-        G = coeff_G(s, co)
-        quad_form = (0.5 * beta**2 + co.G0) * L * L + co.h2_0 * L + beta**2 * G
-        return np.exp(-co.disc * (s - t)) * quad_form
+        return np.exp(-co.disc * (s - t)) * co.source(coeff_G(s, co), _lag_L(T - s, co))
 
     integral = float(adaptive_gauss(f, t, T))
     span = T - t
@@ -164,9 +110,7 @@ def glh_rhs(G: float, L: float, H: float, co: ExpQuadCoeffs):
     """Forward-time right-hand sides (dG/dt, dL/dt, dH/dt) at given values."""
     dG = co.G1 * G * G + co.G2 * G + co.G3
     dL = (co.G1 * G + (co.disc - co.d1)) * L - (2.0 * co.h2_0 * G + co.h1_src)
-    beta = co.params.market.beta
-    quad_form = (0.5 * beta**2 + co.G0) * L * L + co.h2_0 * L + beta**2 * G
-    dH = co.disc * H - (quad_form + co.p0)
+    dH = co.disc * H - (co.source(G, L) + co.p0)
     return dG, dL, dH
 
 
@@ -176,33 +120,7 @@ def glh_state(t, co: ExpQuadCoeffs):
     T = co.params.horizon.T
     tau = T - _horizon_times(t, T, "the H table")
     H = co.h_table(tau)[..., 0]
-    return riccati_zero_ic(tau, *co.kernel_abc()), _lag_L(tau, co), H if H.ndim else float(H)
-
-
-def _build_h_table(co: ExpQuadCoeffs) -> LagTable:
-    """H-hat(tau) = H(T - tau) on [0, T] by Chebyshev collocation.
-
-    In the lag, dH/dtau = -disc H + s with H(0) = 0 and the source
-    s = (beta^2/2 + G0) L^2 + h2_0 L + beta^2 G + p0, closed form at the
-    nodes.  The equation is collocated in integral form: with Q the
-    antiderivative from tau = 0, H = Q H' and (I + disc Q) H' = s at the
-    nodes.  It is solved on the Chebyshev coefficients of H', where it is
-    the same system (the degree-n term Q adds vanishes at first-kind
-    nodes), and H = Q H' is the table column.  No weight e^{disc tau}
-    appears, so disc T is not bounded by overflow.
-    """
-    span = co.params.horizon.T
-    beta2 = co.params.market.beta**2
-    abc = co.kernel_abc()
-
-    def coef_at(tau: np.ndarray) -> np.ndarray:
-        L = _lag_L(tau, co)
-        src = (0.5 * beta2 + co.G0) * L * L + co.h2_0 * L + beta2 * riccati_zero_ic(tau, *abc)
-        Q = 0.5 * span * _antiderivative(tau.size)
-        system = np.eye(tau.size) + co.disc * Q[:-1]
-        return Q @ np.linalg.solve(system, ((src + co.p0) @ _to_coef_exact(tau.size))[:, None])
-
-    return _tabulate(span, coef_at)
+    return _lag_G(tau, co), _lag_L(tau, co), H if H.ndim else float(H)
 
 
 class ExpQuadSurface(_Surface):
@@ -298,7 +216,7 @@ def unit_strategy(t, x, m, co: ExpQuadCoeffs) -> StrategyPoint:
     _check_wealth(x)
     _check_factor(m)
     tau = co.params.horizon.T - _horizon_times(t, co.params.horizon.T, "the strategy")
-    G, L = riccati_zero_ic(tau, *co.kernel_abc()), _lag_L(tau, co)
+    G, L = _lag_G(tau, co), _lag_L(tau, co)
     if getattr(m, "ndim", 0):
         G, L = np.expand_dims((G, L), -1)
     return strategy_from_ratio(x, m, 2.0 * G * m + L, co.params.preference.delta, 1.0, co.params)

@@ -194,12 +194,11 @@ def _residual_ops(co: ExactCoeffs | ExpQuadCoeffs):
         return res
 
     def res(t, m, g, g_t, g_m, g_mm):
-        lin_src = co.p0 + co.h1_src * m - co.G3 * m * m
         return (
             g_t
             + beta2 * g_mm
-            + (co.d1 * m + co.h2_0) * g_m
-            + lin_src * g
+            + co.H2(m) * g_m
+            + co.H1(m) * g
             - co.disc * g * np.log(g)
             + co.G0 * g_m * g_m / g
         )
@@ -564,7 +563,7 @@ def _fk_paths(
     """
     if n_paths < 1:
         raise ValueError(f"n_paths = {n_paths} must be >= 1")
-    if dt <= 0.0:
+    if not dt > 0.0:  # NaN fails too
         raise ValueError(f"dt = {dt} must be positive")
     if s < t:
         raise ValueError(f"need t <= s, got t = {t}, s = {s}")

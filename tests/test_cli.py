@@ -281,10 +281,26 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
     (["solve", "--mode", "cs", "--t", "nan"], "error: t = nan is before 0 or not a number"),
     # the saddle check draws its perturbations as one block
     (["verify", "--suite", "saddle", "--samples", "-1"], "error: samples = -1 must be >= 0"),
+    # a constant that is not finite, refused by name before any kernel work
+    (["solve", "--set", "sigma=nan"], "error: sigma = nan"),
+    (["solve", "--set", "delta=nan"], "error: delta = nan"),
+    (["solve", "--set", "r=inf"], "error: r = inf"),
+    (["sweep", "--param", "sigma", "--values", "nan"], "error: sigma = nan"),
+    (["solve", "--mode", "unit_eis", "--set", "beta=nan"], "error: beta = nan"),
+    (["table2", "--set", "r=nan"], "error: r = nan"),
+    (["verify", "--suite", "fd", "--set", "beta=nan"], "error: beta = nan"),
+    # an infinite horizon, refused before a step count is rounded from it,
+    # and a NaN step
+    (["solve", "--set", "T=inf"], "error: horizon [t0, T] = [0.5, inf]"),
+    (["simulate", "--set", "T=inf"], "error: horizon [t0, T] = [0.5, inf]"),
+    (["verify", "--suite", "mc", "--set", "T=inf"], "error: horizon [t0, T] = [0.5, inf]"),
+    (["simulate", "--dt", "nan"], "error: dt = nan must be positive"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
         "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
         "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth", "nan-m-exact", "nan-m-unit",
-        "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative"])
+        "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative",
+        "nan-sigma", "nan-delta", "inf-r", "nan-sigma-sweep", "nan-beta-unit", "nan-r-table2",
+        "nan-beta-fd", "inf-T-solve", "inf-T-simulate", "inf-T-verify-mc", "nan-dt-simulate"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

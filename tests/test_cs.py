@@ -172,12 +172,12 @@ def test_root_diagnostics(loglin_params):
 def test_solver_keeps_the_roots_reduction(monkeypatch):
     # the root's last evaluation is at the returned w, so CsSolver builds
     # one ExactCoeffs and one H table per root evaluation, none of its own
-    import ricsolver.uniteis
+    import ricsolver.exact
 
     ecos, builds = [], []
-    exact, build = ricsolver.cs.exact_coeffs, ricsolver.uniteis._build_h_table
+    exact, build = ricsolver.cs.exact_coeffs, ricsolver.exact._build_h_table
     monkeypatch.setattr(ricsolver.cs, "exact_coeffs", lambda p: ecos.append(p) or exact(p))
-    monkeypatch.setattr(ricsolver.uniteis, "_build_h_table",
+    monkeypatch.setattr(ricsolver.exact, "_build_h_table",
                         lambda co: builds.append(co) or build(co))
     solver = CsSolver(ModelParams())
     assert len(ecos) == 1

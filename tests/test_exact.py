@@ -10,6 +10,7 @@ from ricsolver import (
     CsSolver,
     ExactSolver,
     InadmissibleParameter,
+    ModelParams,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
     TabulatedStrategy,
@@ -25,8 +26,8 @@ from ricsolver import (
     unit_coeffs,
 )
 from ricsolver.exact import g_bundle
-from ricsolver.uniteis import coeff_H
-from ricsolver.verify import SUITES
+from ricsolver.uniteis import coeff_G, coeff_H, coeff_L, glh_state
+from ricsolver.verify import _BOUNDS_BOX, SUITES
 
 # values recomputed by hand / by the oracles below and frozen
 G_T0_M0 = 1.3357372266  # g(0.5, 0) at the default calibration
@@ -297,6 +298,34 @@ def test_coeff_A_reads_the_kernel_series(base_params, T):
             coeff_A(t, s, co)
 
 
+def test_kernel_coefficients_are_the_zero_discount_reduction():
+    # Sets drawn from the bounds suite's box, a third of them with gamma < 1,
+    # some with beta = 0 or 1e-6, at T = 1, 5, 10 and 50.  B and C are -L and
+    # -G of the exponential-quadratic reduction co.lag bit for bit, and A,
+    # read from the g kernel's series, is within 2e-14 max(1, |A|) of H from
+    # its collocated table: measured at most 1.07e-14, at T = 50 and
+    # gamma = 0.23, where both series have 256 nodes and each is within
+    # 2.5e-14 of a 1024-node kernel.  Every lag in [0, T] is s - t at s = T.
+    rng = np.random.default_rng(24)
+    blocks, names, low, high = zip(*_BOUNDS_BOX)
+    for i in range(80):
+        fields = {"horizon": {"t0": 0.0, "T": (1.0, 5.0, 10.0, 50.0)[i % 4]}}
+        for block, name, value in zip(blocks, names, rng.uniform(low, high).tolist()):
+            fields.setdefault(block, {})[name] = value
+        if i % 3 == 1:
+            fields["preference"]["gamma"] = rng.uniform(0.1, 0.95)
+        if i % 5 == 2:
+            fields["market"]["beta"] = (0.0, 1e-6)[i % 2]
+        params = dataclasses.replace(ModelParams(), **{
+            b: dataclasses.replace(getattr(ModelParams(), b), **f) for b, f in fields.items()})
+        co, T = exact_coeffs(params), params.horizon.T
+        t = np.append(rng.uniform(0.0, T, 40), [0.0, T])
+        assert np.all(coeff_B(t, T, co) == -coeff_L(t, co.lag))
+        assert np.all(coeff_C(t, T, co) == -coeff_G(t, co.lag))
+        A, H = coeff_A(t, T, co), glh_state(t, co.lag)[2]
+        assert np.all(np.abs(A - H) <= 2e-14 * np.maximum(1.0, np.abs(A))), (i, np.abs(A - H).max())
+
+
 def test_lag_kernel_built_once_per_node_count(base_params, monkeypatch):
     builds, reads = [], []
     build, coefficients = exact_mod._build_lag_kernel, exact_mod.LagKernel.coefficients
@@ -322,14 +351,14 @@ def test_lag_kernel_built_once_per_node_count(base_params, monkeypatch):
     assert builds == [(solver.coeffs, 64)]
     assert reads == [64] * 24
     # T = 10: the lag functions have not converged at 64 nodes, so the one
-    # 64-node build returns the 128-node kernel, kept under both counts
+    # build asked for 64 nodes doubles to the 128-node kernel, kept under both
     builds.clear()
     reads.clear()
     co = exact_coeffs(_with_horizon(base_params, 0.0, 10.0))
     for t, m in zip(rng.uniform(0.0, 10.0, 8), rng.uniform(-4.0, 4.0, 8)):
         g_bundle(t, m, co)
         g_bundle(t, np.array([m, -m]), co)
-    assert builds == [(co, 64), (co, 128)]
+    assert builds == [(co, 64)]
     assert reads == [128] * 16
     assert co.lag_kernel(64) is co.lag_kernel(128)
 
@@ -339,7 +368,7 @@ def test_lag_kernel_tail_estimate(base_params, T):
     co = exact_coeffs(_with_horizon(base_params, 0.0, T))
     g_bundle(0.0, 0.0, co)
     kernel = co.lag_kernel(64)  # where every g starts
-    assert 0.0 <= kernel.tail <= exact_mod._TABLE_TAIL_TOL
+    assert 0.0 <= kernel.series.tail <= exact_mod._TABLE_TAIL_TOL
     assert kernel.nodes == {1.0: 64, 10.0: 128, 50.0: 256}[T]
 
 

@@ -319,6 +319,15 @@ def _riskless_wealth(params, x0=1.0):
     (dict(), lambda p: wealth_offset(1.0, 1.5, p), InadmissibleParameter),
     (dict(), lambda p: wealth_offset(1.0, math.nan, p), InadmissibleParameter),
     (dict(), lambda p: wealth_offset(1.0, -3.0, p), InadmissibleParameter),
+    # a constant the closed forms read that is not finite, and an infinite
+    # horizon: refused before any kernel work or step count
+    (dict(sigma=math.nan), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(delta=math.nan), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(r=math.inf), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(beta=math.nan), _solve_at_t0(UnitEisSolver), InadmissibleParameter),
+    (dict(r=math.nan), _solve_at_t0(CsSolver), InadmissibleParameter),
+    (dict(T=math.inf), _solve_at_t0(ExactSolver), InadmissibleParameter),
+    (dict(T=math.inf), lambda p: simulate_factor(p, n_paths=2), InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
@@ -328,10 +337,22 @@ def _riskless_wealth(params, x0=1.0):
         "nan-t-exact", "nan-t-cs", "nan-t-unit", "past-T-G", "nan-t-L", "nan-t-H",
         "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs",
         "negative-tau-riccati", "nan-tau-integral", "nan-tau-linear", "past-T-offset",
-        "nan-t-offset", "negative-t-offset"])
+        "nan-t-offset", "negative-t-offset", "nan-sigma-exact", "nan-delta-exact",
+        "inf-r-exact", "nan-beta-unit", "nan-r-cs", "inf-T-exact", "inf-T-factor"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))
+
+
+@pytest.mark.parametrize("key, attr", [
+    ("r", "r"), ("a", "a"), ("sigma", "sigma"), ("beta", "beta"), ("alpha", "alpha"),
+    ("theta1", "theta1"), ("lambda", "lam"), ("mu1", "mu1"), ("mu2", "mu2"),
+    ("gamma", "gamma"), ("delta", "delta"), ("Phi", "Phi"),
+])
+def test_nonfinite_inputs_refused_by_name(key, attr):
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InadmissibleParameter, match=f"^{key} = {value!r}: "):
+            exact_coeffs(repl(ModelParams(), **{attr: value}))
 
 
 def test_claim_dist_moments(base_params):

@@ -90,6 +90,15 @@ def test_factor_requires_distortion_under_q(base_params):
         simulate_factor(base_params, measure="Q_xi", n_paths=2)
 
 
+def test_simulations_refuse_a_nan_step(base_params):
+    # a NaN step is refused by the guard, not by rounding a NaN step count
+    for run in (lambda: simulate_factor(base_params, dt=math.nan, n_paths=2),
+                lambda: simulate_wealth(base_params, 1.0, zero_strategy, dt=math.nan, n_paths=2),
+                lambda: simulate_surplus(base_params, dt=math.nan, n_paths=2)):
+        with pytest.raises(ValueError, match="dt = nan must be positive"):
+            run()
+
+
 # ---------------------------------------------------------------- #
 # wealth
 

@@ -6,7 +6,6 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import ricsolver.exact as exact_mod
-import ricsolver.uniteis as uniteis_mod
 from ricsolver import (
     CsSolver,
     ExactSolver,
@@ -259,13 +258,13 @@ def test_h_table_reads_zero_at_terminal_time(base_params, T):
 
 def test_h_table_built_once_per_coeffs(base_params, monkeypatch):
     builds = []
-    build = uniteis_mod._build_h_table
+    build = exact_mod._build_h_table
 
     def counting(co):
         builds.append(co)
         return build(co)
 
-    monkeypatch.setattr(uniteis_mod, "_build_h_table", counting)
+    monkeypatch.setattr(exact_mod, "_build_h_table", counting)
     unit = UnitEisSolver(base_params)
     cs = CsSolver(base_params, w=0.1)
     rng = np.random.default_rng(5)

@@ -224,11 +224,11 @@ def test_suites_pass_next_to_unit_phi(base_params):
 def test_pde_suite_builds_one_unit_table(base_params, monkeypatch):
     # the unit-EIS row and the negative control share one solver: one H
     # table for unit EIS, ten for the cs root's evaluations
-    import ricsolver.uniteis as uniteis_mod
+    import ricsolver.exact as exact_mod
 
     calls = []
-    build = uniteis_mod._build_h_table
-    monkeypatch.setattr(uniteis_mod, "_build_h_table", lambda co: calls.append(co) or build(co))
+    build = exact_mod._build_h_table
+    monkeypatch.setattr(exact_mod, "_build_h_table", lambda co: calls.append(co) or build(co))
     rows = pde_suite(base_params)
     assert all(r.passed for r in rows)
     assert len(calls) == 11
@@ -510,6 +510,12 @@ def test_fk_paths_in_place_matches_plain_loop(base_params, collect_running, beta
         I_ref, S_ref = _fk_paths_reference(*args)
         assert np.all(I == I_ref)
         assert (S is None and S_ref is None) or np.all(S == S_ref)
+
+
+def test_fk_paths_refuses_a_nan_step(base_params):
+    # a NaN step is refused by the guard, not by rounding a NaN step count
+    with pytest.raises(ValueError, match="dt = nan must be positive"):
+        _fk_paths(base_params, 0.5, 0.0, 1.0, 4, math.nan, 0, True)
 
 
 class _Draws:
