@@ -35,7 +35,6 @@ KNOWN_KEYS: Dict[str, Tuple[str, str]] = {
     "claim_params": ("insurance", "claim_params"),
     "gamma": ("preference", "gamma"),
     "delta": ("preference", "delta"),
-    "phi_eis": ("preference", "phi_eis"),
     "Phi": ("preference", "Phi"),
     "t0": ("horizon", "t0"),
     "T": ("horizon", "T"),
@@ -100,8 +99,6 @@ def _parse(key: str, text: str) -> object:
         if not values:
             raise ConfigError(f"key 'claim_params': no values in {text!r}")
         return values
-    if key == "phi_eis" and text.lower() in ("none", "derived"):
-        return None
     try:
         return float(text)
     except ValueError:
@@ -121,8 +118,6 @@ def _text(value: object, spec: str) -> str:
     """value as config text: floats in format spec, tuples comma-joined."""
     if isinstance(value, tuple):
         return ",".join(f"{p:{spec}}" for p in value)
-    if value is None:
-        return "none"
     return f"{value:{spec}}" if isinstance(value, float) else str(value)
 
 

@@ -117,35 +117,20 @@ class ExpQuadCoeffs:
 
 @dataclass(frozen=True)
 class ExactCoeffs:
-    """DerivedCoeffs plus the reduced-equation constants.
+    """DerivedCoeffs, the reduction lag and delta^phi.
 
     The reduced equation for g is
         g_t + (1/2) beta^2 g_mm + H2(m) g_m + H1(m) g + delta^phi = 0,
-    with the discount H1 and the drift H2 of lag.
+    with the discount H1 and the drift H2 of lag, the zero-discount
+    reduction (disc = G0 = 0) that h = exp(A - B m - C m^2) solves: B and C
+    are its -L and -G at the lag, A its H.  lag holds the equation's
+    constants, h1_0 = lag.p0, h1_1 = lag.h1_src and h2_0 = lag.h2_0.
     """
 
     params: ModelParams
     base: DerivedCoeffs
-    h1_0: float
-    h1_1: float
-    h2_0: float
+    lag: ExpQuadCoeffs
     delta_phi: float
-
-    @cached_property
-    def lag(self) -> ExpQuadCoeffs:
-        """The zero-discount reduction (disc = G0 = 0) that h = exp(A - B m
-        - C m^2) solves: B and C are its -L and -G at the lag, A its H."""
-        base = self.base
-        return ExpQuadCoeffs(params=self.params, G0=0.0, G3=base.b0, disc=0.0, d1=-base.kappa,
-                             h1_src=self.h1_1, h2_0=self.h2_0, p0=self.h1_0)
-
-    def H1(self, m):
-        """Discount of the reduced equation, lag.H1."""
-        return self.lag.H1(m)
-
-    def H2(self, m):
-        """Factor drift of the reduced equation, lag.H2."""
-        return self.lag.H2(m)
 
     @cached_property
     def _lag_kernels(self) -> dict:
@@ -246,14 +231,9 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
     mk, pf = params.market, params.preference
     kappa, b0, h1_1, h2_0, premium, claims = reduction_terms(params, base.k)
     h1_0 = ((1.0 - pf.gamma) / base.k) * (mk.r + premium + claims) - pf.delta * base.phi
-    return ExactCoeffs(
-        params=params,
-        base=base,
-        h1_0=h1_0,
-        h1_1=h1_1,
-        h2_0=h2_0,
-        delta_phi=pf.delta**base.phi,
-    )
+    lag = ExpQuadCoeffs(params=params, G0=0.0, G3=b0, disc=0.0, d1=-kappa, h1_src=h1_1,
+                        h2_0=h2_0, p0=h1_0)
+    return ExactCoeffs(params=params, base=base, lag=lag, delta_phi=pf.delta**base.phi)
 
 
 # ---------------------------------------------------------------- #
@@ -293,7 +273,7 @@ def _dA_dtau(B, C, co: ExactCoeffs):
     """Lag derivative of A less its constant h1_0, beta^2 B^2/2 - beta^2 C
     - h2_0 B, from B and C at the same lags."""
     beta2 = co.params.market.beta**2
-    return 0.5 * beta2 * B * B - beta2 * C - co.h2_0 * B
+    return 0.5 * beta2 * B * B - beta2 * C - co.lag.h2_0 * B
 
 
 def coeff_A(t, s, co: ExactCoeffs):
@@ -308,16 +288,16 @@ def coeff_A(t, s, co: ExactCoeffs):
         raise InadmissibleParameter(f"lag s - t = {tau} exceeds T = {T}, the g kernel's span")
     a = co.lag_kernel(_KERNEL_MIN_NODES).a_coef
     basis = _cheb_basis(np.arccos(2.0 * tau / T - 1.0), a.size) - (-1.0) ** np.arange(a.size)
-    A = co.h1_0 * tau + 0.5 * T * (basis * a).sum(axis=-1)
+    A = co.lag.p0 * tau + 0.5 * T * (basis * a).sum(axis=-1)
     return A if A.ndim else float(A)
 
 
 def abc_rhs(A, B, C, co: ExactCoeffs):
     """Backward-ODE right-hand sides (dA/dt, dB/dt, dC/dt) at given values."""
-    base, beta2 = co.base, co.params.market.beta**2
+    base, lag, beta2 = co.base, co.lag, co.params.market.beta**2
     dC = 2.0 * beta2 * C * C + 2.0 * base.kappa * C - base.b0
-    dB = (base.kappa + 2.0 * beta2 * C) * B - 2.0 * co.h2_0 * C + co.h1_1
-    dA = -0.5 * beta2 * B * B + beta2 * C + co.h2_0 * B - co.h1_0
+    dB = (base.kappa + 2.0 * beta2 * C) * B - 2.0 * lag.h2_0 * C + lag.h1_src
+    dA = -0.5 * beta2 * B * B + beta2 * C + lag.h2_0 * B - lag.p0
     return dA, dB, dC
 
 
@@ -329,9 +309,13 @@ def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
     return np.cos(theta[..., None] * np.arange(n))
 
 
+@cache
 def _angles(n: int) -> np.ndarray:
-    """The angles theta of the n first-kind Chebyshev points cos(theta)."""
-    return np.pi * (np.arange(n) + 0.5) / n
+    """The angles theta of the n first-kind Chebyshev points cos(theta);
+    read-only, one per node count in use."""
+    theta = np.pi * (np.arange(n) + 0.5) / n
+    theta.flags.writeable = False
+    return theta
 
 
 @cache
@@ -359,9 +343,18 @@ def _antiderivative(n: int) -> np.ndarray:
     return M
 
 
+@cache
+def _unit_nodes(n: int) -> np.ndarray:
+    """1 + cos(theta) at the n first-kind angles; read-only, one per node
+    count in use."""
+    y = 1.0 + np.cos(_angles(n))
+    y.flags.writeable = False
+    return y
+
+
 def _lag_nodes(span: float, n: int) -> np.ndarray:
     """The n first-kind Chebyshev points of the lag on [0, span]."""
-    return 0.5 * span * (1.0 + np.cos(_angles(n)))
+    return 0.5 * span * _unit_nodes(n)
 
 
 def _tail(coef: np.ndarray) -> np.ndarray:
@@ -480,7 +473,7 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     (tau, B, C), theta = samples[n], _angles(n)
     # A-hat = h1_0 tau + int_0^tau _dA_dtau, with dtau = T/2 dy
     a_coef = _antiderivative(n) @ series.rows[0]
-    A = co.h1_0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ a_coef)
+    A = lag.p0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (

@@ -125,17 +125,16 @@ class InsuranceParams:
 
 @dataclass(frozen=True)
 class PreferenceParams:
-    """Preference block: risk aversion, impatience, EIS, ambiguity aversion.
+    """Preference block: risk aversion, impatience, ambiguity aversion.
 
-    phi_eis = None means "derive phi from (gamma, Phi, rho1)"; a user-set
-    value that disagrees with the derived one is reported by validate() and
-    then overridden wherever the exact closed form is evaluated.
+    The EIS phi is not a parameter: the exact and log-linearized modes
+    derive it from (gamma, Phi, rho1) (derive_k_phi), and the unit-EIS
+    mode pins it to 1.
     """
 
-    gamma: float = 1.2              # relative risk aversion, > 0 and != 1
-    delta: float = 0.08             # time-preference rate (1/yr), > 0
-    phi_eis: Optional[float] = None  # EIS; None -> derived
-    Phi: float = 0.8                # ambiguity aversion, >= 0
+    gamma: float = 1.2   # relative risk aversion, > 0 and != 1
+    delta: float = 0.08  # time-preference rate (1/yr), > 0
+    Phi: float = 0.8     # ambiguity aversion, >= 0
 
 
 @dataclass(frozen=True)
@@ -225,18 +224,19 @@ def require_correlation(rho1: float) -> None:
 
 
 def require_inputs(params: ModelParams) -> None:
-    """Raise InadmissibleParameter where every closed form breaks down: a
-    constant they read that is not finite, sigma = 0 (the loadings divide
-    by sigma), |rho1| > 1, whatever require_claims refuses, delta <= 0
-    (delta^phi and ln delta), or a horizon other than 0 <= t0 < T < inf (g
-    lives on [0, T] and is read from t0)."""
+    """Raise InadmissibleParameter where every closed form and simulator
+    breaks down: a constant they read that is not finite (the start m0 and
+    the premium rate b included), sigma = 0 (the loadings divide by sigma),
+    |rho1| > 1, whatever require_claims refuses, delta <= 0 (delta^phi and
+    ln delta), or a horizon other than 0 <= t0 < T < inf (g lives on
+    [0, T] and is read from t0)."""
     mk, ins, pf, hz = params.market, params.insurance, params.preference, params.horizon
     for key, value in (("r", mk.r), ("a", mk.a), ("sigma", mk.sigma), ("beta", mk.beta),
-                       ("alpha", mk.alpha), ("theta1", ins.theta1), ("lambda", ins.lam),
-                       ("mu1", ins.mu1), ("mu2", ins.mu2), ("gamma", pf.gamma),
-                       ("delta", pf.delta), ("Phi", pf.Phi)):
-        if not math.isfinite(value):
-            raise InadmissibleParameter(f"{key} = {value!r}: the closed forms need a finite value")
+                       ("alpha", mk.alpha), ("m0", mk.m0), ("b", ins.b),
+                       ("theta1", ins.theta1), ("lambda", ins.lam), ("mu1", ins.mu1),
+                       ("mu2", ins.mu2), ("gamma", pf.gamma), ("delta", pf.delta),
+                       ("Phi", pf.Phi)):
+        require_finite(key, value)
     if mk.sigma == 0.0:
         raise InadmissibleParameter("sigma = 0 leaves the risky asset without volatility")
     require_correlation(mk.rho1)
@@ -244,6 +244,12 @@ def require_inputs(params: ModelParams) -> None:
     if pf.delta <= 0.0:
         raise InadmissibleParameter(f"delta = {pf.delta!r}: time preference must be positive")
     require_horizon(hz.t0, hz.T)
+
+
+def require_finite(key: str, value: float) -> None:
+    """Raise InadmissibleParameter, naming key, unless value is finite."""
+    if not math.isfinite(value):
+        raise InadmissibleParameter(f"{key} = {value!r}: the model needs a finite value")
 
 
 def require_horizon(t0: float, T: float) -> None:
@@ -318,8 +324,10 @@ def wealth_offset(x1: float, t: float, params: ModelParams) -> float:
 
     Adds the discounted value of the net premium margin b - (1+theta1)
     *lambda*mu1 over [t, T]:  x = x1 + margin * (1 - e^{-r(T-t)})/r, with
-    the r -> 0 limit margin*(T-t).  InadmissibleParameter unless t is in [0, T].
+    the r -> 0 limit margin*(T-t).  InadmissibleParameter wherever
+    require_inputs refuses, and unless t is in [0, T].
     """
+    require_inputs(params)
     hz, ins, r = params.horizon, params.insurance, params.market.r
     tau = hz.T - float(_horizon_times(t, hz.T, "the wealth offset"))
     margin = ins.b - (1.0 + ins.theta1) * ins.lam * ins.mu1
@@ -404,15 +412,23 @@ def _a31_case(gamma: float, phi: float) -> Tuple[Optional[str], str]:
 def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...] = ()) -> ValidationReport:
     """Run every admissibility and assumption check; never raises.
 
-    mode is one of exact | unit_eis | cs and only affects how phi_eis is
-    interpreted. Hard failures (severity "error") are the ones cmd_validate
-    exits nonzero on; sufficient-condition checks degrade to warnings.
+    mode is one of exact | unit_eis | cs; unit_eis pins phi = 1, so it
+    skips the phi_not_unit row.  Hard failures (severity "error") are the
+    ones cmd_validate exits nonzero on; the solver_inputs row fails exactly
+    where require_inputs, the guard every solver runs, refuses.
+    Sufficient-condition checks degrade to warnings.
     """
     mk, ins, pf, hz = params.market, params.insurance, params.preference, params.horizon
     out: list[CheckResult] = []
 
     def add(name: str, passed: bool, severity: str, message: str) -> None:
         out.append(CheckResult(name, passed, severity, message))
+
+    try:
+        require_inputs(params)
+        add("solver_inputs", True, "error", "every input passes the guard all solvers run")
+    except InadmissibleParameter as exc:
+        add("solver_inputs", False, "error", str(exc))
 
     # -- positivity / range ------------------------------------- #
     add("sigma_positive", mk.sigma > 0.0, "error", f"sigma = {mk.sigma:g}")
@@ -491,21 +507,7 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
         add("k_phi_derivable", False, "error", str(exc))
 
     if phi is not None:
-        if mode == "unit_eis":
-            add("phi_mode", True, "info", "unit-EIS mode pins phi = 1; derived phi unused")
-        else:
-            if pf.phi_eis is None:
-                add("phi_mode", True, "info", f"phi_eis not set; derived phi = {phi:.10g} used")
-            elif abs(pf.phi_eis - phi) > 1e-9:
-                add(
-                    "phi_mode",
-                    False,
-                    "warning",
-                    f"user phi_eis = {pf.phi_eis:g} disagrees with derived {phi:.10g}; "
-                    "the derived value is used by the exact closed form",
-                )
-            else:
-                add("phi_mode", True, "info", f"user phi_eis matches derived {phi:.10g}")
+        if mode != "unit_eis":
             add(
                 "phi_not_unit",
                 abs(phi - 1.0) > _UNIT_PHI_TOL,

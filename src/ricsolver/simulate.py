@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import InadmissibleParameter, NonpositiveWealth
 from .exact import ExactSolver, exact_coeffs
-from .params import ModelParams, require_claims, require_correlation, require_horizon
+from .params import ModelParams, require_finite, require_horizon, require_inputs
 
 __all__ = [
     "ConditionMReport",
@@ -137,18 +137,19 @@ def _steps(span: float, dt: float) -> tuple[int, float]:
 def _mesh(params: ModelParams, horizon, dt: float, n_paths: int):
     """(start, span, n_steps, step, stored step indices) of a simulation.
 
-    The horizon, given or the parameters' [t0, T], must satisfy
-    0 <= start < end (params.require_horizon).  The stored indices take
+    The parameters must pass params.require_inputs, and the horizon, given
+    or their [t0, T], must satisfy 0 <= start < end.  The stored indices take
     every stride-th step, the stride chosen so at most _MAX_STORED points
     are kept, plus the last step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths = {n_paths} must be >= 1")
+    require_inputs(params)
     if horizon is None:
         lo, hi = params.horizon.t0, params.horizon.T
     else:
         lo, hi = float(horizon[0]), float(horizon[1])
-    require_horizon(lo, hi)
+        require_horizon(lo, hi)
     n_steps, h = _steps(hi - lo, dt)
     stride = max(1, -(-(n_steps + 1) // _MAX_STORED))
     idx = list(range(0, n_steps + 1, stride))
@@ -182,7 +183,9 @@ def simulate_factor(
     + beta sqrt(1-rho1^2) xi2) with (xi1, xi2, xi3) = distortion_fn(t, m);
     distortion_fn must accept a vector m.  Under "FK_tilde" the drift is
     the H2 of the linear-equation representation.  One counter-based
-    stream drives the whole batch, one draw block per step.
+    stream drives the whole batch, one draw block per step.  A start m0,
+    given or the parameters', that is not finite raises
+    InadmissibleParameter, as does whatever params.require_inputs refuses.
     """
     _check_measure(measure)
     if measure == "Q_xi" and distortion_fn is None:
@@ -190,8 +193,8 @@ def simulate_factor(
     mk = params.market
     if m0 is None:
         m0 = mk.m0
+    require_finite("m0", m0)
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
-    require_correlation(mk.rho1)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     if measure == "FK_tilde":
         lag = exact_coeffs(params).lag
@@ -252,8 +255,9 @@ def simulate_wealth(
     rho1 dW1 + sqrt(1-rho1^2) dW2.
 
     A path whose wealth reaches X <= 0 is set to exactly zero and frozen;
-    see PathBundle.  Claims with mu2 <= 0 or lambda < 0, and |rho1| > 1,
-    are refused with InadmissibleParameter.
+    see PathBundle.  Parameters that params.require_inputs refuses (among
+    them claims with mu2 <= 0 or lambda < 0, and |rho1| > 1) raise
+    InadmissibleParameter.
     """
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
@@ -261,9 +265,7 @@ def simulate_wealth(
     if not x0 > 0.0:  # NaN fails too
         raise NonpositiveWealth(f"x0 must be positive, got {x0}")
     mk, ins = params.market, params.insurance
-    require_claims(ins)
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
-    require_correlation(mk.rho1)
     rho_c = math.sqrt(1.0 - mk.rho1**2)
     s_lm2 = math.sqrt(ins.lam * ins.mu2)
     drift_q = ins.lam * ins.theta1 * ins.mu1

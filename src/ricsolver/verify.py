@@ -136,8 +136,8 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
     dt = t[1] - t[0]
     dm = m[1] - m[0]
 
-    H1 = eco.H1(m)
-    H2 = eco.H2(m)
+    H1 = eco.lag.H1(m)
+    H2 = eco.lag.H2(m)
     diff = 0.5 * mk.beta**2 / dm**2
     adv = H2 / (2.0 * dm)
 
@@ -186,10 +186,10 @@ def _residual_ops(co: ExactCoeffs | ExpQuadCoeffs):
     """Residual function of the reduced equation co carries, elementwise."""
     beta2 = 0.5 * co.params.market.beta**2
     if isinstance(co, ExactCoeffs):
-        dp = co.delta_phi
+        lag, dp = co.lag, co.delta_phi
 
         def res(t, m, g, g_t, g_m, g_mm):
-            return g_t + beta2 * g_mm + co.H2(m) * g_m + co.H1(m) * g + dp
+            return g_t + beta2 * g_mm + lag.H2(m) * g_m + lag.H1(m) * g + dp
 
         return res
 
@@ -285,13 +285,13 @@ def _bound_constants(co: ExactCoeffs) -> tuple[float, float, float]:
     b1 scales the B bound; A1 = -h2_0 b1 and A2 is the constant drift h1_0
     of A minus the C-bound tail.
     """
-    mk, pf, base = co.params.market, co.params.preference, co.base
+    mk, pf, base, lag = co.params.market, co.params.preference, co.base, co.lag
     one_g = 1.0 - pf.gamma
     denom = 2.0 * base.kappa + base.Delta
     bracket = 4.0 * (one_g - pf.Phi) * base.b0 * base.k * mk.beta * mk.rho1 / (one_g * denom) - 1.0
-    b1 = co.h1_1 * bracket
-    A2 = co.h1_0 - 2.0 * base.b0 * mk.beta**2 / denom
-    return b1, -co.h2_0 * b1, A2
+    b1 = lag.h1_src * bracket
+    A2 = lag.p0 - 2.0 * base.b0 * mk.beta**2 / denom
+    return b1, -lag.h2_0 * b1, A2
 
 
 def abc_bounds_margin(params: ModelParams, t, s):
@@ -568,16 +568,17 @@ def _fk_paths(
     if s < t:
         raise ValueError(f"need t <= s, got t = {t}, s = {s}")
     eco = exact_coeffs(params)
+    lag = eco.lag
     n_steps, h = _fk_steps(s - t, dt)
     if n_steps == 0:
         zeros = np.zeros(n_paths)
         return zeros, (np.zeros(n_paths) if collect_running else None)
-    decay, shift, sd = _ou_step(eco.h2_0, eco.base.kappa, params.market.beta, h)
+    decay, shift, sd = _ou_step(lag.h2_0, eco.base.kappa, params.market.beta, h)
     rng = np.random.Generator(np.random.Philox(seed))
     mv = np.full(n_paths, float(m))
     I = np.zeros(n_paths)
     S = np.zeros(n_paths) if collect_running else None
-    h1_prev = eco.H1(mv)
+    h1_prev = lag.H1(mv)
     exp_prev = np.ones(n_paths) if collect_running else None
     # Each step updates these buffers in place, in the operation order of
     # mv = decay mv + shift + sd z, H1(mv) = h1_0 + h1_1 mv - b0 mv mv,
@@ -591,8 +592,8 @@ def _fk_paths(
             mv += shift
             z *= sd
             mv += z
-            np.multiply(mv, eco.h1_1, out=h1_new)
-            h1_new += eco.h1_0
+            np.multiply(mv, lag.h1_src, out=h1_new)
+            h1_new += lag.p0
             np.multiply(mv, eco.base.b0, out=tmp)
             tmp *= mv
             h1_new -= tmp

@@ -295,12 +295,20 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
     (["simulate", "--set", "T=inf"], "error: horizon [t0, T] = [0.5, inf]"),
     (["verify", "--suite", "mc", "--set", "T=inf"], "error: horizon [t0, T] = [0.5, inf]"),
     (["simulate", "--dt", "nan"], "error: dt = nan must be positive"),
+    # the simulators' own inputs, refused by name before any path is drawn
+    (["simulate", "--process", "factor", "--n-paths", "2", "--set", "m0=nan"],
+     "error: m0 = nan"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "2",
+      "--set", "m0=nan"], "error: m0 = nan"),
+    (["simulate", "--process", "surplus", "--n-paths", "2", "--set", "b=inf"],
+     "error: b = inf"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
         "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
         "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth", "nan-m-exact", "nan-m-unit",
         "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative",
         "nan-sigma", "nan-delta", "inf-r", "nan-sigma-sweep", "nan-beta-unit", "nan-r-table2",
-        "nan-beta-fd", "inf-T-solve", "inf-T-simulate", "inf-T-verify-mc", "nan-dt-simulate"])
+        "nan-beta-fd", "inf-T-solve", "inf-T-simulate", "inf-T-verify-mc", "nan-dt-simulate",
+        "nan-m0-factor", "nan-m0-riskless", "inf-b-surplus"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)
@@ -383,7 +391,6 @@ _GOLDEN_COMMENTS = """\
 # claim_params = 4,0.25
 # gamma = 1.2
 # delta = 0.08
-# phi_eis = none
 # Phi = 0.8
 # t0 = 0.5
 # T = 1

@@ -1,6 +1,7 @@
 import pytest
 
 from ricsolver import ConfigError, ModelParams
+from ricsolver.cli import main
 from ricsolver.config import (
     apply_sets,
     build_params,
@@ -61,12 +62,14 @@ def test_bad_number_reported():
         build_params({"sigma": "fast"})
 
 
-def test_phi_eis_none_spellings():
-    for spelling in ("none", "derived"):
-        params, _ = build_params({"phi_eis": spelling})
-        assert params.preference.phi_eis is None
-    params, _ = build_params({"phi_eis": "1.0"})
-    assert params.preference.phi_eis == 1.0
+def test_phi_eis_is_an_unknown_key(tmp_path, capsys):
+    # phi is derived from (gamma, Phi, rho1) or pinned to 1, never set
+    path = tmp_path / "phi.cfg"
+    path.write_text("phi_eis = 0.5\n")
+    for argv in (["solve", "--set", "phi_eis=0.5"], ["solve", "--config", str(path)]):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown key 'phi_eis'" in err
 
 
 def test_claim_family_parsing():

@@ -81,7 +81,7 @@ def _A_oracle(co, tau, n=24):
     the panels _EDGES clipped to [0, tau]."""
     tau = np.asarray(tau, dtype=float)[..., None]
     x, w = np.polynomial.legendre.leggauss(n)
-    A = co.h1_0 * tau[..., 0]
+    A = co.lag.p0 * tau[..., 0]
     for lo, hi in zip(_EDGES, _EDGES[1:]):
         lo, hi = np.minimum(lo, tau), np.minimum(hi, tau)
         u = 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
@@ -253,8 +253,8 @@ def _oracle_bundle(co, t, ms, n=24):
             co.delta_phi * (ws @ col[:-1]) + col[-1]
             for col in (h, -h * lin, h * (lin * lin - 2.0 * C))
         )
-        H1 = co.h1_0 + co.h1_1 * m - co.base.b0 * m * m
-        H2 = co.h2_0 - co.base.kappa * m
+        H1 = co.lag.p0 + co.lag.h1_src * m - co.base.b0 * m * m
+        H2 = co.lag.h2_0 - co.base.kappa * m
         g_t = -(0.5 * co.params.market.beta**2 * g_mm + H2 * g_m + H1 * g + co.delta_phi)
         rows.append((g, g_m, g_mm, g_t))
     return np.array(rows)

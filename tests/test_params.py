@@ -328,6 +328,12 @@ def _riskless_wealth(params, x0=1.0):
     (dict(r=math.nan), _solve_at_t0(CsSolver), InadmissibleParameter),
     (dict(T=math.inf), _solve_at_t0(ExactSolver), InadmissibleParameter),
     (dict(T=math.inf), lambda p: simulate_factor(p, n_paths=2), InadmissibleParameter),
+    # the simulators' own inputs: the factor's start and the premium rate
+    (dict(m0=math.nan), lambda p: simulate_factor(p, n_paths=2), InadmissibleParameter),
+    (dict(), lambda p: simulate_factor(p, m0=math.inf, n_paths=2), InadmissibleParameter),
+    (dict(m0=math.nan), _riskless_wealth, InadmissibleParameter),
+    (dict(b=math.inf), lambda p: simulate_surplus(p, n_paths=2), InadmissibleParameter),
+    (dict(b=math.inf), lambda p: wealth_offset(1.0, 0.5, p), InadmissibleParameter),
 ], ids=["mu2-exact", "mu2-unit", "mu2-cs", "delta-exact", "delta0-exact",
         "delta-unit", "delta-cs", "alpha0-cs", "alpha-cs", "lambda-exact",
         "pole-unit", "lambda0-surplus", "t0-exact", "t0-unit", "t0-cs",
@@ -338,7 +344,9 @@ def _riskless_wealth(params, x0=1.0):
         "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs",
         "negative-tau-riccati", "nan-tau-integral", "nan-tau-linear", "past-T-offset",
         "nan-t-offset", "negative-t-offset", "nan-sigma-exact", "nan-delta-exact",
-        "inf-r-exact", "nan-beta-unit", "nan-r-cs", "inf-T-exact", "inf-T-factor"])
+        "inf-r-exact", "nan-beta-unit", "nan-r-cs", "inf-T-exact", "inf-T-factor",
+        "nan-m0-factor", "inf-m0-arg-factor", "nan-m0-wealth", "inf-b-surplus",
+        "inf-b-offset"])
 def test_refusals_are_typed(kw, run, error):
     with pytest.raises(error):
         run(repl(ModelParams(), **kw))
@@ -351,8 +359,12 @@ def test_refusals_are_typed(kw, run, error):
 ])
 def test_nonfinite_inputs_refused_by_name(key, attr):
     for value in (math.nan, math.inf, -math.inf):
+        params = repl(ModelParams(), **{attr: value})
         with pytest.raises(InadmissibleParameter, match=f"^{key} = {value!r}: "):
-            exact_coeffs(repl(ModelParams(), **{attr: value}))
+            exact_coeffs(params)
+        assert not validate(params).ok
+    # an infinite horizon passes horizon_order's 0 <= t0 < T but no solver
+    assert not validate(repl(ModelParams(), T=math.inf)).ok
 
 
 def test_claim_dist_moments(base_params):

@@ -92,7 +92,7 @@ def test_fd_degenerate_diffusion_line(base_params):
     tn = grid.t_nodes(params.horizon.t0, params.horizon.T)
     mid = grid.n_m // 2
     dp = params.preference.delta ** co.base.phi
-    h10 = co.h1_0
+    h10 = co.lag.p0
     worst = 0.0
     for i in (0, 1500, 2999):
         tau = params.horizon.T - tn[i]
@@ -479,17 +479,17 @@ def _fk_paths_reference(params, t, m, s, n_paths, dt, seed, collect_running):
     n_steps, h = _fk_steps(s - t, dt)
     if n_steps == 0:
         return np.zeros(n_paths), (np.zeros(n_paths) if collect_running else None)
-    decay, shift, sd = _ou_step(eco.h2_0, eco.base.kappa, params.market.beta, h)
+    decay, shift, sd = _ou_step(eco.lag.h2_0, eco.base.kappa, params.market.beta, h)
     rng = np.random.Generator(np.random.Philox(seed))
     mv = np.full(n_paths, float(m))
     I = np.zeros(n_paths)
     S = np.zeros(n_paths) if collect_running else None
-    h1_prev = eco.H1(mv)
+    h1_prev = eco.lag.H1(mv)
     exp_prev = np.ones(n_paths)
     for _ in range(n_steps):
         z = rng.standard_normal(n_paths)
         mv = decay * mv + shift + sd * z
-        h1_new = eco.H1(mv)
+        h1_new = eco.lag.H1(mv)
         I = I + 0.5 * h * (h1_prev + h1_new)
         h1_prev = h1_new
         if collect_running:
@@ -591,7 +591,7 @@ def test_fk_paths_raises_the_draws_exception(base_params, monkeypatch, collect_r
 # drift/discount assembly
 
 def test_drift_discount_from_params(base_params):
-    fk = exact_coeffs(base_params)
+    fk = exact_coeffs(base_params).lag
     co = derive_coeffs(base_params)
     # H2 is affine with slope -kappa; H1 is quadratic with leading -b0
     assert fk.H2(1.0) - fk.H2(0.0) == pytest.approx(-co.kappa, rel=1e-12)
