@@ -389,7 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["all", *SUITES])
     p.add_argument("--samples", type=int, default=20,
                    help="perturbations per saddle point")
-    p.add_argument("--n-paths", type=int, default=100_000, dest="n_paths")
+    p.add_argument("--n-paths", type=int, default=4096, dest="n_paths")
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("simulate", help="path simulation summaries")

@@ -431,14 +431,16 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
         add("solver_inputs", False, "error", str(exc))
 
     # -- positivity / range ------------------------------------- #
-    add("sigma_positive", mk.sigma > 0.0, "error", f"sigma = {mk.sigma:g}")
-    if mk.beta > 0.0:
+    # A bound row passes no inf or nan: 0 < x < inf, not only 0 < x.
+    add("sigma_positive", 0.0 < mk.sigma < math.inf, "error", f"sigma = {mk.sigma:g}")
+    if 0.0 < mk.beta < math.inf:
         add("beta_positive", True, "error", f"beta = {mk.beta:g}")
     elif mk.beta == 0.0:
         add("beta_positive", False, "warning", "beta = 0 disables factor noise (degenerate)")
     else:
-        add("beta_positive", False, "error", f"beta = {mk.beta:g} < 0")
-    add("alpha_positive", mk.alpha > 0.0, "error", f"alpha = {mk.alpha:g}")
+        add("beta_positive", False, "error",
+            f"beta = {mk.beta:g} " + ("< 0" if mk.beta < 0.0 else "is not finite"))
+    add("alpha_positive", 0.0 < mk.alpha < math.inf, "error", f"alpha = {mk.alpha:g}")
     add(
         "risk_premium",
         mk.a > mk.r,
@@ -446,9 +448,10 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
         f"a = {mk.a:g} vs r = {mk.r:g} (a <= r makes the risky premium degenerate)",
     )
     add("rho1_range", abs(mk.rho1) <= 1.0, "error", f"|rho1| = {abs(mk.rho1):g}")
-    add("horizon_order", 0.0 <= hz.t0 < hz.T, "error", f"t0 = {hz.t0:g}, T = {hz.T:g}")
-    add("delta_positive", pf.delta > 0.0, "error", f"delta = {pf.delta:g}")
-    add("Phi_nonnegative", pf.Phi >= 0.0, "error", f"Phi = {pf.Phi:g}")
+    add("horizon_order", 0.0 <= hz.t0 < hz.T < math.inf, "error",
+        f"t0 = {hz.t0:g}, T = {hz.T:g}")
+    add("delta_positive", 0.0 < pf.delta < math.inf, "error", f"delta = {pf.delta:g}")
+    add("Phi_nonnegative", 0.0 <= pf.Phi < math.inf, "error", f"Phi = {pf.Phi:g}")
     if abs(1.0 - pf.gamma) < _GAMMA_ONE_TOL:
         add(
             "gamma_admissible",
@@ -457,24 +460,24 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
             "gamma = 1 is excluded from this mode; use --mode unit_eis (unit EIS)",
         )
     else:
-        add("gamma_admissible", pf.gamma > 0.0, "error", f"gamma = {pf.gamma:g}")
+        add("gamma_admissible", 0.0 < pf.gamma < math.inf, "error", f"gamma = {pf.gamma:g}")
     add(
         "phi_gamma_floor",
-        pf.Phi + pf.gamma > _PHI_GAMMA_FLOOR,
+        _PHI_GAMMA_FLOOR < pf.Phi + pf.gamma < math.inf,
         "error",
         f"Phi + gamma = {pf.Phi + pf.gamma:g}",
     )
 
     # -- insurance block ---------------------------------------- #
-    add("lambda_positive", ins.lam > 0.0, "error", f"lambda = {ins.lam:g}")
-    add("mu1_positive", ins.mu1 > 0.0, "error", f"mu1 = {ins.mu1:g}")
+    add("lambda_positive", 0.0 < ins.lam < math.inf, "error", f"lambda = {ins.lam:g}")
+    add("mu1_positive", 0.0 < ins.mu1 < math.inf, "error", f"mu1 = {ins.mu1:g}")
     add(
         "mu2_vs_mu1",
-        ins.mu2 >= ins.mu1**2 > 0.0,
+        math.inf > ins.mu2 >= ins.mu1**2 > 0.0,
         "error",
         f"mu2 = {ins.mu2:g} vs mu1^2 = {ins.mu1**2:g}",
     )
-    add("theta1_positive", ins.theta1 > 0.0, "error", f"theta1 = {ins.theta1:g}")
+    add("theta1_positive", 0.0 < ins.theta1 < math.inf, "error", f"theta1 = {ins.theta1:g}")
     lo, hi = ins.lam * ins.mu1, (1.0 + ins.theta1) * ins.lam * ins.mu1
     add(
         "premium_loading",

@@ -34,6 +34,23 @@ def test_validate_gamma_one_redirects(capsys):
     assert "unit" in out
 
 
+@pytest.mark.parametrize("setting, row", [
+    ("T=inf", "horizon_order"), ("t0=inf", "horizon_order"), ("sigma=inf", "sigma_positive"),
+    ("beta=inf", "beta_positive"), ("beta=nan", "beta_positive"),
+    ("alpha=inf", "alpha_positive"), ("delta=inf", "delta_positive"),
+    ("Phi=inf", "Phi_nonnegative"), ("gamma=inf", "gamma_admissible"),
+    ("lambda=inf", "lambda_positive"), ("mu1=inf", "mu1_positive"), ("mu2=inf", "mu2_vs_mu1"),
+    ("theta1=inf", "theta1_positive"),
+])
+def test_validate_rows_fail_on_nonfinite_values(capsys, setting, row):
+    # each bound row fails where every solver refuses, next to solver_inputs
+    rc = main(["validate", "--set", setting])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL] solver_inputs: " in out
+    assert f"[FAIL] {row}: " in out and f"[pass] {row}: " not in out
+
+
 def test_solve_row_structure(capsys):
     rc, comments, rows = run(capsys, "solve")
     assert rc == 0
@@ -228,11 +245,24 @@ def test_verify_mc_reports_its_scheme(capsys):
     rc, comments, rows = run(capsys, "verify", "--suite", "mc", "--n-paths", "500",
                              "--seed", "4")
     assert rc == 0
-    # default horizon [0.5, 1]: 200 steps of 2.5e-3
-    assert ("# diag mc: scheme = exact_ou, dt = 0.0025, n_steps = 200, "
-            "n_paths = 500, seed = 4") in comments
+    # default horizon [0.5, 1]: 200 steps of 2.5e-3, and the control with
+    # its fitted b and the standard error of the same paths without it
+    diag = [c for c in comments if c.startswith("# diag mc:")]
+    assert len(diag) == 1
+    assert diag[0].startswith("# diag mc: scheme = exact_ou, dt = 0.0025, n_steps = 200, "
+                              "n_paths = 500, seed = 4, control = ou_moments, b = ")
     assert len(rows) == 2 and rows[1][0] == "mc_g_z_score"
     assert "paths=500 est=" in rows[1][1]
+    # one se= field in the row, the controlled one, below the plain one
+    point = dict(f.split("=") for f in rows[1][1].split())
+    assert set(point) == {"t", "m", "paths", "est", "closed", "se"}
+    assert float(point["se"]) < float(diag[0].split(", plain_se = ")[1])
+
+
+def test_verify_mc_default_paths(capsys):
+    rc, comments, _ = run(capsys, "verify", "--suite", "mc")
+    assert rc == 0
+    assert any(c.startswith("# diag mc:") and "n_paths = 4096," in c for c in comments)
 
 
 def test_simulate_wealth_rejects_empty_horizon(capsys):

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -28,8 +29,8 @@ from ricsolver import (
 )
 
 from ricsolver.exact import coeff_A
-from ricsolver.verify import (MC_DT, _fk_paths, _fk_steps, _lag_pairs, _ou_step, fd_suite, pde_suite,
-                              saddle_suite)
+from ricsolver.verify import (MC_DT, _fk_paths, _fk_steps, _lag_pairs, _mean_se,
+                              _ou_h1_mean, _ou_step, fd_suite, pde_suite, saddle_suite)
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -437,6 +438,97 @@ def test_ou_step_kappa_zero_is_the_limit():
     assert decay == pytest.approx(math.exp(-0.02), rel=1e-15)
     assert shift == pytest.approx(0.3 * (1.0 - math.exp(-0.02)) / 2.0, rel=1e-14)
     assert sd**2 == pytest.approx(0.16 * (1.0 - math.exp(-0.04)) / 4.0, rel=1e-14)
+
+
+def _h1_mean_by_trapezoid(eco, beta, m, span, n=100_000):
+    """E int_0^span H1(m_u) du by an n-step trapezoid of the OU moment curves
+    mu = mu_inf + (m - mu_inf) e^{-kappa u} (mu_inf = h2_0/kappa) and
+    v = beta^2 (1 - e^{-2 kappa u})/(2 kappa), or m + h2_0 u and beta^2 u at
+    kappa = 0, with the Richardson correction from the n/2-step trapezoid."""
+    kappa, h2_0 = eco.base.kappa, eco.lag.h2_0
+    u = np.linspace(0.0, span, n + 1)
+    if kappa == 0.0:
+        mu, v = m + h2_0 * u, beta**2 * u
+    else:
+        mu_inf = h2_0 / kappa
+        mu = mu_inf + (m - mu_inf) * np.exp(-kappa * u)
+        v = beta**2 * -np.expm1(-2.0 * kappa * u) / (2.0 * kappa)
+    f = eco.lag.H1(mu) - eco.base.b0 * v  # E H1(m_u) = H1(mu) - b0 v
+
+    def trapezoid(f, h):
+        return h * (math.fsum(f) - 0.5 * (f[0] + f[-1]))
+
+    fine, coarse = trapezoid(f, span / n), trapezoid(f[::2], 2.0 * span / n)
+    return fine + (fine - coarse) / 3.0
+
+
+@pytest.mark.parametrize("alpha, rho1, kappa", [
+    (5.0, -0.5, 4.9375), (0.4, 0.0, 0.4), (0.0, 0.0, 0.0), (-0.5, 0.0, -0.5),
+], ids=["default", "small-kappa", "kappa0", "negative-kappa"])
+@pytest.mark.parametrize("span", [0.5, 1.0])
+def test_ou_h1_mean_matches_moment_curves(base_params, alpha, rho1, kappa, span):
+    # kappa span = 0.2 and 0.25 take the series branch, 0.4 and above the
+    # closed form, kappa = 0 the limit
+    eco = exact_coeffs(repl(base_params, alpha=alpha, rho1=rho1))
+    assert eco.base.kappa == kappa
+    beta = base_params.market.beta
+    for m in (-2.0, 0.3, 2.0):
+        want = _h1_mean_by_trapezoid(eco, beta, m, span)
+        assert _ou_h1_mean(eco, beta, m, span) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("t, m, dt", [(0.5, 0.0, 1e-3), (0.0, -2.0, MC_DT), (0.8, 1.8, 5e-3)])
+def test_control_has_its_closed_form_mean(base_params, t, m, dt):
+    # the control I(T) - E int H1 averages to zero over the engine's paths
+    I, _ = _fk_paths(base_params, t, m, base_params.horizon.T, 20_000, dt, 17, False)
+    mean = _ou_h1_mean(exact_coeffs(base_params), base_params.market.beta, m,
+                       base_params.horizon.T - t)
+    est, se = _mean_se(I - mean)
+    assert abs(est) <= 3.0 * se
+
+
+def test_mc_g_control_cuts_the_standard_error(base_params):
+    # at (0.5, 0) the control takes the standard error down about 20x
+    args = (base_params, 0.5, 0.0, base_params.horizon.T, 2_000, MC_DT, 11, True)
+    I, S = _fk_paths(*args)
+    _, plain = _mean_se(exact_coeffs(base_params).delta_phi * S + np.exp(I))
+    mc = mc_g(base_params, 0.5, 0.0, n_paths=2_000, dt=MC_DT, seed=11)
+    _, se = mc
+    assert mc.plain_se == plain
+    assert 10.0 * se <= plain
+
+
+@pytest.mark.parametrize("beta, t", [(0.0, 0.5), (0.25, 1.0)], ids=["beta0", "zero-span"])
+def test_mc_g_without_spread_in_the_control(base_params, beta, t):
+    # Var X = 0: b = 0, and no division by zero or warning on the way
+    params = repl(base_params, beta=beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mc = mc_g(params, t, 0.4, n_paths=2_000, dt=1e-3, seed=3)
+    est, se = mc
+    assert se == 0.0 and mc.b == 0.0
+    assert math.isfinite(est)
+    # equal values average to exactly themselves (fsum(3 * [0.1]) / 3 does not)
+    assert _mean_se(np.full(3, 0.1)) == (0.1, 0.0)
+    if t == params.horizon.T:
+        assert est == 1.0
+
+
+def test_mc_suite_reaches_mc_g_by_name(base_params, monkeypatch):
+    # the bench tracer times the suite's Monte Carlo by wrapping verify.mc_g,
+    # and the suite's note reads b and plain_se from what mc_g returns
+    import ricsolver.verify as verify
+    calls = []
+
+    def traced(*args, **kwargs):
+        calls.append(kwargs["n_paths"])
+        return real(*args, **kwargs)
+
+    real = verify.mc_g
+    monkeypatch.setattr(verify, "mc_g", traced)
+    (row,) = verify.mc_suite(base_params, 256, 5)
+    assert calls == [256]
+    assert "control = ou_moments, b = " in row.note and ", plain_se = " in row.note
 
 
 def test_import_leaves_scipy_unloaded():
