@@ -12,6 +12,11 @@ truncated and flagged, not rejected; the admissibility analysis wants those
 events as data.  The tabulated strategy is plain numpy, so importing this
 module loads no scipy.
 
+Each engine here, and the Feynman-Kac Monte Carlo in verify.py, draws its
+one Philox stream ahead on a worker thread (_draw_ahead), several steps'
+normal blocks per call into two recycled buffers; the stream is drawn in
+order, so the bits are those of one draw per step at the top of the step.
+
 Every result object embeds (seed, dt, n_paths); a rerun with equal fields
 reproduces the arrays bit for bit.
 """
@@ -19,6 +24,9 @@ reproduces the arrays bit for bit.
 from __future__ import annotations
 
 import math
+import queue
+import threading
+from contextlib import closing
 from dataclasses import dataclass
 from typing import Callable
 
@@ -42,6 +50,7 @@ __all__ = [
 
 _MEASURES = ("P", "Q_xi", "FK_tilde")
 _MAX_STORED = 257  # cap on stored mesh points per path
+_CHUNK_NORMALS = 32_768  # cap on the normals _draw_ahead draws per call
 
 
 # ---------------------------------------------------------------- #
@@ -163,6 +172,55 @@ def _check_measure(measure: str, allowed=_MEASURES) -> None:
         raise ValueError(f"measure must be one of {allowed}, got {measure!r}")
 
 
+def _chunk_steps(shape: tuple, n_steps: int) -> int:
+    """Steps per call of _draw_ahead: as many blocks of shape as fit in
+    _CHUNK_NORMALS normals, at least one and at most n_steps."""
+    return max(1, min(n_steps, _CHUNK_NORMALS // math.prod(shape)))
+
+
+def _draw_ahead(rng: np.random.Generator, shape: tuple, n_steps: int):
+    """The n_steps standard-normal blocks of shape that rng draws in turn,
+    drawn ahead on a worker thread.
+
+    The worker owns rng and fills two buffers in turn, each with the blocks
+    of _chunk_steps(shape, n_steps) steps in one rng.standard_normal call;
+    it fills one while the caller reads the per-step views of the other,
+    which goes back to the worker when the caller asks for the block after
+    its last.  One stream drawn in order gives the bits of a serial loop of
+    one draw per step.  An exception in the draw is raised to the caller.
+    Close the generator (contextlib.closing) so the worker is joined on
+    every exit, return or raise.
+    """
+    k = _chunk_steps(shape, n_steps)
+    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
+    for _ in range(2):
+        free.put(np.empty((k,) + shape))
+
+    def draw():
+        try:
+            for lo in range(0, n_steps, k):
+                buf = free.get()
+                if buf is None:  # the caller stopped early
+                    return
+                rng.standard_normal(out=buf[:min(k, n_steps - lo)])
+                filled.put(buf)
+        except BaseException as exc:
+            filled.put(exc)
+
+    worker = threading.Thread(target=draw, name="ricsolver-normals", daemon=True)
+    worker.start()
+    try:
+        for lo in range(0, n_steps, k):
+            buf = filled.get()
+            if isinstance(buf, BaseException):
+                raise buf
+            yield from buf[:min(k, n_steps - lo)]
+            free.put(buf)
+    finally:
+        free.put(None)
+        worker.join()
+
+
 # ---------------------------------------------------------------- #
 # factor
 
@@ -183,9 +241,11 @@ def simulate_factor(
     + beta sqrt(1-rho1^2) xi2) with (xi1, xi2, xi3) = distortion_fn(t, m);
     distortion_fn must accept a vector m.  Under "FK_tilde" the drift is
     the H2 of the linear-equation representation.  One counter-based
-    stream drives the whole batch, one draw block per step.  A start m0,
-    given or the parameters', that is not finite raises
-    InadmissibleParameter, as does whatever params.require_inputs refuses.
+    stream drives the whole batch, one draw block per step, drawn ahead on
+    a worker thread (_draw_ahead) that is joined before the call returns
+    or raises.  A start m0, given or the parameters', that is not finite
+    raises InadmissibleParameter, as does whatever params.require_inputs
+    refuses.
     """
     _check_measure(measure)
     if measure == "Q_xi" and distortion_fn is None:
@@ -207,19 +267,20 @@ def simulate_factor(
         out[:, pos] = m
         pos += 1
     sq = mk.beta * math.sqrt(h)
-    for step in range(1, n_steps + 1):
-        t = t_lo + (step - 1) * h
-        if measure == "P":
-            drift = -mk.alpha * m
-        elif measure == "FK_tilde":
-            drift = lag.H2(m)
-        else:
-            xi1, xi2, _ = distortion_fn(t, m)
-            drift = -(mk.alpha * m + mk.beta * mk.rho1 * xi1 + mk.beta * rho_c * xi2)
-        m = m + drift * h + sq * rng.standard_normal(n_paths)
-        if pos < stored.size and stored[pos] == step:
-            out[:, pos] = m
-            pos += 1
+    with closing(_draw_ahead(rng, (n_paths,), n_steps)) as blocks:
+        for step, z in enumerate(blocks, start=1):
+            t = t_lo + (step - 1) * h
+            if measure == "P":
+                drift = -mk.alpha * m
+            elif measure == "FK_tilde":
+                drift = lag.H2(m)
+            else:
+                xi1, xi2, _ = distortion_fn(t, m)
+                drift = -(mk.alpha * m + mk.beta * mk.rho1 * xi1 + mk.beta * rho_c * xi2)
+            m = m + drift * h + sq * z
+            if pos < stored.size and stored[pos] == step:
+                out[:, pos] = m
+                pos += 1
     return FactorPaths(
         mesh=t_lo + h * stored.astype(float),
         m=out,
@@ -255,9 +316,11 @@ def simulate_wealth(
     rho1 dW1 + sqrt(1-rho1^2) dW2.
 
     A path whose wealth reaches X <= 0 is set to exactly zero and frozen;
-    see PathBundle.  Parameters that params.require_inputs refuses (among
-    them claims with mu2 <= 0 or lambda < 0, and |rho1| > 1) raise
-    InadmissibleParameter.
+    see PathBundle.  Until the first such event no step masks the dead
+    paths, since there are none.  One stream drives the batch, one
+    (3, n_paths) block per step, drawn ahead as in simulate_factor.
+    Parameters that params.require_inputs refuses (among them claims with
+    mu2 <= 0 or lambda < 0, and |rho1| > 1) raise InadmissibleParameter.
     """
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
@@ -283,40 +346,47 @@ def simulate_wealth(
     sqh = math.sqrt(h)
 
     pos = 0
-    for step in range(0, n_steps + 1):
-        t = t_lo + step * h
-        x_safe = np.where(alive, x, 1.0)
-        pi, q, c = strategy_fn(t, x_safe, m)
-        pi = np.where(alive, pi, 0.0)
-        q = np.where(alive, q, 0.0)
-        c = np.where(alive, c, 0.0)
-        if pos < n_stored and stored[pos] == step:
-            m_out[:, pos] = m
-            x_out[:, pos] = x
-            with np.errstate(divide="ignore", invalid="ignore"):
-                for arr, amt in zip(ratios_out, (pi, q, c)):
-                    arr[:, pos] = np.where(alive, amt / x_safe, 0.0)
-            pos += 1
-        if step == n_steps:
-            break
-        z = rng.standard_normal((3, n_paths))
-        dw1 = sqh * z[0]
-        dwm = sqh * (mk.rho1 * z[0] + rho_c * z[1])
-        dw3 = sqh * z[2]
-        risk_prem = mk.sigma * m + mk.a - mk.r
-        drift_x = mk.r * x + pi * risk_prem + drift_q * q - c
-        drift_m = -mk.alpha * m
-        if measure == "Q_xi":
-            xi1, xi2, xi3 = distortion_fn(t, m)
-            drift_x = drift_x - pi * mk.sigma * xi1 - q * s_lm2 * xi3
-            drift_m = drift_m - mk.beta * mk.rho1 * xi1 - mk.beta * rho_c * xi2
-        x_new = x + drift_x * h + mk.sigma * pi * dw1 + s_lm2 * q * dw3
-        m = m + drift_m * h + mk.beta * dwm
-        died = alive & (x_new <= 0.0)
-        if died.any():
-            trunc_time[died] = t + h
-            alive = alive & ~died
-        x = np.where(alive, x_new, 0.0)
+    masked = False  # set at the first death: from then on dead paths are masked
+    with closing(_draw_ahead(rng, (3, n_paths), n_steps)) as blocks:
+        for step in range(0, n_steps + 1):
+            t = t_lo + step * h
+            if masked:
+                x_safe = np.where(alive, x, 1.0)
+                pi, q, c = (np.where(alive, v, 0.0) for v in strategy_fn(t, x_safe, m))
+            else:
+                x_safe = x
+                pi, q, c = strategy_fn(t, x, m)
+            if pos < n_stored and stored[pos] == step:
+                m_out[:, pos] = m
+                x_out[:, pos] = x
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    for arr, amt in zip(ratios_out, (pi, q, c)):
+                        ratio = amt / x_safe
+                        arr[:, pos] = np.where(alive, ratio, 0.0) if masked else ratio
+                pos += 1
+            if step == n_steps:
+                break
+            z = next(blocks)
+            dw1 = sqh * z[0]
+            dwm = sqh * (mk.rho1 * z[0] + rho_c * z[1])
+            dw3 = sqh * z[2]
+            risk_prem = mk.sigma * m + mk.a - mk.r
+            drift_x = mk.r * x + pi * risk_prem + drift_q * q - c
+            drift_m = -mk.alpha * m
+            if measure == "Q_xi":
+                xi1, xi2, xi3 = distortion_fn(t, m)
+                drift_x = drift_x - pi * mk.sigma * xi1 - q * s_lm2 * xi3
+                drift_m = drift_m - mk.beta * mk.rho1 * xi1 - mk.beta * rho_c * xi2
+            x_new = x + drift_x * h + mk.sigma * pi * dw1 + s_lm2 * q * dw3
+            m = m + drift_m * h + mk.beta * dwm
+            died = x_new <= 0.0
+            if masked:
+                died &= alive
+            if died.any():
+                trunc_time[died] = t + h
+                alive &= ~died
+                masked = True
+            x = np.where(alive, x_new, 0.0) if masked else x_new
     return PathBundle(
         mesh=t_lo + h * stored.astype(float),
         m=m_out,
@@ -438,11 +508,11 @@ class TabulatedStrategy:
     Pointwise evaluation of the exact ratios costs a g kernel call per
     point, too slow inside a path loop.  The table is one call of the
     exact solver's strategy on the grid of t and m nodes.  The four
-    ratio surfaces (pi/x, c/x, xi1, xi2) are stacked in one (n_t, n_m, 4)
-    array and read as bilinear interpolants, queries clipped to the grid
-    box: each query blends the two t rows that bracket its t, then locates
-    its m cells once and blends their neighbours for all four surfaces
-    together.  Interpolation error is O(grid step squared), well under the
+    ratio surfaces (pi/x, c/x, xi1, xi2) are stacked surface-major in one
+    (4, n_t, n_m) array and read as bilinear interpolants, queries clipped
+    to the grid box: each query blends the two t rows that bracket its t,
+    then locates its m cells once and blends their neighbours for all four
+    surfaces together, so each surface's values come out contiguous.  Interpolation error is O(grid step squared), well under the
     Euler discretization error for the default grid.
 
     The last lookup is kept, keyed on t and a copy of the contents of m, so
@@ -456,12 +526,12 @@ class TabulatedStrategy:
         self._t = np.asarray(t_nodes, dtype=float)
         self._m = np.asarray(m_nodes, dtype=float)
         self._v = np.stack([np.asarray(g, dtype=float)
-                            for g in (pi_grid, c_grid, xi1_grid, xi2_grid)], axis=-1)
+                            for g in (pi_grid, c_grid, xi1_grid, xi2_grid)])
         for name, nodes in (("t", self._t), ("m", self._m)):
             if nodes.ndim != 1 or nodes.size < 2 or not np.all(np.diff(nodes) > 0.0):
                 raise ValueError(f"{name} nodes must be a 1-D strictly ascending "
                                  f"array of at least 2 points")
-        if self._v.shape != (self._t.size, self._m.size, 4):
+        if self._v.shape != (4, self._t.size, self._m.size):
             raise ValueError(f"ratio grids must have shape {(self._t.size, self._m.size)}")
         self.q_ratio = float(q_ratio)
         self.xi3 = float(xi3)
@@ -482,7 +552,7 @@ class TabulatedStrategy:
                    sp.xi1, sp.xi2, sp.xi3)
 
     def _lookup(self, t, m) -> np.ndarray:
-        """(..., 4) read-only _interp values, kept for the next call at the
+        """(4, ...) read-only _interp values, kept for the next call at the
         same t and the same contents of m."""
         t, last = float(t), self._last
         if last is not None and last[0] == t and np.array_equal(last[1], m):
@@ -494,22 +564,22 @@ class TabulatedStrategy:
         return r
 
     def _interp(self, t: float, m) -> np.ndarray:
-        """(..., 4) bilinear values at scalar t and array m, clipped to the box."""
+        """(4, ...) bilinear values at scalar t and array m, clipped to the box."""
         tn, mn, v = self._t, self._m, self._v
         t = min(max(t, tn[0]), tn[-1])
         i = min(int(np.searchsorted(tn, t, side="right")) - 1, tn.size - 2)
         wt = (t - tn[i]) / (tn[i + 1] - tn[i])
-        m = np.clip(m, mn[0], mn[-1])
+        m = np.minimum(np.maximum(m, mn[0]), mn[-1])
         j = np.minimum(np.searchsorted(mn, m, side="right") - 1, mn.size - 2)
-        wm = ((m - mn[j]) / (mn[j + 1] - mn[j]))[..., None]
-        row = v[i] * (1.0 - wt) + v[i + 1] * wt
-        return row[j] * (1.0 - wm) + row[j + 1] * wm
+        wm = (m - mn[j]) / (mn[j + 1] - mn[j])
+        row = v[:, i] * (1.0 - wt) + v[:, i + 1] * wt
+        return row.take(j, axis=1) * (1.0 - wm) + row.take(j + 1, axis=1) * wm
 
     def strategy_fn(self, t, x, m):
         r = self._lookup(t, m)
         x = np.asarray(x, dtype=float)
-        return r[..., 0] * x, self.q_ratio * x, r[..., 1] * x
+        return r[0] * x, self.q_ratio * x, r[1] * x
 
     def distortion_fn(self, t, m):
         r = self._lookup(t, m)
-        return r[..., 2], r[..., 3], np.full(np.asarray(m).shape, self.xi3)
+        return r[2], r[3], np.full(np.asarray(m).shape, self.xi3)

@@ -17,8 +17,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import queue
-import threading
 from contextlib import closing
 from dataclasses import dataclass
 from functools import cache
@@ -39,7 +37,7 @@ from .exact import (
     exact_coeffs,
 )
 from .params import ModelParams, derive_k_phi
-from .simulate import _steps
+from .simulate import _draw_ahead, _steps
 from .uniteis import ExpQuadCoeffs, UnitEisSolver
 
 __all__ = [
@@ -113,11 +111,15 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
     domain must cover at least eight stationary standard deviations of the
     factor, m_max >= 8 beta / sqrt(2 alpha), so the misfit of the flat
     boundary against the decaying solution stays inside the boundary layer
-    that the inward mean reversion confines.
+    that the inward mean reversion confines.  The step matrix I - dt/2 L
+    is the same at every step, so it is LU-factored once (LAPACK gbtrf) and
+    each step back-substitutes (gbtrs); those are the two halves of the
+    banded solve gbsv, so the bits are those of one gbsv per step.  A
+    singular or non-finite system raises SingularLinearSystem.
 
     Returns an (n_t, n_m) array indexed by (t node, m node).
     """
-    from scipy.linalg import solve_banded  # kept out of `import ricsolver`
+    from scipy.linalg.lapack import dgbtrf, dgbtrs  # kept out of `import ricsolver`
 
     mk = params.market
     if mk.alpha > 0.0:
@@ -146,8 +148,10 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
     dia = -2.0 * diff + H1
     sup = diff + adv
 
-    # banded matrix (l=2, u=2) for I - dt/2 L with one-sided Neumann rows
-    ab = np.zeros((5, n))
+    # banded matrix (l=2, u=2) for I - dt/2 L with one-sided Neumann rows,
+    # under the two rows gbtrf fills with the U factor's extra diagonals
+    lu = np.zeros((7, n))
+    ab = lu[2:]
     ab[2, 1:-1] = 1.0 - 0.5 * dt * dia[1:-1]
     ab[1, 2:] = -0.5 * dt * sup[1:-1]
     ab[3, 0:-2] = -0.5 * dt * sub[1:-1]
@@ -159,6 +163,11 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
     ab[2, n - 1] = 3.0
     ab[3, n - 2] = -4.0
     ab[4, n - 3] = 1.0
+    if not np.all(np.isfinite(ab)):
+        raise SingularLinearSystem("banded matrix has non-finite entries")
+    lu, piv, info = dgbtrf(lu, 2, 2, overwrite_ab=True)
+    if info != 0:
+        raise SingularLinearSystem(f"banded LU factorization failed: info = {info}")
 
     out = np.empty((grid.n_t, n))
     out[-1] = 1.0
@@ -169,11 +178,8 @@ def fd_solve_g(params: ModelParams, grid: Grid2D) -> np.ndarray:
         rhs[1:-1] = g[1:-1] + 0.5 * dt * lg + dt * dp
         rhs[0] = 0.0
         rhs[-1] = 0.0
-        try:
-            g = solve_banded((2, 2), ab, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise SingularLinearSystem(f"banded solve failed: {exc}") from exc
-        if not np.all(np.isfinite(g)):
+        g, info = dgbtrs(lu, 2, 2, rhs, piv)
+        if info != 0 or not np.all(np.isfinite(g)):
             raise SingularLinearSystem("banded solve produced non-finite values")
         out[i] = g
     return out
@@ -502,46 +508,6 @@ def _fk_steps(span: float, dt: float) -> tuple[int, float]:
     return (0, 0.0) if span == 0.0 else _steps(span, dt)
 
 
-def _normal_blocks(rng: np.random.Generator, n_paths: int, n_steps: int):
-    """The n_steps standard-normal blocks of n_paths that rng draws in turn,
-    each drawn one step ahead on a worker thread.
-
-    The worker owns rng and fills two buffers in turn: it draws block k + 1
-    while the caller uses block k, which goes back to the worker when the
-    caller asks for the next one.  One stream drawn in order gives the bits
-    of a serial loop.  An exception in the draw is raised to the caller.
-    Close the generator (contextlib.closing) so the worker is joined on
-    every exit, return or raise.
-    """
-    free, filled = queue.SimpleQueue(), queue.SimpleQueue()
-    for _ in range(2):
-        free.put(np.empty(n_paths))
-
-    def draw():
-        try:
-            for _ in range(n_steps):
-                z = free.get()
-                if z is None:  # the caller stopped early
-                    return
-                rng.standard_normal(out=z)
-                filled.put(z)
-        except BaseException as exc:
-            filled.put(exc)
-
-    worker = threading.Thread(target=draw, name="ricsolver-fk-normals", daemon=True)
-    worker.start()
-    try:
-        for _ in range(n_steps):
-            z = filled.get()
-            if isinstance(z, BaseException):
-                raise z
-            yield z
-            free.put(z)
-    finally:
-        free.put(None)
-        worker.join()
-
-
 def _fk_paths(
     params: ModelParams,
     t: float,
@@ -559,9 +525,9 @@ def _fk_paths(
     Returns (I_final, S_running) where I_final[i] = int_t^s H1 along path i
     (trapezoid) and S_running[i] = int_t^s exp(I(u)) du (trapezoid in u,
     present only when collect_running).  One Philox(seed) stream gives one
-    normal block per step; a worker thread draws it one step ahead of the
-    step arithmetic (_normal_blocks), so the bits are those of drawing
-    each block at the top of its step.
+    normal block per step; a worker thread draws the blocks ahead of the
+    step arithmetic, several steps per call (simulate._draw_ahead), so the
+    bits are those of drawing each block at the top of its step.
     """
     if n_paths < 1:
         raise ValueError(f"n_paths = {n_paths} must be >= 1")
@@ -588,7 +554,7 @@ def _fk_paths(
     h1_new, tmp = np.empty(n_paths), np.empty(n_paths)
     e = np.empty(n_paths) if collect_running else None
     half_h = 0.5 * h
-    with closing(_normal_blocks(rng, n_paths, n_steps)) as blocks:
+    with closing(_draw_ahead(rng, (n_paths,), n_steps)) as blocks:
         for z in blocks:
             mv *= decay
             mv += shift
@@ -699,9 +665,9 @@ def mc_feynman_kac(
     Exact OU factor steps of uniform width span/round(span/dt) (dt is a
     target), one counter-based stream for the whole batch with one draw
     block per step, trapezoid accumulation of the discount integral.  A
-    worker thread draws each block one step ahead of the step arithmetic
-    and is joined before the call returns or raises; the stream is drawn
-    in order, so the result has the bits of a serial loop.  The control is
+    worker thread draws the blocks ahead of the step arithmetic, several
+    steps per call, and is joined before the call returns or raises; the
+    stream is drawn in order, so the result has the bits of a serial loop.  The control is
     I(s) minus its continuous-time mean (_ou_h1_mean), as in mc_g.
     """
     I, _ = _fk_paths(params, t, m, s, n_paths, dt, seed, collect_running=False)
@@ -727,7 +693,9 @@ def mc_g(
     the same paths.  The control takes 6-35x off the standard error at the
     default calibration (t in {0, 0.5}, |m| <= 2); and as I's trapezoid bias
     enters Y and X alike, centring X on the continuous mean cancels the
-    leading second-order bias in dt as well.
+    leading second-order bias in dt as well.  The paths are _fk_paths':
+    one Philox(seed) stream drawn ahead on a worker thread, several steps
+    per call, with the bits of a serial loop.
     """
     eco = exact_coeffs(params)
     I, S = _fk_paths(
@@ -859,22 +827,36 @@ def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
     """z-score of mc_g (exact OU steps of target width MC_DT, OU-moment
     control) against the exact g at (t0, m0); the row's note records how
     the Monte Carlo ran, the control's fitted b and the standard error the
-    same paths give without it."""
+    same paths give without it.
+
+    A run of several paths with no spread (beta = 0: every path is the same
+    trapezoid) has no z-score.  Its row is instead the relative gap
+    |est - closed| / closed against twice the trapezoid's O(h^2) bias, which
+    a second run at half the step sizes by Richardson, plus the closed
+    form's own 1e-9; the note states the gap and the bias.
+    """
     t0 = params.horizon.t0
     m0 = params.market.m0
     # through mc_g by name, so a wrapper on verify.mc_g sees each call
     mc = mc_g(params, t0, m0, n_paths=n_paths, dt=MC_DT, seed=seed)
     est, se = mc
     closed = ExactSolver(params).g(t0, m0).g
+    n_steps, h = _fk_steps(params.horizon.T - t0, MC_DT)
+    point = (f"t={t0:.4f} m={m0:.4f} paths={n_paths} est={est:.8f} "
+             f"closed={closed:.8f} se={se:.2e}")
+    note = (f"diag mc: scheme = exact_ou, dt = {MC_DT:.9g}, "
+            f"n_steps = {n_steps}, n_paths = {n_paths}, seed = {seed}, "
+            f"control = ou_moments, b = {mc.b:.6g}, plain_se = {mc.plain_se:.2e}")
+    if se == 0.0 and n_paths > 1:
+        # the same span in twice the steps: bias(h) = 4/3 (est(h) - est(h/2))
+        est2, _ = mc_g(params, t0, m0, n_paths=n_paths, dt=0.5 * h, seed=seed)
+        bias = 4.0 / 3.0 * abs(est - est2) / abs(closed)
+        gap, tol = abs(est - closed) / abs(closed), 2.0 * bias + 1e-9
+        return [CheckRow("mc_g_rel_gap", point, gap, tol, gap <= tol,
+                         note=f"{note}, spread = 0, rel_gap = {gap:.3e}, "
+                              f"trapezoid_bias = {bias:.3e}")]
     z = abs(est - closed) / se if se > 0 else math.inf
-    n_steps, _ = _fk_steps(params.horizon.T - t0, MC_DT)
-    return [CheckRow("mc_g_z_score",
-                     f"t={t0:.4f} m={m0:.4f} paths={n_paths} est={est:.8f} "
-                     f"closed={closed:.8f} se={se:.2e}",
-                     z, 3.0, z <= 3.0,
-                     note=f"diag mc: scheme = exact_ou, dt = {MC_DT:.9g}, "
-                          f"n_steps = {n_steps}, n_paths = {n_paths}, seed = {seed}, "
-                          f"control = ou_moments, b = {mc.b:.6g}, plain_se = {mc.plain_se:.2e}")]
+    return [CheckRow("mc_g_z_score", point, z, 3.0, z <= 3.0, note=note)]
 
 
 # Each suite as `ricsolver verify --suite NAME` runs it, in the order of

@@ -265,6 +265,17 @@ def test_verify_mc_default_paths(capsys):
     assert any(c.startswith("# diag mc:") and "n_paths = 4096," in c for c in comments)
 
 
+def test_verify_mc_zero_spread_passes_on_the_trapezoid_gap(capsys):
+    # beta = 0: every path is the same trapezoid, se = 0, and the row checks
+    # the relative gap against the trapezoid's bias instead of z = inf
+    rc, comments, rows = run(capsys, "verify", "--suite", "mc", "--set", "beta=0",
+                             "--n-paths", "64")
+    assert rc == 0 and "# failed = 0" in comments
+    assert len(rows) == 2 and rows[1][0] == "mc_g_rel_gap" and rows[1][-1] == "True"
+    assert "se=0.00e+00" in rows[1][1]
+    assert any(", spread = 0, rel_gap = " in c for c in comments)
+
+
 def test_simulate_wealth_rejects_empty_horizon(capsys):
     # t0 = T is refused as a horizon before the strategy table is built
     for extra in (["--process", "wealth"], ["--measure", "Q_xi"]):

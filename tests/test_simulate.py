@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +15,9 @@ from ricsolver import (
     simulate_surplus,
     simulate_wealth,
 )
+from ricsolver.exact import exact_coeffs
+from ricsolver.simulate import _chunk_steps
+from test_verify import _Draws
 
 
 def repl(params, **kw):
@@ -333,6 +337,207 @@ def test_simulators_reject_empty_batch(base_params, simulate):
     for n in (0, -3):
         with pytest.raises(ValueError, match="n_paths"):
             simulate(base_params, n)
+
+
+# ---------------------------------------------------------------- #
+# draw-ahead engines against serial loops of one draw per step
+
+def _factor_reference(params, measure, distortion_fn, dt, seed, n_paths):
+    """simulate_factor's paths at every step, one standard_normal call per step."""
+    mk = params.market
+    lo, T = params.horizon.t0, params.horizon.T
+    n_steps = max(1, round((T - lo) / dt))
+    h = (T - lo) / n_steps
+    rho_c = math.sqrt(1.0 - mk.rho1**2)
+    lag = exact_coeffs(params).lag
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = np.full(n_paths, float(mk.m0))
+    out = [m]
+    sq = mk.beta * math.sqrt(h)
+    for step in range(1, n_steps + 1):
+        t = lo + (step - 1) * h
+        if measure == "P":
+            drift = -mk.alpha * m
+        elif measure == "FK_tilde":
+            drift = lag.H2(m)
+        else:
+            xi1, xi2, _ = distortion_fn(t, m)
+            drift = -(mk.alpha * m + mk.beta * mk.rho1 * xi1 + mk.beta * rho_c * xi2)
+        m = m + drift * h + sq * rng.standard_normal(n_paths)
+        out.append(m)
+    return np.stack(out, axis=1)
+
+
+def _wealth_reference(params, strategy_fn, measure, distortion_fn, dt, seed, n_paths):
+    """(m, x, pi/x, q/x, c/x, truncation_time) of simulate_wealth at every
+    step, every path masked at every step, one standard_normal call per step."""
+    mk, ins = params.market, params.insurance
+    lo, T = params.horizon.t0, params.horizon.T
+    n_steps = max(1, round((T - lo) / dt))
+    h = (T - lo) / n_steps
+    rho_c = math.sqrt(1.0 - mk.rho1**2)
+    s_lm2 = math.sqrt(ins.lam * ins.mu2)
+    rng = np.random.Generator(np.random.Philox(seed))
+    m = np.full(n_paths, float(mk.m0))
+    x = np.full(n_paths, 1.0)
+    alive = np.ones(n_paths, dtype=bool)
+    trunc = np.full(n_paths, math.nan)
+    rows = []
+    sqh = math.sqrt(h)
+    for step in range(n_steps + 1):
+        t = lo + step * h
+        x_safe = np.where(alive, x, 1.0)
+        pi, q, c = (np.where(alive, v, 0.0) for v in strategy_fn(t, x_safe, m))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rows.append([m, x] + [np.where(alive, v / x_safe, 0.0) for v in (pi, q, c)])
+        if step == n_steps:
+            break
+        z = rng.standard_normal((3, n_paths))
+        drift_x = mk.r * x + pi * (mk.sigma * m + mk.a - mk.r) + ins.lam * ins.theta1 * ins.mu1 * q - c
+        drift_m = -mk.alpha * m
+        if measure == "Q_xi":
+            xi1, xi2, xi3 = distortion_fn(t, m)
+            drift_x = drift_x - pi * mk.sigma * xi1 - q * s_lm2 * xi3
+            drift_m = drift_m - mk.beta * mk.rho1 * xi1 - mk.beta * rho_c * xi2
+        x_new = (x + drift_x * h + mk.sigma * pi * (sqh * z[0])
+                 + s_lm2 * q * (sqh * z[2]))
+        m = m + drift_m * h + mk.beta * (sqh * (mk.rho1 * z[0] + rho_c * z[1]))
+        died = alive & (x_new <= 0.0)
+        trunc[died] = t + h
+        alive = alive & ~died
+        x = np.where(alive, x_new, 0.0)
+    return [np.stack(col, axis=1) for col in zip(*rows)] + [trunc]
+
+
+@pytest.fixture(scope="module")
+def table(base_params):
+    return TabulatedStrategy.from_exact(base_params)
+
+
+# 37 steps: with 1,000 or 7,000 paths the last chunk of normals is partly filled
+_DT37 = 0.5 / 37
+
+
+@pytest.mark.parametrize("n_paths", [1, 1000, 7000])
+@pytest.mark.parametrize("measure", ["P", "FK_tilde", "Q_xi"])
+def test_factor_matches_a_serial_loop(base_params, table, measure, n_paths):
+    assert 37 % _chunk_steps((n_paths,), 37) != 0 or n_paths == 1
+    got = simulate_factor(base_params, measure=measure, distortion_fn=table.distortion_fn,
+                          dt=_DT37, seed=11, n_paths=n_paths)
+    want = _factor_reference(base_params, measure, table.distortion_fn, _DT37, 11, n_paths)
+    assert np.array_equal(got.m, want)
+
+
+@pytest.mark.parametrize("leverage", [1.0, 15.0, 30.0])
+@pytest.mark.parametrize("n_paths", [1, 1000, 7000])
+@pytest.mark.parametrize("measure", ["P", "Q_xi"])
+def test_wealth_matches_a_serial_loop(base_params, table, measure, n_paths, leverage):
+    # leverage scales the tabulated amounts pi and q, so that paths die mid-run
+    # and the step switches from the all-alive branch to the masked one
+    def levered(t, x, m):
+        pi, q, c = table.strategy_fn(t, x, m)
+        return leverage * pi, leverage * q, c
+
+    got = simulate_wealth(base_params, 1.0, levered, measure=measure,
+                          distortion_fn=table.distortion_fn, dt=_DT37, seed=4, n_paths=n_paths)
+    want = _wealth_reference(base_params, levered, measure, table.distortion_fn, _DT37, 4,
+                             n_paths)
+    for field, ref in zip(("m", "x", "pi_ratio", "q_ratio", "c_ratio"), want):
+        assert np.array_equal(getattr(got, field), ref), field
+    assert np.array_equal(got.truncation_time, want[-1], equal_nan=True)
+    assert np.array_equal(got.truncated, ~np.isnan(want[-1]))
+    dead = got.truncated
+    if leverage > 1.0 and n_paths > 1:
+        # some paths die, after the first step, and some survive
+        assert 0 < dead.sum() < n_paths
+        assert np.nanmax(got.truncation_time) > base_params.horizon.t0 + 2 * _DT37
+    if leverage == 30.0:
+        assert dead.any()
+    assert np.all(got.x[dead, -1] == 0.0) and np.all(got.pi_ratio[dead, -1] == 0.0)
+
+
+def _sim_calls(params, table):
+    return {
+        "factor-P": lambda: simulate_factor(params, seed=5, n_paths=300),
+        "factor-FK": lambda: simulate_factor(params, measure="FK_tilde", seed=5, n_paths=300),
+        "factor-Q": lambda: simulate_factor(params, measure="Q_xi",
+                                            distortion_fn=table.distortion_fn, seed=5,
+                                            n_paths=300),
+        "wealth-P": lambda: simulate_wealth(params, 1.0, table.strategy_fn, seed=5,
+                                            n_paths=300),
+        "wealth-Q": lambda: simulate_wealth(params, 1.0, table.strategy_fn, measure="Q_xi",
+                                            distortion_fn=table.distortion_fn, seed=5,
+                                            n_paths=300),
+    }
+
+
+_SIMS = ["factor-P", "factor-FK", "factor-Q", "wealth-P", "wealth-Q"]
+
+
+@pytest.mark.parametrize("which", _SIMS)
+def test_simulators_draw_on_a_worker_joined_on_return(base_params, table, monkeypatch, which):
+    call = _sim_calls(base_params, table)[which]
+    want = call()
+    real = np.random.Generator(np.random.Philox(5))
+    draws = _Draws(lambda out: real.standard_normal(out=out))
+    monkeypatch.setattr(np.random, "Generator", draws)
+    before = threading.active_count()
+    got = call()
+    assert threading.active_count() == before
+    shape = (3, 300) if which.startswith("wealth") else (300,)
+    assert len(draws.threads) == -(-500 // _chunk_steps(shape, 500))  # 500 steps
+    assert all(th is not threading.current_thread() for th in draws.threads)
+    for field in ("m", "x", "pi_ratio", "truncation_time"):
+        if hasattr(want, field):
+            assert np.array_equal(getattr(got, field), getattr(want, field), equal_nan=True)
+
+
+@pytest.mark.parametrize("which", ["factor-Q", "wealth-P", "wealth-Q"])
+def test_simulators_join_worker_when_a_step_raises(base_params, table, monkeypatch, which):
+    # the 40th call of the rule the step reads raises, mid-path
+    name = "distortion_fn" if which == "factor-Q" else "strategy_fn"
+    real, n = getattr(table, name), [0]
+
+    def raising(*args):
+        n[0] += 1
+        if n[0] == 40:
+            raise RuntimeError("strategy failed")
+        return real(*args)
+
+    monkeypatch.setattr(table, name, raising)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="strategy failed"):
+        _sim_calls(base_params, table)[which]()
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("which", _SIMS)
+def test_simulators_raise_the_draws_exception(base_params, table, monkeypatch, which):
+    n = [0]
+
+    def fill(out):
+        n[0] += 1
+        if n[0] == 3:
+            raise RuntimeError("draw 3 failed")
+        out.fill(0.0)
+
+    monkeypatch.setattr(np.random, "Generator", _Draws(fill))
+    call = _sim_calls(base_params, table)[which]
+    before = threading.active_count()
+    caught = []
+
+    def run():
+        try:
+            call()
+        except RuntimeError as exc:
+            caught.append(exc)
+
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=60.0)  # a hang fails here instead of stalling the suite
+    assert not caller.is_alive(), "the draw's exception left the caller waiting"
+    assert [str(e) for e in caught] == ["draw 3 failed"]
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------- #

@@ -28,9 +28,12 @@ from ricsolver import (
     pde_residual,
 )
 
+from ricsolver.errors import SingularLinearSystem
 from ricsolver.exact import coeff_A
+from ricsolver.simulate import _chunk_steps
 from ricsolver.verify import (MC_DT, _fk_paths, _fk_steps, _lag_pairs, _mean_se,
-                              _ou_h1_mean, _ou_step, fd_suite, pde_suite, saddle_suite)
+                              _ou_h1_mean, _ou_step, fd_suite, mc_suite, pde_suite,
+                              saddle_suite)
 
 CRITERION_GRID = Grid2D(n_t=400, n_m=401, m_max=4.0)
 
@@ -62,6 +65,49 @@ def test_domain_floor_enforced(base_params):
     # 8 beta / sqrt(2 alpha) = 0.632... at the default calibration
     with pytest.raises(StabilityViolation):
         fd_solve_g(base_params, Grid2D(n_t=10, n_m=10, m_max=0.5))
+
+
+def _fd_reference(params, grid):
+    """fd_solve_g's Crank-Nicolson march with one solve_banded call per step."""
+    from scipy.linalg import solve_banded
+
+    eco = exact_coeffs(params)
+    lag, dp = eco.lag, eco.delta_phi
+    t = grid.t_nodes(params.horizon.t0, params.horizon.T)
+    m = grid.m_nodes()
+    n, dt, dm = grid.n_m, t[1] - t[0], m[1] - m[0]
+    diff = 0.5 * params.market.beta**2 / dm**2
+    adv = lag.H2(m) / (2.0 * dm)
+    sub, dia, sup = diff - adv, -2.0 * diff + lag.H1(m), diff + adv
+    ab = np.zeros((5, n))
+    ab[2, 1:-1] = 1.0 - 0.5 * dt * dia[1:-1]
+    ab[1, 2:] = -0.5 * dt * sup[1:-1]
+    ab[3, 0:-2] = -0.5 * dt * sub[1:-1]
+    ab[2, 0], ab[1, 1], ab[0, 2] = 3.0, -4.0, 1.0
+    ab[2, n - 1], ab[3, n - 2], ab[4, n - 3] = 3.0, -4.0, 1.0
+    out = np.ones((grid.n_t, n))
+    for i in range(grid.n_t - 2, -1, -1):
+        g = out[i + 1]
+        rhs = np.zeros(n)
+        lg = sub[1:-1] * g[:-2] + dia[1:-1] * g[1:-1] + sup[1:-1] * g[2:]
+        rhs[1:-1] = g[1:-1] + 0.5 * dt * lg + dt * dp
+        out[i] = solve_banded((2, 2), ab, rhs)
+    return out
+
+
+@pytest.mark.parametrize("beta, n_t, n_m", [(0.25, 40, 41), (1.0, 7, 9)])
+def test_fd_factored_once_matches_a_banded_solve_per_step(base_params, beta, n_t, n_m):
+    params = repl(base_params, beta=beta)
+    grid = Grid2D(n_t=n_t, n_m=n_m, m_max=8.0)
+    assert np.array_equal(fd_solve_g(params, grid), _fd_reference(params, grid))
+
+
+def test_fd_refuses_a_non_finite_system(base_params):
+    # m_max = 1e160 overflows H1 ~ -b0 m^2 to -inf on the outer nodes: a typed
+    # refusal, not the ValueError of a finiteness check inside scipy
+    with np.errstate(over="ignore", invalid="ignore"), \
+            pytest.raises(SingularLinearSystem, match="non-finite"):
+        fd_solve_g(base_params, Grid2D(n_t=5, n_m=7, m_max=1e160))
 
 
 def test_fd_matches_closed_form(base_params):
@@ -531,6 +577,39 @@ def test_mc_suite_reaches_mc_g_by_name(base_params, monkeypatch):
     assert "control = ou_moments, b = " in row.note and ", plain_se = " in row.note
 
 
+@pytest.mark.parametrize("t0, m0", [(0.5, 0.0), (0.5, 2.0), (0.0, -3.0), (0.9985, 2.0)])
+def test_mc_suite_zero_spread_checks_the_trapezoid_gap(base_params, t0, m0):
+    # beta = 0: no z-score; the gap to the closed form is the trapezoid's
+    # O(h^2) bias, which the Richardson estimate in the note sizes
+    (row,) = mc_suite(repl(base_params, beta=0.0, t0=t0, m0=m0), 64, 0)
+    assert row.name == "mc_g_rel_gap" and row.passed
+    assert "se=0.00e+00" in row.point
+    assert f", spread = 0, rel_gap = {row.value:.3e}, trapezoid_bias = " in row.note
+    bias = float(row.note.rsplit(" = ", 1)[1])
+    assert row.tolerance == pytest.approx(2.0 * bias + 1e-9, rel=1e-3)
+    if m0 != 0.0:  # measured: the gap is the estimated bias to 4 digits
+        assert abs(row.value - bias) <= 1e-3 * bias
+
+
+def test_mc_suite_zero_spread_fails_a_wrong_closed_form(base_params, monkeypatch):
+    import ricsolver.verify as verify
+
+    class Off:
+        """ExactSolver with g one part in 1e6 too large."""
+
+        def __init__(self, params):
+            self.solver = ExactSolver(params)
+
+        def g(self, t, m):
+            gb = self.solver.g(t, m)
+            return dataclasses.replace(gb, g=gb.g * (1 + 1e-6))
+
+    monkeypatch.setattr(verify, "ExactSolver", Off)
+    (row,) = mc_suite(repl(base_params, beta=0.0), 64, 0)
+    assert row.name == "mc_g_rel_gap" and not row.passed
+    assert row.value > 9e-7 and row.tolerance < 2e-9
+
+
 def test_import_leaves_scipy_unloaded():
     # scipy.linalg is imported inside fd_solve_g, and the strategy table is
     # plain numpy, so importing the package pulls in no scipy module
@@ -635,7 +714,7 @@ def test_fk_paths_draws_on_a_worker_joined_on_return(base_params, monkeypatch, c
     before = threading.active_count()
     got = _fk_paths(*args)
     assert threading.active_count() == before
-    assert len(draws.threads) == 500
+    assert len(draws.threads) == -(-500 // _chunk_steps((2_000,), 500))  # 500 steps
     assert all(th is not threading.current_thread() for th in draws.threads)
     for a, b in zip(got, want):
         assert (a is None and b is None) or np.array_equal(a, b)
