@@ -34,9 +34,9 @@ import math
 from dataclasses import replace
 
 from .errors import FixedPointDivergence, InadmissibleParameter
-from .exact import ExactCoeffs, _Surface, exact_coeffs
+from .exact import ExactCoeffs, _lag_G, _Surface, exact_coeffs
 from .params import ModelParams
-from .uniteis import ExpQuadCoeffs, ExpQuadSurface, glh_state, quadratic_noise_coeff
+from .uniteis import ExpQuadCoeffs, ExpQuadSurface, quadratic_noise_coeff
 
 __all__ = [
     "CsSolver",
@@ -59,10 +59,11 @@ def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
     constant source: everything except the consumption term is shared with
     the exact mode.  G0 is the completion-of-squares leftover, identically
     zero at the derived exponent k; it is computed from its formula rather
-    than pinned to zero.
+    than pinned to zero.  Raises InadmissibleParameter unless 0 < w < inf.
     """
-    if not w > 0.0:  # NaN fails too
-        raise InadmissibleParameter(f"steady consumption-wealth level w = {w!r} must be positive")
+    if not 0.0 < w < math.inf:  # NaN fails too
+        raise InadmissibleParameter(
+            f"steady consumption-wealth level w = {w!r} must be positive and finite")
     params, base, lag = eco.params, eco.base, eco.lag
     p0 = lag.p0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
     return replace(lag, G0=quadratic_noise_coeff(base.k, params), disc=w, p0=p0)
@@ -86,13 +87,16 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
     F(y) = y - (phi ln delta - G s^2 - H).
 
     (G, H) are taken at t0 for w = e^y and s^2 = beta^2/(2 alpha) is the
-    stationary factor variance.  F rises with slope about 1 below the root
-    and tends to 1 far above it, so steps of 1, 2, 4, ... from ln delta
-    against the sign of F expand a bracket, and Illinois regula falsi
-    shrinks it below 1e-13.  Raises InadmissibleParameter when alpha <= 0
-    (no stationary law), and FixedPointDivergence when F keeps its sign
-    within 127 of ln delta, is not finite, or the bracket is still open
-    after 100 evaluations.
+    stationary factor variance.  One evaluation builds the reduction at w
+    and its H table, then reads G in closed form and H from the table at
+    the lag T - t0 (every table spans [0, T], so one basis row serves all
+    of one length); L is never evaluated at t0.  F rises with slope about
+    1 below the root and tends to 1 far above it, so steps of 1, 2, 4, ...
+    from ln delta against the sign of F expand a bracket, and Illinois
+    regula falsi shrinks it below 1e-13.  Raises InadmissibleParameter
+    when alpha <= 0 (no stationary law), and FixedPointDivergence when F
+    keeps its sign within 127 of ln delta, is not finite, or the bracket is
+    still open after 100 evaluations.
     """
     mk, pf = params.market, params.preference
     if mk.alpha <= 0.0:
@@ -103,14 +107,18 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
     eco = exact_coeffs(params)
     phi_log_delta = eco.base.phi * math.log(pf.delta)
     s2 = mk.beta**2 / (2.0 * mk.alpha)
-    evaluations, reduction = 0, None
+    tau0 = params.horizon.T - params.horizon.t0
+    evaluations, reduction, basis = 0, None, None
 
     def residual(y: float) -> float:
-        nonlocal evaluations, reduction
+        nonlocal evaluations, reduction, basis
         evaluations += 1
         reduction = cs_reduction(math.exp(y), eco)
-        G, _, H = glh_state(params.horizon.t0, reduction)
-        r = y - (phi_log_delta - G * s2 - H)
+        table = reduction.h_table
+        if basis is None or basis.size != table.rows.shape[-1]:
+            basis = table.basis(tau0)
+        H = float((basis @ table.rows.T)[0])
+        r = y - (phi_log_delta - _lag_G(tau0, reduction) * s2 - H)
         if not math.isfinite(r):
             raise FixedPointDivergence(f"level residual is {r!r} at ln w = {y!r}")
         return r
@@ -144,7 +152,7 @@ def steady_state_w(params: ModelParams) -> SteadyLevel:
 class CsSolver(ExpQuadSurface):
     """The log-linearized mode bound to one parameter set; resolves w once.
 
-    w pins the steady level to a positive number; None solves for it
+    w pins the steady level to a positive finite number; None solves for it
     (steady_state_w).  The bound w is a SteadyLevel, and coeffs the
     reduction at it: the root's, or built here for a pinned w.
     """

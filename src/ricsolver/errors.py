@@ -50,7 +50,8 @@ class QuadratureBudgetExceeded(SolverError):
 class KernelOutOfRange(SolverError):
     """g underflows to 0, overflows or is lost to rounding at the point
     asked for, typically at a factor value |m| far outside the factor's
-    stationary range."""
+    stationary range; or a lag series (an H table, the g kernel's lag
+    functions) has samples that are not finite."""
 
 
 class FixedPointDivergence(SolverError):

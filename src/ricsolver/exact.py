@@ -91,9 +91,12 @@ class ExpQuadCoeffs:
     def G2(self) -> float:
         return self.disc - 2.0 * self.d1
 
-    def kernel_abc(self) -> tuple[float, float, float]:
-        """Riccati coefficients of G in the lag variable tau = T - t."""
-        return -self.G1, -self.G2, -self.G3
+    @cached_property
+    def lag_args(self) -> tuple[float, ...]:
+        """(a, b, c, lam, p, q) of G and L in the lag tau = T - t, the
+        Riccati coefficients (-G1, -G2, -G3) of G, then disc - d1, 2 h2_0
+        and h1_src of L (riccati.py); taken once per reduction."""
+        return -self.G1, -self.G2, -self.G3, self.disc - self.d1, 2.0 * self.h2_0, self.h1_src
 
     def H1(self, m):
         """Discount of the reduced equation, p0 + h1_src m - G3 m^2."""
@@ -165,14 +168,18 @@ class LagSeries:
     tail: float
 
     def __call__(self, tau) -> np.ndarray:
-        """The functions read at the lags tau; shape tau.shape + (k,).
+        """The functions read at the lags tau; shape tau.shape + (k,)."""
+        return self.basis(tau) @ self.rows.T
 
-        The basis is cos(j arccos y) directly: numpy's chebval is a Python
-        loop over the degree and would cost more than the rest of g.
+    def basis(self, tau) -> np.ndarray:
+        """cos(j arccos y) at y = 2 tau / span - 1 for j below the rows'
+        length, shape tau.shape + (that length,): the same for every series
+        of this span and length.  numpy's chebval is a Python loop over the
+        degree and would cost more than the rest of g.
         """
         y = 2.0 * np.asarray(tau, dtype=float) / self.span - 1.0
         y = np.minimum(np.maximum(y, -1.0), 1.0)
-        return _cheb_basis(np.arccos(y), self.rows.shape[-1]) @ self.rows.T
+        return _cheb_basis(np.arccos(y), self.rows.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -241,13 +248,12 @@ def exact_coeffs(params: ModelParams) -> ExactCoeffs:
 
 def _lag_G(tau, co: ExpQuadCoeffs):
     """G at lag tau = T - t: y' = -G1 y^2 - G2 y - G3, y(0) = 0."""
-    return riccati_zero_ic(tau, *co.kernel_abc())
+    return riccati_zero_ic(tau, *co.lag_args[:3])
 
 
 def _lag_L(tau, co: ExpQuadCoeffs):
     """L at lag tau = T - t: z' = -(disc - d1 - G1 G) z + 2 h2_0 G + h1_src."""
-    a, b, c = co.kernel_abc()
-    return riccati_linear_zero_ic(tau, a, b, c, co.disc - co.d1, 2.0 * co.h2_0, co.h1_src)
+    return riccati_linear_zero_ic(tau, *co.lag_args)
 
 
 def _lag(t, s) -> np.ndarray:
@@ -279,7 +285,7 @@ def _dA_dtau(B, C, co: ExactCoeffs):
 def coeff_A(t, s, co: ExactCoeffs):
     """A(t, s) = int_0^{s-t} [beta^2 B^2/2 - beta^2 C - h2_0 B](tau) dtau + h1_0 (s-t)
     over broadcastable t <= s with s - t <= T (a float at a scalar pair): the
-    g kernel's series h1_0 tau + T/2 sum_j a_j (T_j(y) - (-1)^j), y = 2 tau/T - 1,
+    g kernel's series h1_0 tau + T sum_j a_j (T_j(y) - (-1)^j), y = 2 tau/T - 1,
     a its a_coef.  The basis row at tau = 0 is (-1)^j exactly, so A(t, t) = 0
     exactly; each lag sums on its own, so arrays give the one-pair bits."""
     T = co.params.horizon.T
@@ -288,7 +294,7 @@ def coeff_A(t, s, co: ExactCoeffs):
         raise InadmissibleParameter(f"lag s - t = {tau} exceeds T = {T}, the g kernel's span")
     a = co.lag_kernel(_KERNEL_MIN_NODES).a_coef
     basis = _cheb_basis(np.arccos(2.0 * tau / T - 1.0), a.size) - (-1.0) ** np.arange(a.size)
-    A = co.lag.p0 * tau + 0.5 * T * (basis * a).sum(axis=-1)
+    A = co.lag.p0 * tau + T * (basis * a).sum(axis=-1)
     return A if A.ndim else float(A)
 
 
@@ -334,11 +340,20 @@ def _to_coef_exact(n: int) -> np.ndarray:
 
 
 @cache
+def _eye(n: int) -> np.ndarray:
+    """The n x n identity; read-only, one per node count in use."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+@cache
 def _antiderivative(n: int) -> np.ndarray:
-    """Chebyshev coefficients (n + 1 rows) of the antiderivative from y = -1
-    of each degree-(n-1) basis series; one read-only matrix per node count
-    in use."""
-    M = chebyshev.chebint(np.eye(n), lbnd=-1.0)
+    """Chebyshev coefficients (n + 1 rows) of the antiderivative from lag 0
+    of each degree-(n-1) basis series on a lag span of 1, half that from
+    y = -1 (dtau = span/2 dy); span times it serves [0, span].  One
+    read-only matrix per node count in use."""
+    M = 0.5 * chebyshev.chebint(_eye(n), lbnd=-1.0)
     M.flags.writeable = False
     return M
 
@@ -376,11 +391,16 @@ def _doubled(n: int, what: str) -> int:
 def _tabulate(span: float, coef_at, start: int, what: str) -> LagSeries:
     """The LagSeries of coef_at(tau), the Chebyshev coefficient rows of k
     lag functions built from samples at the n first-kind Chebyshev points
-    tau of [0, span].  n doubles from start until every row has converged."""
+    tau of [0, span].  n doubles from start until every row has converged;
+    a row that is not finite stops it with KernelOutOfRange."""
     n = start
     while True:
-        rows = coef_at(_lag_nodes(span, n))
-        tail = float(np.max(_tail(rows)))
+        with np.errstate(all="ignore"):  # a NaN or inf is refused by name below
+            rows = coef_at(_lag_nodes(span, n))
+        if not np.isfinite(rows).all():
+            raise KernelOutOfRange(f"{what} on [0, {span}]: not finite at {n} nodes; its "
+                                   "constants are out of floating-point range")
+        tail = float(_tail(rows).max())
         if tail <= _TABLE_TAIL_TOL:
             return LagSeries(span=span, nodes=n, rows=rows, tail=tail)
         n = _doubled(n, f"{what} on [0, {span}] (trailing coefficient {tail:.3e} > "
@@ -398,15 +418,17 @@ def _build_h_table(co: ExpQuadCoeffs) -> LagSeries:
     Chebyshev coefficients of H', where it is the same system (the
     degree-n term Q adds vanishes at first-kind nodes), and H = Q H' is the
     series' one row.  No weight e^{disc tau} appears, so disc T is not
-    bounded by overflow.
+    bounded by overflow.  The sampling reads the reduction's lag_args, the
+    identity and Q's unit-span matrix as built once; a table is one
+    sampling of G and L at the nodes and one solve per node count.
     """
     span = co.params.horizon.T
 
     def coef_at(tau: np.ndarray) -> np.ndarray:
-        src = co.source(_lag_G(tau, co), _lag_L(tau, co))
-        Q = 0.5 * span * _antiderivative(tau.size)
-        system = np.eye(tau.size) + co.disc * Q[:-1]
-        return (Q @ np.linalg.solve(system, ((src + co.p0) @ _to_coef_exact(tau.size))[:, None])).T
+        n = tau.size
+        src = co.source(_lag_G(tau, co), _lag_L(tau, co)) + co.p0
+        Q = span * _antiderivative(n)
+        return (Q @ np.linalg.solve(_eye(n) + co.disc * Q[:-1], src @ _to_coef_exact(n)))[None]
 
     return _tabulate(span, coef_at, _TABLE_MIN_NODES, "H table")
 
@@ -426,10 +448,10 @@ class LagKernel:
     that multiply h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB,
     dC) are the backward-ODE right-hand sides.  reads maps the Chebyshev
     coefficients of an integrand to delta^phi int_0^s + its value at s,
-    given the basis row cos(j theta), j = 0..n, at s: delta^phi T/2 times
+    given the basis row cos(j theta), j = 0..n, at s: delta^phi T times
     _antiderivative(n), plus the identity.  at_zero is the basis row at
     tau = 0, (-1)^j for j < n.  a_coef holds the n + 1 coefficients of
-    int_{-1}^y of A-hat's right-hand side (coeff_A).
+    int_0^tau of A-hat's right-hand side, over T (coeff_A).
     """
 
     series: LagSeries
@@ -471,9 +493,9 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     series = _tabulate(T, coef_at, n, "lag functions")
     n = series.nodes
     (tau, B, C), theta = samples[n], _angles(n)
-    # A-hat = h1_0 tau + int_0^tau _dA_dtau, with dtau = T/2 dy
+    # A-hat = h1_0 tau + int_0^tau _dA_dtau
     a_coef = _antiderivative(n) @ series.rows[0]
-    A = lag.p0 * tau + 0.5 * T * (_cheb_basis(theta, n + 1) @ a_coef)
+    A = lag.p0 * tau + T * (_cheb_basis(theta, n + 1) @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (
@@ -481,8 +503,8 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
         np.array([-B, zero, -2.0 * C, 4.0 * B * C, -dB]),
         np.array([-C, zero, zero, 4.0 * C * C, -dC]),
     )
-    reads = co.delta_phi * 0.5 * T * _antiderivative(n)
-    reads[:n] += np.eye(n)
+    reads = co.delta_phi * T * _antiderivative(n)
+    reads[:n] += _eye(n)
     return LagKernel(series=series, poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n),
                      a_coef=a_coef)
 

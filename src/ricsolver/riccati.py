@@ -88,12 +88,13 @@ def _scaled_growth(k: float, K: float, tau: np.ndarray, decay: np.ndarray) -> np
 
     expm1 carries the small-|k tau| end; past |k tau| = 1 the difference of
     the two scaled exponentials loses nothing and cannot overflow for k <= K.
+    At k = K the first is e^0 = 1 at every finite lag, so no exp is taken.
     """
     if k == 0.0:
         return tau * decay
     kt = k * tau
     near = decay * np.expm1(np.minimum(np.maximum(kt, -1.0), 1.0))
-    far = np.exp((k - K) * tau) - decay
+    far = (1.0 if k == K else np.exp((k - K) * tau)) - decay
     return np.where(np.abs(kt) <= 1.0, near, far) / k
 
 

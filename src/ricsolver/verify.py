@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .cs import CsSolver
-from .errors import SingularLinearSystem, SolverError, StabilityViolation
+from .errors import InadmissibleParameter, SingularLinearSystem, SolverError, StabilityViolation
 from .exact import (
     ExactCoeffs,
     ExactSolver,
@@ -833,8 +833,12 @@ def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
     trapezoid) has no z-score.  Its row is instead the relative gap
     |est - closed| / closed against twice the trapezoid's O(h^2) bias, which
     a second run at half the step sizes by Richardson, plus the closed
-    form's own 1e-9; the note states the gap and the bias.
+    form's own 1e-9; the note states the gap and the bias.  Fewer than two
+    paths have no standard error and raise InadmissibleParameter.
     """
+    if n_paths < 2:
+        raise InadmissibleParameter(
+            f"n_paths = {n_paths}: the mc check's standard error needs at least two paths")
     t0 = params.horizon.t0
     m0 = params.market.m0
     # through mc_g by name, so a wrapper on verify.mc_g sees each call
@@ -847,7 +851,7 @@ def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
     note = (f"diag mc: scheme = exact_ou, dt = {MC_DT:.9g}, "
             f"n_steps = {n_steps}, n_paths = {n_paths}, seed = {seed}, "
             f"control = ou_moments, b = {mc.b:.6g}, plain_se = {mc.plain_se:.2e}")
-    if se == 0.0 and n_paths > 1:
+    if se == 0.0:
         # the same span in twice the steps: bias(h) = 4/3 (est(h) - est(h/2))
         est2, _ = mc_g(params, t0, m0, n_paths=n_paths, dt=0.5 * h, seed=seed)
         bias = 4.0 / 3.0 * abs(est - est2) / abs(closed)
@@ -855,7 +859,7 @@ def mc_suite(params: ModelParams, n_paths: int, seed: int) -> list[CheckRow]:
         return [CheckRow("mc_g_rel_gap", point, gap, tol, gap <= tol,
                          note=f"{note}, spread = 0, rel_gap = {gap:.3e}, "
                               f"trapezoid_bias = {bias:.3e}")]
-    z = abs(est - closed) / se if se > 0 else math.inf
+    z = abs(est - closed) / se
     return [CheckRow("mc_g_z_score", point, z, 3.0, z <= 3.0, note=note)]
 
 

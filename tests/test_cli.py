@@ -343,13 +343,17 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
       "--set", "m0=nan"], "error: m0 = nan"),
     (["simulate", "--process", "surplus", "--n-paths", "2", "--set", "b=inf"],
      "error: b = inf"),
+    # one path has no standard error, so the mc check has no z-score
+    (["verify", "--suite", "mc", "--n-paths", "1"],
+     "error: n_paths = 1: the mc check's standard error needs at least two paths"),
+    (["verify", "--suite", "mc", "--n-paths", "0"], "error: n_paths = 0: the mc check's"),
 ], ids=["t0-negative", "T-zero-unit", "mu2-wealth", "lambda-wealth", "empty-surplus",
         "empty-factor", "empty-riskless", "m-exact", "m-cs", "m-verify-mc", "rho1-exact",
         "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth", "nan-m-exact", "nan-m-unit",
         "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative",
         "nan-sigma", "nan-delta", "inf-r", "nan-sigma-sweep", "nan-beta-unit", "nan-r-table2",
         "nan-beta-fd", "inf-T-solve", "inf-T-simulate", "inf-T-verify-mc", "nan-dt-simulate",
-        "nan-m0-factor", "nan-m0-riskless", "inf-b-surplus"])
+        "nan-m0-factor", "nan-m0-riskless", "inf-b-surplus", "mc-one-path", "mc-no-path"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

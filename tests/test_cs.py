@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from ricsolver import (
     unit_coeffs,
 )
 from ricsolver.uniteis import unit_strategy
+from ricsolver.verify import _BOUNDS_BOX
 
 # root of the level equation at the comparison calibration (gamma=1.3,
 # alpha=7, Phi=0, sigma=0.8), frozen from _level_residual's own root
@@ -151,12 +153,12 @@ def test_fixed_point_diverges_gracefully():
 
 
 def test_nonfinite_residual_is_typed(loglin_params, monkeypatch):
-    # a NaN in H must stop the root with the typed error, not hang or
+    # a NaN in G at t0 must stop the root with the typed error, not hang or
     # come back as w = nan
-    def nan_h(t, red):
-        return 0.0, 0.0, math.nan
+    def nan_g(tau, red):
+        return math.nan
 
-    monkeypatch.setattr(ricsolver.cs, "glh_state", nan_h)
+    monkeypatch.setattr(ricsolver.cs, "_lag_G", nan_g)
     with pytest.raises(FixedPointDivergence, match="residual is nan"):
         steady_state_w(loglin_params)
 
@@ -185,6 +187,74 @@ def test_solver_keeps_the_roots_reduction(monkeypatch):
     assert builds[-1] is solver.coeffs and solver.coeffs.disc == solver.w
     solver.strategy(0.5, 1.0, 0.0)
     assert len(builds) == 10
+
+
+def _root_sets():
+    """The default set, then three draws from the bounds suite's box, the
+    last at T = 10 (its H tables take 64 nodes)."""
+    rng = np.random.default_rng(28)
+    blocks, names, low, high = zip(*_BOUNDS_BOX)
+    sets = [ModelParams()]
+    for i in range(3):
+        fields = {"horizon": {"T": 10.0}} if i == 2 else {}
+        for block, name, value in zip(blocks, names, rng.uniform(low, high).tolist()):
+            fields.setdefault(block, {})[name] = value
+        sets.append(dataclasses.replace(ModelParams(), **{
+            b: dataclasses.replace(getattr(ModelParams(), b), **f) for b, f in fields.items()}))
+    return sets
+
+
+# (repr(w), evaluations, repr(bracket), H table nodes, sha256 prefix of the
+# little-endian H table rows) of the root at each of _root_sets(), frozen
+# from the root that read (G, L, H) at t0 through glh_state and built each
+# table with per-call constants; reading only G and H must keep every bit.
+_ROOT_FROZEN = [
+    ("0.547664827939458", 10, "0.0", 32, "b0828a38962c56c0"),
+    ("0.3172329147473702", 8, "0.0", 32, "eb7adc7fe5316a30"),
+    ("0.9212327660276642", 11, "1.2961853812498703e-14", 32, "a4d46528cd971b79"),
+    ("0.12099243724656365", 9, "0.0", 64, "31b20800efa247d3"),
+]
+
+
+def test_root_bit_identical():
+    for params, frozen in zip(_root_sets(), _ROOT_FROZEN):
+        w = steady_state_w(params)
+        table = w.reduction.h_table
+        digest = hashlib.sha256(table.rows.astype("<f8").tobytes()).hexdigest()[:16]
+        assert (repr(float(w)), w.evaluations, repr(w.bracket), table.nodes, digest) == frozen
+
+
+def test_root_reads_no_L_at_t0(monkeypatch):
+    # L enters the root only through the H tables' samples at their nodes
+    import ricsolver.exact
+
+    shapes, linear = [], ricsolver.exact.riccati_linear_zero_ic
+    monkeypatch.setattr(ricsolver.exact, "riccati_linear_zero_ic",
+                        lambda tau, *args: shapes.append(np.shape(tau)) or linear(tau, *args))
+    for params in _root_sets():
+        w = steady_state_w(params)
+        assert w.evaluations >= 8
+    assert shapes and set(shapes) <= {(32,), (64,)}
+
+
+def test_pinned_level_must_be_finite_and_positive():
+    for w in (math.inf, -math.inf, math.nan, 0.0, -0.2):
+        with pytest.raises(InadmissibleParameter, match="positive and finite"):
+            CsSolver(ModelParams(), w=w)
+
+
+def test_overflowing_level_stops_the_table_by_name(monkeypatch):
+    # w = 1e308 is finite, but its reduction's closed forms are not: the H
+    # table stops at its first 32 nodes, with no warning and no doubling
+    import ricsolver.exact
+
+    samples, build = [], ricsolver.exact._lag_nodes
+    monkeypatch.setattr(ricsolver.exact, "_lag_nodes",
+                        lambda span, n: samples.append(n) or build(span, n))
+    solver = CsSolver(ModelParams(), w=1e308)
+    with pytest.raises(KernelOutOfRange, match=r"H table on \[0, 1.0\]: not finite at 32 nodes"):
+        solver.g(0.5, 0.0)
+    assert samples == [32]
 
 
 # StrategyPoints of the cs and unit-EIS rules at the default calibration
