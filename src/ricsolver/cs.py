@@ -31,7 +31,6 @@ code on these constants, and its strategy is the exact mode's rule on g.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 
 from .errors import FixedPointDivergence, InadmissibleParameter
 from .exact import ExactCoeffs, _lag_G, _Surface, exact_coeffs
@@ -66,7 +65,8 @@ def cs_reduction(w: float, eco: ExactCoeffs) -> ExpQuadCoeffs:
             f"steady consumption-wealth level w = {w!r} must be positive and finite")
     params, base, lag = eco.params, eco.base, eco.lag
     p0 = lag.p0 + w * (1.0 - math.log(w) + base.phi * math.log(params.preference.delta))
-    return replace(lag, G0=quadratic_noise_coeff(base.k, params), disc=w, p0=p0)
+    return ExpQuadCoeffs(params=params, G0=quadratic_noise_coeff(base.k, params), G3=lag.G3,
+                         disc=w, d1=lag.d1, h1_src=lag.h1_src, h2_0=lag.h2_0, p0=p0)
 
 
 class SteadyLevel(float):

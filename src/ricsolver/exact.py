@@ -14,7 +14,7 @@ where (A, B, C) solve, backward in t with A = B = C = 0 at t = s,
 The coefficients are constant, so A, B and C depend on the lag tau = s - t
 only, and there (-C, -B, A) are the (G, L, H) of an exponential-quadratic
 reduction at zero discount (ExactCoeffs.lag, an ExpQuadCoeffs of the family
-uniteis solves): B and C are -L and -G of it, closed form (riccati.py).
+uniteis solves): B and C are -L and -G of it, closed form (riccati_pair).
 
 For a fixed m, g at every t is one Chebyshev antiderivative of
 h-hat(tau, m) = exp(A-hat - B-hat m - C-hat m^2), A-hat(tau) = A(0, tau)
@@ -25,8 +25,9 @@ samples with the backward-ODE right-hand sides.  g_bundle reads g on the
 grid t x m: one exponential and one coefficient transform per m, one read
 row per t, no quadrature.  One series type (LagSeries) and one doubling
 loop (_tabulate) serve the kernel's lag functions and the H table of every
-exponential-quadratic reduction.  coeff_A reads the kernel's own series of
-A-hat, so the verification layer checks the coefficients g uses.
+exponential-quadratic reduction, each sampling G and L in one pass.
+coeff_A reads the kernel's own series of A-hat, so the verification layer
+checks the coefficients g uses.
 """
 
 from __future__ import annotations
@@ -37,13 +38,14 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's gufunc, unwrapped
 from numpy.polynomial import chebyshev
 
 from .errors import (DegenerateK, InadmissibleParameter, KernelOutOfRange, NonpositiveWealth,
-                     QuadratureBudgetExceeded)
+                     QuadratureBudgetExceeded, SingularLinearSystem)
 from .params import (_UNIT_PHI_TOL, DerivedCoeffs, ModelParams, _horizon_times, derive_coeffs,
                      reduction_terms)
-from .riccati import riccati_linear_zero_ic, riccati_zero_ic
+from .riccati import riccati_pair, riccati_zero_ic
 
 # Chebyshev node counts, the H table's start, the g kernel's and the cap,
 # and the trailing-coefficient level of a converged series.
@@ -251,9 +253,9 @@ def _lag_G(tau, co: ExpQuadCoeffs):
     return riccati_zero_ic(tau, *co.lag_args[:3])
 
 
-def _lag_L(tau, co: ExpQuadCoeffs):
-    """L at lag tau = T - t: z' = -(disc - d1 - G1 G) z + 2 h2_0 G + h1_src."""
-    return riccati_linear_zero_ic(tau, *co.lag_args)
+def _lag_GL(tau, co: ExpQuadCoeffs):
+    """(G, L) at lag tau = T - t from one closed-form pass, G the bits of _lag_G."""
+    return riccati_pair(tau, *co.lag_args)
 
 
 def _lag(t, s) -> np.ndarray:
@@ -272,7 +274,7 @@ def coeff_C(t, s, co: ExactCoeffs):
 def coeff_B(t, s, co: ExactCoeffs):
     """B(t, s) = -L of co.lag at the lag s - t, vectorized over
     broadcastable t and s (requires t <= s)."""
-    return -_lag_L(_lag(t, s), co.lag)
+    return -_lag_GL(_lag(t, s), co.lag)[1]
 
 
 def _dA_dtau(B, C, co: ExactCoeffs):
@@ -337,6 +339,14 @@ def _to_coef_exact(n: int) -> np.ndarray:
     M[:, 0] *= 0.5
     M.flags.writeable = False
     return M
+
+
+@cache
+def _node_basis(n: int) -> np.ndarray:
+    """The basis cos(j theta), j = 0..n, at the n first-kind angles; read-only."""
+    basis = _cheb_basis(_angles(n), n + 1)
+    basis.flags.writeable = False
+    return basis
 
 
 @cache
@@ -412,23 +422,28 @@ def _build_h_table(co: ExpQuadCoeffs) -> LagSeries:
     _TABLE_MIN_NODES nodes.
 
     In the lag, dH/dtau = -disc H + s with H(0) = 0 and the source
-    s = co.source(G, L) + p0, closed form at the nodes.  The equation is
-    collocated in integral form: with Q the antiderivative from tau = 0,
-    H = Q H' and (I + disc Q) H' = s at the nodes.  It is solved on the
-    Chebyshev coefficients of H', where it is the same system (the
-    degree-n term Q adds vanishes at first-kind nodes), and H = Q H' is the
+    s = co.source(G, L) + p0, G and L from one closed-form pass at the nodes
+    (_lag_GL).  The equation is collocated in integral form: with Q the
+    antiderivative from tau = 0, H = Q H' and (I + disc Q) H' = s at the
+    nodes.  It is solved on the Chebyshev coefficients of H', where it is
+    the same system (the degree-n term Q adds vanishes at first-kind nodes),
+    by np.linalg.solve's gufunc solve1 (its bits, without its wrapper; a
+    singular system raises SingularLinearSystem), and H = Q H' is the
     series' one row.  No weight e^{disc tau} appears, so disc T is not
-    bounded by overflow.  The sampling reads the reduction's lag_args, the
-    identity and Q's unit-span matrix as built once; a table is one
-    sampling of G and L at the nodes and one solve per node count.
+    bounded by overflow.  The identity and Q's unit-span matrix are cached.
     """
     span = co.params.horizon.T
 
     def coef_at(tau: np.ndarray) -> np.ndarray:
-        n = tau.size
-        src = co.source(_lag_G(tau, co), _lag_L(tau, co)) + co.p0
+        n, src = tau.size, co.source(*_lag_GL(tau, co)) + co.p0
         Q = span * _antiderivative(n)
-        return (Q @ np.linalg.solve(_eye(n) + co.disc * Q[:-1], src @ _to_coef_exact(n)))[None]
+        system, rhs = _eye(n) + co.disc * Q[:-1], src @ _to_coef_exact(n)
+        try:
+            with np.errstate(invalid="raise"):  # solve1 flags only a singular system
+                dH = _solve1(system, rhs)
+        except FloatingPointError:
+            raise SingularLinearSystem(f"H table on [0, {span}]: I + disc Q is singular") from None
+        return (Q @ dH)[None]
 
     return _tabulate(span, coef_at, _TABLE_MIN_NODES, "H table")
 
@@ -442,8 +457,9 @@ class LagKernel:
     as polynomials in m with lag-function coefficients.
 
     series holds the lag functions' series (A-hat's right-hand side, B-hat,
-    C-hat), from n nodes.  poly[i] holds the coefficients of m^i (i = 0, 1,
-    2), shape (5, n) each, of: the exponent A - B m - C m^2 of h-hat, then
+    C-hat), from n nodes, B-hat and C-hat sampled in one _lag_GL pass, A-hat
+    read through _node_basis.  poly[i] holds the coefficients of m^i (i = 0,
+    1, 2), shape (5, n) each, of: the exponent A - B m - C m^2 of h-hat, then
     the factors 1, -lin, lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m)
     that multiply h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB,
     dC) are the backward-ODE right-hand sides.  reads maps the Chebyshev
@@ -486,16 +502,16 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     T, lag, samples = co.params.horizon.T, co.lag, {}  # samples: n -> (tau, B, C)
 
     def coef_at(tau: np.ndarray) -> np.ndarray:
-        B, C = -_lag_L(tau, lag), -_lag_G(tau, lag)
+        C, B = map(np.negative, _lag_GL(tau, lag))
         samples[tau.size] = tau, B, C
         return np.array([_dA_dtau(B, C, co), B, C]) @ _to_coef_exact(tau.size)
 
     series = _tabulate(T, coef_at, n, "lag functions")
     n = series.nodes
-    (tau, B, C), theta = samples[n], _angles(n)
+    tau, B, C = samples[n]
     # A-hat = h1_0 tau + int_0^tau _dA_dtau
     a_coef = _antiderivative(n) @ series.rows[0]
-    A = lag.p0 * tau + T * (_cheb_basis(theta, n + 1) @ a_coef)
+    A = lag.p0 * tau + T * (_node_basis(n) @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (

@@ -12,7 +12,7 @@ and its m coefficient to a linear equation driven by that y:
 When the discriminant b^2 - 4ac is positive y, its running integral and z
 are elementary.  All three are arranged around E = exp(-theta tau), which
 lives in (0, 1] for tau >= 0, so no growing exponential appears no matter
-how large the horizon is.
+how large the horizon is.  riccati_pair takes y and z from one E and P + Q E.
 """
 
 from __future__ import annotations
@@ -21,25 +21,25 @@ import numpy as np
 
 from .errors import ComplexDiscriminant, FiniteTimeBlowup, InadmissibleParameter
 
-__all__ = ["riccati_linear_zero_ic", "riccati_zero_ic", "riccati_zero_ic_integral"]
+__all__ = ["riccati_linear_zero_ic", "riccati_pair", "riccati_zero_ic", "riccati_zero_ic_integral"]
 
 
-def _theta_pq(a: float, b: float, c: float) -> tuple[float, float, float]:
+def _theta_pq(tau, a: float, b: float, c: float, who: str):
+    """tau as a float array, refused by who unless >= 0, then theta, P, Q."""
+    th = np.asarray(tau, dtype=float)
+    if not (th >= 0.0).all():  # NaN fails too
+        raise InadmissibleParameter(f"{who} needs tau >= 0, got tau = {th}")
     disc = b * b - 4.0 * a * c
     if disc <= 0.0:
-        raise ComplexDiscriminant(
-            f"b^2 - 4ac = {disc:.6e} <= 0; the closed form needs a positive "
-            "discriminant (two real equilibria)"
-        )
+        raise ComplexDiscriminant(f"b^2 - 4ac = {disc:.6e} <= 0; the closed form needs a "
+                                  "positive discriminant (two real equilibria)")
     theta = float(np.sqrt(disc))
     P = theta - b
     Q = theta + b
     if P <= 0.0:
-        raise FiniteTimeBlowup(
-            f"theta - b = {P:.6e} <= 0; y(tau) reaches a pole in finite time "
-            "for these coefficients"
-        )
-    return theta, P, Q
+        raise FiniteTimeBlowup(f"theta - b = {P:.6e} <= 0; y(tau) reaches a pole in finite "
+                               "time for these coefficients")
+    return th, theta, P, Q
 
 
 def riccati_zero_ic(tau, a: float, b: float, c: float):
@@ -49,10 +49,7 @@ def riccati_zero_ic(tau, a: float, b: float, c: float):
     Q = theta + b, E = exp(-theta tau).  P > 0 keeps the denominator positive
     for every tau >= 0, so the formula is globally valid there.
     """
-    th = np.asarray(tau, dtype=float)
-    if not (th >= 0.0).all():  # NaN fails too
-        raise InadmissibleParameter(f"riccati_zero_ic needs tau >= 0, got tau = {th}")
-    theta, P, Q = _theta_pq(a, b, c)
+    th, theta, P, Q = _theta_pq(tau, a, b, c, "riccati_zero_ic")
     E = np.exp(-theta * th)
     out = 2.0 * c * (1.0 - E) / (P + Q * E)
     return out if out.ndim else float(out)
@@ -65,10 +62,7 @@ def riccati_zero_ic_integral(tau, a: float, b: float, c: float):
     as log1p(Q z) with z = expm1(-theta tau)/(P + Q) and switched to its
     series when |Q z| is tiny, so the Q ~ 0 cancellation costs no precision.
     """
-    th = np.asarray(tau, dtype=float)
-    if not (th >= 0.0).all():  # NaN fails too
-        raise InadmissibleParameter(f"riccati_zero_ic_integral needs tau >= 0, got tau = {th}")
-    theta, P, Q = _theta_pq(a, b, c)
+    th, theta, P, Q = _theta_pq(tau, a, b, c, "riccati_zero_ic_integral")
     z = np.expm1(-theta * th) / (P + Q)
     qz = Q * z
     small = np.abs(qz) < 1e-8
@@ -98,9 +92,9 @@ def _scaled_growth(k: float, K: float, tau: np.ndarray, decay: np.ndarray) -> np
     return np.where(np.abs(kt) <= 1.0, near, far) / k
 
 
-def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: float, q: float):
-    """z(tau) solving z' = -(lam - a y) z + p y + q with z(0) = 0, where y =
-    riccati_zero_ic(tau, a, b, c); vectorized in tau.
+def riccati_pair(tau, a: float, b: float, c: float, lam: float, p: float, q: float):
+    """(y, z) at tau, vectorized: y of riccati_zero_ic and z solving
+    z' = -(lam - a y) z + p y + q, z(0) = 0, from one theta, E and P + Q E.
 
     y = -psi'/(a psi) linearizes the Riccati equation with psi = (r+ e^{r- tau}
     - r- e^{r+ tau}) / theta, r+ = Q/2, r- = -P/2, and a psi y = c (e^{r+ tau}
@@ -113,14 +107,18 @@ def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: flo
     numerator and denominator both scaled by e^{-k+ tau}.  Nothing divides
     by a, so a = 0 is exact.
     """
-    th = np.asarray(tau, dtype=float)
-    if not (th >= 0.0).all():  # NaN fails too
-        raise InadmissibleParameter(f"riccati_linear_zero_ic needs tau >= 0, got tau = {th}")
-    theta, P, Q = _theta_pq(a, b, c)
+    th, theta, P, Q = _theta_pq(tau, a, b, c, "riccati_pair")
+    E = np.exp(-theta * th)
+    den = P + Q * E
     k_hi = lam + 0.5 * Q
     decay = np.exp(-k_hi * th)
     num = (p * c + 0.5 * q * P) * _scaled_growth(k_hi, k_hi, th, decay) + (
         0.5 * q * Q - p * c
     ) * _scaled_growth(lam - 0.5 * P, k_hi, th, decay)
-    out = 2.0 * num / (P + Q * np.exp(-theta * th))
-    return out if out.ndim else float(out)
+    y, z = 2.0 * c * (1.0 - E) / den, 2.0 * num / den
+    return (y, z) if th.ndim else (float(y), float(z))
+
+
+def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: float, q: float):
+    """z(tau) of riccati_pair, driven by y = riccati_zero_ic(tau, a, b, c)."""
+    return riccati_pair(tau, a, b, c, lam, p, q)[1]

@@ -43,7 +43,7 @@ from .exact import (
     _check_wealth,
     _g_out_of_range,
     _lag_G,
-    _lag_L,
+    _lag_GL,
     _LOG_MAX,
     _Surface,
     strategy_from_ratio,
@@ -78,7 +78,7 @@ def coeff_G(t, co: ExpQuadCoeffs):
 def coeff_L(t, co: ExpQuadCoeffs):
     """L(t), vectorized over t in [0, T]."""
     T = co.params.horizon.T
-    return _lag_L(T - _horizon_times(t, T, "L"), co)
+    return _lag_GL(T - _horizon_times(t, T, "L"), co)[1]
 
 
 def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
@@ -95,7 +95,7 @@ def coeff_H(t: float, co: ExpQuadCoeffs) -> float:
         return 0.0
 
     def f(s: np.ndarray) -> np.ndarray:
-        return np.exp(-co.disc * (s - t)) * co.source(coeff_G(s, co), _lag_L(T - s, co))
+        return np.exp(-co.disc * (s - t)) * co.source(*_lag_GL(T - s, co))
 
     integral = float(adaptive_gauss(f, t, T))
     span = T - t
@@ -120,7 +120,7 @@ def glh_state(t, co: ExpQuadCoeffs):
     T = co.params.horizon.T
     tau = T - _horizon_times(t, T, "the H table")
     H = co.h_table(tau)[..., 0]
-    return _lag_G(tau, co), _lag_L(tau, co), H if H.ndim else float(H)
+    return *_lag_GL(tau, co), H if H.ndim else float(H)
 
 
 class ExpQuadSurface(_Surface):
@@ -216,7 +216,7 @@ def unit_strategy(t, x, m, co: ExpQuadCoeffs) -> StrategyPoint:
     _check_wealth(x)
     _check_factor(m)
     tau = co.params.horizon.T - _horizon_times(t, co.params.horizon.T, "the strategy")
-    G, L = _lag_G(tau, co), _lag_L(tau, co)
+    G, L = _lag_GL(tau, co)
     if getattr(m, "ndim", 0):
         G, L = np.expand_dims((G, L), -1)
     return strategy_from_ratio(x, m, 2.0 * G * m + L, co.params.preference.delta, 1.0, co.params)

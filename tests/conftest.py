@@ -5,6 +5,15 @@ import pytest
 
 from ricsolver import ModelParams
 
+try:  # the property tests skip without hypothesis; nothing else needs it
+    from hypothesis import settings
+except ImportError:
+    pass
+else:
+    # CI runs --hypothesis-profile=ci: the same examples on every run, and
+    # no per-example deadline on a shared runner
+    settings.register_profile("ci", derandomize=True, deadline=None)
+
 
 @pytest.fixture(scope="session")
 def base_params() -> ModelParams:

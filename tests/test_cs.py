@@ -225,16 +225,65 @@ def test_root_bit_identical():
 
 
 def test_root_reads_no_L_at_t0(monkeypatch):
-    # L enters the root only through the H tables' samples at their nodes
+    # L enters the root only through the H tables' samples at their nodes,
+    # each one riccati_pair pass for G and L
     import ricsolver.exact
 
-    shapes, linear = [], ricsolver.exact.riccati_linear_zero_ic
-    monkeypatch.setattr(ricsolver.exact, "riccati_linear_zero_ic",
-                        lambda tau, *args: shapes.append(np.shape(tau)) or linear(tau, *args))
+    shapes, pair = [], ricsolver.exact.riccati_pair
+    monkeypatch.setattr(ricsolver.exact, "riccati_pair",
+                        lambda tau, *args: shapes.append(np.shape(tau)) or pair(tau, *args))
     for params in _root_sets():
         w = steady_state_w(params)
         assert w.evaluations >= 8
     assert shapes and set(shapes) <= {(32,), (64,)}
+
+
+def test_each_sampling_is_one_pair_call(monkeypatch):
+    # every H table and g kernel sampling takes G and L from one riccati_pair
+    # call at its nodes and never calls riccati_zero_ic; T = 10 doubles both
+    import ricsolver.exact
+
+    calls = {"riccati_pair": [], "riccati_zero_ic": [], "_lag_nodes": []}
+    for name, log in calls.items():
+        monkeypatch.setattr(ricsolver.exact, name, lambda *args, _log=log, _f=getattr(
+            ricsolver.exact, name): _log.append(np.shape(args[0])) or _f(*args))
+    for params in _root_sets():
+        eco = exact_coeffs(params)
+        builds = (lambda: unit_coeffs(params).h_table, lambda: eco.lag_kernel(64),
+                  lambda: cs_reduction(0.3, eco).h_table)
+        for build in builds:
+            for log in calls.values():
+                log.clear()
+            build()
+            samplings = len(calls["_lag_nodes"])
+            assert samplings >= 1 and calls["riccati_zero_ic"] == []
+            assert len(calls["riccati_pair"]) == samplings
+        assert samplings == (2 if params.horizon.T == 10.0 else 1)
+
+
+# (H table nodes, rows digest) of the unit-EIS reduction, and (nodes, series
+# rows digest, poly digest) of the exact g kernel asked for 64 nodes, at each
+# of _root_sets(), frozen from the tables and kernel that sampled G and L
+# through two closed forms and solved through np.linalg.solve; one pass and
+# the bare gufunc must keep every bit.
+_TABLES_FROZEN = [
+    ((32, "eb342a09bb42de55"), (64, "bc7fafedc1817d5d", "cbc53d02fea06c4f")),
+    ((32, "203049bc9a6c1425"), (64, "beadf9c9aa2e8e2d", "d7f888711d56046b")),
+    ((32, "471a3e8b2d96328c"), (64, "aa65fd44d6e35949", "55f294be536528bb")),
+    ((64, "67465db45eb5a79f"), (128, "6f3b8e0e0f4183be", "d0dba46845333003")),
+]
+
+
+def _digest(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).astype("<f8").tobytes()).hexdigest()[:16]
+
+
+def test_tables_bit_identical():
+    for params, frozen in zip(_root_sets(), _TABLES_FROZEN):
+        unit = unit_coeffs(params).h_table
+        kernel = exact_coeffs(params).lag_kernel(64)
+        assert ((unit.nodes, _digest(unit.rows)),
+                (kernel.nodes, _digest(kernel.series.rows), _digest(np.array(kernel.poly)))) == frozen
 
 
 def test_pinned_level_must_be_finite_and_positive():

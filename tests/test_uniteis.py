@@ -11,6 +11,7 @@ from ricsolver import (
     ExactSolver,
     InadmissibleParameter,
     QuadratureBudgetExceeded,
+    SingularLinearSystem,
     UnitEisSolver,
     cs_reduction,
     exact_coeffs,
@@ -297,3 +298,28 @@ def test_h_table_budget_and_domain(base_params, monkeypatch):
     monkeypatch.setattr(exact_mod, "_TABLE_MAX_NODES", 32)  # T = 10 needs 64
     with pytest.raises(QuadratureBudgetExceeded):
         glh_state(0.0, co)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_h_table_solve_matches_numpy_solve(base_params, n):
+    # the table solves (I + disc Q) H' = s through the gufunc under
+    # np.linalg.solve, which must give that function's bits on the table's
+    # own systems: three spans, both modes, and disc T past 700
+    for T, delta in ((1.0, None), (10.0, None), (12.0, 60.0)):
+        for mode in ("unit", "cs"):
+            co = _reduction(_with(base_params, T=T, delta=delta), mode)
+            tau = exact_mod._lag_nodes(T, n)
+            src = co.source(*exact_mod._lag_GL(tau, co)) + co.p0
+            Q = T * exact_mod._antiderivative(n)
+            system, rhs = exact_mod._eye(n) + co.disc * Q[:-1], src @ exact_mod._to_coef_exact(n)
+            assert exact_mod._solve1(system, rhs).tobytes() == np.linalg.solve(system, rhs).tobytes()
+
+
+def test_singular_h_table_system_is_typed(base_params, monkeypatch):
+    # a singular I + disc Q (here the zero-discount reduction with the
+    # identity patched to zero) raises by name: no raw LinAlgError, no NaN
+    co = exact_coeffs(base_params).lag
+    exact_mod._antiderivative(exact_mod._TABLE_MIN_NODES)  # cached before the patch
+    monkeypatch.setattr(exact_mod, "_eye", lambda n: np.zeros((n, n)))
+    with pytest.raises(SingularLinearSystem, match=r"H table on \[0, 1.0\]: I \+ disc Q is singular"):
+        co.h_table
