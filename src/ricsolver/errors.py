@@ -38,7 +38,7 @@ class NonadmissibleValueSign(SolverError):
 
 
 class NonpositiveWealth(SolverError):
-    """Wealth must be strictly positive for the power-utility value."""
+    """Wealth must be positive and finite for the power-utility value."""
 
 
 class QuadratureBudgetExceeded(SolverError):

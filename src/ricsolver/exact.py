@@ -25,9 +25,10 @@ samples with the backward-ODE right-hand sides.  g_bundle reads g on the
 grid t x m: one exponential and one coefficient transform per m, one read
 row per t, no quadrature.  One series type (LagSeries) and one doubling
 loop (_tabulate) serve the kernel's lag functions and the H table of every
-exponential-quadratic reduction, each sampling G and L in one pass.
-coeff_A reads the kernel's own series of A-hat, so the verification layer
-checks the coefficients g uses.
+exponential-quadratic reduction, each sampling G and L in one pass, on
+one read-only Chebyshev rule per node count (_rule).  coeff_A reads the
+kernel's own series of A-hat, so the verification layer checks the
+coefficients g uses.
 """
 
 from __future__ import annotations
@@ -174,14 +175,9 @@ class LagSeries:
         return self.basis(tau) @ self.rows.T
 
     def basis(self, tau) -> np.ndarray:
-        """cos(j arccos y) at y = 2 tau / span - 1 for j below the rows'
-        length, shape tau.shape + (that length,): the same for every series
-        of this span and length.  numpy's chebval is a Python loop over the
-        degree and would cost more than the rest of g.
-        """
-        y = 2.0 * np.asarray(tau, dtype=float) / self.span - 1.0
-        y = np.minimum(np.maximum(y, -1.0), 1.0)
-        return _cheb_basis(np.arccos(y), self.rows.shape[-1])
+        """_lag_basis at the lags tau for the rows' length; numpy's chebval,
+        a Python loop over the degree, would cost more than the rest of g."""
+        return _lag_basis(tau, self.span, self.rows.shape[-1])
 
 
 @dataclass(frozen=True)
@@ -294,8 +290,8 @@ def coeff_A(t, s, co: ExactCoeffs):
     tau = _lag(t, s)
     if (tau > T).any():
         raise InadmissibleParameter(f"lag s - t = {tau} exceeds T = {T}, the g kernel's span")
-    a = co.lag_kernel(_KERNEL_MIN_NODES).a_coef
-    basis = _cheb_basis(np.arccos(2.0 * tau / T - 1.0), a.size) - (-1.0) ** np.arange(a.size)
+    a = co.lag_kernel(_KERNEL_MIN_NODES).a_coef  # n + 1 terms at n nodes
+    basis = _lag_basis(tau, T, a.size) - _rule(a.size - 1).at_zero
     A = co.lag.p0 * tau + T * (basis * a).sum(axis=-1)
     return A if A.ndim else float(A)
 
@@ -317,69 +313,55 @@ def _cheb_basis(theta: np.ndarray, n: int) -> np.ndarray:
     return np.cos(theta[..., None] * np.arange(n))
 
 
-@cache
-def _angles(n: int) -> np.ndarray:
-    """The angles theta of the n first-kind Chebyshev points cos(theta);
-    read-only, one per node count in use."""
-    theta = np.pi * (np.arange(n) + 0.5) / n
-    theta.flags.writeable = False
-    return theta
+@dataclass(frozen=True)
+class _Rule:
+    """The constants of the Chebyshev rule at the n first-kind points
+    cos(theta): the angles theta; unit_nodes, 1 + cos(theta); to_coef, the
+    matrix M with values @ M the Chebyshev coefficients of the interpolant
+    through values at the points; basis, cos(j theta) for j = 0..n; eye, the
+    n x n identity; antiderivative, the coefficients (n + 1 rows) of the
+    antiderivative from lag 0 of each degree-(n-1) basis series on a lag
+    span of 1; at_zero, the basis row at lag 0, (-1)^j for j = 0..n."""
+
+    theta: np.ndarray
+    unit_nodes: np.ndarray
+    to_coef: np.ndarray
+    basis: np.ndarray
+    eye: np.ndarray
+    antiderivative: np.ndarray
+    at_zero: np.ndarray
 
 
 @cache
-def _to_coef_exact(n: int) -> np.ndarray:
-    """The matrix M with values @ M the Chebyshev coefficients of the
-    interpolant through values at the n first-kind points: (2/n) T_j at
-    point i, column 0 halved, each angle j (2 i + 1) pi / (2 n) reduced
-    mod 2 pi in integers before its cosine (a floating product j theta_i
-    carries j ulps); read-only, one per node count in use."""
-    i, j = np.arange(n), np.arange(n)
-    angle = (np.outer(2 * i + 1, j) % (4 * n)) * (np.pi / (2 * n))
-    M = (2.0 / n) * np.cos(angle)
-    M[:, 0] *= 0.5
-    M.flags.writeable = False
-    return M
-
-
-@cache
-def _node_basis(n: int) -> np.ndarray:
-    """The basis cos(j theta), j = 0..n, at the n first-kind angles; read-only."""
-    basis = _cheb_basis(_angles(n), n + 1)
-    basis.flags.writeable = False
-    return basis
-
-
-@cache
-def _eye(n: int) -> np.ndarray:
-    """The n x n identity; read-only, one per node count in use."""
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
-
-
-@cache
-def _antiderivative(n: int) -> np.ndarray:
-    """Chebyshev coefficients (n + 1 rows) of the antiderivative from lag 0
-    of each degree-(n-1) basis series on a lag span of 1, half that from
-    y = -1 (dtau = span/2 dy); span times it serves [0, span].  One
-    read-only matrix per node count in use."""
-    M = 0.5 * chebyshev.chebint(_eye(n), lbnd=-1.0)
-    M.flags.writeable = False
-    return M
-
-
-@cache
-def _unit_nodes(n: int) -> np.ndarray:
-    """1 + cos(theta) at the n first-kind angles; read-only, one per node
-    count in use."""
-    y = 1.0 + np.cos(_angles(n))
-    y.flags.writeable = False
-    return y
+def _rule(n: int) -> _Rule:
+    """The read-only rule at n points, one per node count in use.  to_coef
+    is (2/n) T_j at point i, column 0 halved, each angle j (2 i + 1) pi/(2n)
+    reduced mod 2 pi in integers before its cosine (a floating product
+    j theta_i carries j ulps); the antiderivative is half that from y = -1
+    (dtau = span/2 dy), so span times it serves [0, span]."""
+    j = np.arange(n)
+    theta = np.pi * (j + 0.5) / n
+    to_coef = (2.0 / n) * np.cos((np.outer(2 * j + 1, j) % (4 * n)) * (np.pi / (2 * n)))
+    to_coef[:, 0] *= 0.5
+    rule = _Rule(theta=theta, unit_nodes=1.0 + np.cos(theta), to_coef=to_coef,
+                 basis=_cheb_basis(theta, n + 1), eye=np.eye(n),
+                 antiderivative=0.5 * chebyshev.chebint(np.eye(n), lbnd=-1.0),
+                 at_zero=(-1.0) ** np.arange(n + 1))
+    for array in vars(rule).values():
+        array.flags.writeable = False
+    return rule
 
 
 def _lag_nodes(span: float, n: int) -> np.ndarray:
     """The n first-kind Chebyshev points of the lag on [0, span]."""
-    return 0.5 * span * _unit_nodes(n)
+    return 0.5 * span * _rule(n).unit_nodes
+
+
+def _lag_basis(tau, span: float, size: int) -> np.ndarray:
+    """cos(j arccos y) at y = 2 tau / span - 1, clipped to [-1, 1], for
+    j < size; shape tau.shape + (size,)."""
+    y = 2.0 * np.asarray(tau, dtype=float) / span - 1.0
+    return _cheb_basis(np.arccos(np.minimum(np.maximum(y, -1.0), 1.0)), size)
 
 
 def _tail(coef: np.ndarray) -> np.ndarray:
@@ -430,14 +412,15 @@ def _build_h_table(co: ExpQuadCoeffs) -> LagSeries:
     by np.linalg.solve's gufunc solve1 (its bits, without its wrapper; a
     singular system raises SingularLinearSystem), and H = Q H' is the
     series' one row.  No weight e^{disc tau} appears, so disc T is not
-    bounded by overflow.  The identity and Q's unit-span matrix are cached.
+    bounded by overflow.  Every matrix but the system's is _rule(n)'s.
     """
     span = co.params.horizon.T
 
     def coef_at(tau: np.ndarray) -> np.ndarray:
         n, src = tau.size, co.source(*_lag_GL(tau, co)) + co.p0
-        Q = span * _antiderivative(n)
-        system, rhs = _eye(n) + co.disc * Q[:-1], src @ _to_coef_exact(n)
+        rule = _rule(n)
+        Q = span * rule.antiderivative
+        system, rhs = rule.eye + co.disc * Q[:-1], src @ rule.to_coef
         try:
             with np.errstate(invalid="raise"):  # solve1 flags only a singular system
                 dH = _solve1(system, rhs)
@@ -458,22 +441,21 @@ class LagKernel:
 
     series holds the lag functions' series (A-hat's right-hand side, B-hat,
     C-hat), from n nodes, B-hat and C-hat sampled in one _lag_GL pass, A-hat
-    read through _node_basis.  poly[i] holds the coefficients of m^i (i = 0,
+    read through the basis of _rule(n), which holds every constant that is
+    not the parameter set's.  poly[i] holds the coefficients of m^i (i = 0,
     1, 2), shape (5, n) each, of: the exponent A - B m - C m^2 of h-hat, then
     the factors 1, -lin, lin^2 - 2 C and dA - m dB - m^2 dC (lin = B + 2 C m)
     that multiply h-hat in the integrands of g, g_m, g_mm and g_t; (dA, dB,
     dC) are the backward-ODE right-hand sides.  reads maps the Chebyshev
     coefficients of an integrand to delta^phi int_0^s + its value at s,
-    given the basis row cos(j theta), j = 0..n, at s: delta^phi T times
-    _antiderivative(n), plus the identity.  at_zero is the basis row at
-    tau = 0, (-1)^j for j < n.  a_coef holds the n + 1 coefficients of
-    int_0^tau of A-hat's right-hand side, over T (coeff_A).
+    given the basis row cos(j theta), j = 0..n, at s: delta^phi T times the
+    rule's antiderivative, plus the identity.  a_coef holds the n + 1
+    coefficients of int_0^tau of A-hat's right-hand side, over T (coeff_A).
     """
 
     series: LagSeries
     poly: tuple[np.ndarray, np.ndarray, np.ndarray]
     reads: np.ndarray
-    at_zero: np.ndarray
     a_coef: np.ndarray
 
     @property
@@ -493,7 +475,7 @@ class LagKernel:
                 f"at |m| up to {np.abs(m).max()}"
             )
         values = np.exp(rows[:, :1]) * rows[:, 1:]
-        return values @ _to_coef_exact(values.shape[-1])
+        return values @ _rule(values.shape[-1]).to_coef
 
 
 def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
@@ -504,14 +486,14 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
     def coef_at(tau: np.ndarray) -> np.ndarray:
         C, B = map(np.negative, _lag_GL(tau, lag))
         samples[tau.size] = tau, B, C
-        return np.array([_dA_dtau(B, C, co), B, C]) @ _to_coef_exact(tau.size)
+        return np.array([_dA_dtau(B, C, co), B, C]) @ _rule(tau.size).to_coef
 
     series = _tabulate(T, coef_at, n, "lag functions")
     n = series.nodes
-    tau, B, C = samples[n]
+    rule, (tau, B, C) = _rule(n), samples[n]
     # A-hat = h1_0 tau + int_0^tau _dA_dtau
-    a_coef = _antiderivative(n) @ series.rows[0]
-    A = lag.p0 * tau + T * (_node_basis(n) @ a_coef)
+    a_coef = rule.antiderivative @ series.rows[0]
+    A = lag.p0 * tau + T * (rule.basis @ a_coef)
     dA, dB, dC = abc_rhs(A, B, C, co)
     zero, one = np.zeros(n), np.ones(n)
     poly = (
@@ -519,10 +501,9 @@ def _build_lag_kernel(co: ExactCoeffs, n: int) -> LagKernel:
         np.array([-B, zero, -2.0 * C, 4.0 * B * C, -dB]),
         np.array([-C, zero, zero, 4.0 * C * C, -dC]),
     )
-    reads = co.delta_phi * T * _antiderivative(n)
-    reads[:n] += _eye(n)
-    return LagKernel(series=series, poly=poly, reads=reads, at_zero=(-1.0) ** np.arange(n),
-                     a_coef=a_coef)
+    reads = co.delta_phi * T * rule.antiderivative
+    reads[:n] += rule.eye
+    return LagKernel(series=series, poly=poly, reads=reads, a_coef=a_coef)
 
 
 # ---------------------------------------------------------------- #
@@ -588,7 +569,7 @@ def _g_rows(theta: np.ndarray, m: np.ndarray, co: ExactCoeffs, n: int):
     kernel = co.lag_kernel(n)
     n = kernel.nodes
     coef = kernel.coefficients(m)
-    h0 = coef[:, 0] @ kernel.at_zero
+    h0 = coef[:, 0] @ _rule(n).at_zero[:n]
     done = (_tail(coef[:, 0]) <= _TABLE_TAIL_TOL) & (np.abs(h0 - 1.0) <= _KERNEL_REL_TOL)
     rows = coef @ (_cheb_basis(theta, n + 1) @ kernel.reads).T
     rounding = np.abs(coef).sum(axis=-1).max(axis=-1)
@@ -710,9 +691,10 @@ class _Surface:
         )
 
 
-def _check_wealth(x) -> None:
-    if not (np.asarray(x) > 0.0).all():  # NaN wealth fails too
-        raise NonpositiveWealth(f"wealth must be positive, got x = {x}")
+def _check_wealth(x) -> None:  # a float costs one chained comparison; NaN fails too
+    if not (0.0 < x < math.inf if isinstance(x, float)
+            else np.all((np.asarray(x) > 0.0) & np.isfinite(x))):
+        raise NonpositiveWealth(f"wealth must be positive and finite, got x = {x}")
 
 
 def _check_factor(m) -> None:  # a float costs one math.isfinite

@@ -415,7 +415,8 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
     mode is one of exact | unit_eis | cs; unit_eis pins phi = 1, so it
     skips the phi_not_unit row.  Hard failures (severity "error") are the
     ones cmd_validate exits nonzero on; the solver_inputs row fails exactly
-    where require_inputs, the guard every solver runs, refuses.
+    where require_inputs, the guard every solver runs, refuses, and in cs
+    mode the cs_steady_level row runs the steady-level root CsSolver runs.
     Sufficient-condition checks degrade to warnings.
     """
     mk, ins, pf, hz = params.market, params.insurance, params.preference, params.horizon
@@ -544,6 +545,13 @@ def validate(params: ModelParams, mode: str = "exact", fallbacks: Tuple[str, ...
             add("c_no_blowup", False, "error", str(exc))
     if coeffs is not None and pf.gamma > 1.0:
         add("b0_positive", coeffs.b0 > 0.0, "warning", f"b0 = {coeffs.b0:.10g} (gamma > 1)")
+    if mode == "cs":
+        from .cs import steady_state_w  # cs imports this module
+        try:
+            w = steady_state_w(params)
+            add("cs_steady_level", True, "error", f"w = {w:.10g} in {w.evaluations} evaluations")
+        except SolverError as exc:
+            add("cs_steady_level", False, "error", str(exc))
 
     # -- sufficient conditions for the verification argument ----- #
     # These gate the optimality proof, not formula evaluation; failures warn.

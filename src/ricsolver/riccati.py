@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import ComplexDiscriminant, FiniteTimeBlowup, InadmissibleParameter
 
-__all__ = ["riccati_linear_zero_ic", "riccati_pair", "riccati_zero_ic", "riccati_zero_ic_integral"]
+__all__ = ["riccati_pair", "riccati_zero_ic", "riccati_zero_ic_integral"]
 
 
 def _theta_pq(tau, a: float, b: float, c: float, who: str):
@@ -117,8 +117,3 @@ def riccati_pair(tau, a: float, b: float, c: float, lam: float, p: float, q: flo
     ) * _scaled_growth(lam - 0.5 * P, k_hi, th, decay)
     y, z = 2.0 * c * (1.0 - E) / den, 2.0 * num / den
     return (y, z) if th.ndim else (float(y), float(z))
-
-
-def riccati_linear_zero_ic(tau, a: float, b: float, c: float, lam: float, p: float, q: float):
-    """z(tau) of riccati_pair, driven by y = riccati_zero_ic(tau, a, b, c)."""
-    return riccati_pair(tau, a, b, c, lam, p, q)[1]

@@ -325,8 +325,8 @@ def simulate_wealth(
     _check_measure(measure, allowed=("P", "Q_xi"))
     if measure == "Q_xi" and distortion_fn is None:
         raise ValueError('measure "Q_xi" needs a distortion_fn')
-    if not x0 > 0.0:  # NaN fails too
-        raise NonpositiveWealth(f"x0 must be positive, got {x0}")
+    if not 0.0 < x0 < math.inf:  # NaN fails too
+        raise NonpositiveWealth(f"x0 must be positive and finite, got {x0}")
     mk, ins = params.market, params.insurance
     t_lo, _, n_steps, h, stored = _mesh(params, horizon, dt, n_paths)
     rho_c = math.sqrt(1.0 - mk.rho1**2)

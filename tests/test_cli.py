@@ -27,6 +27,18 @@ def test_validate_loading_violation_fails(capsys):
     assert "premium_loading" in out
 
 
+def test_validate_cs_runs_the_steady_level_root(capsys):
+    # the cs mode's root is a hard row: it passes with w and its evaluation
+    # count, and fails with CsSolver's own refusal
+    assert main(["validate", "--mode", "cs"]) == 0
+    assert "[pass] cs_steady_level: w = 0.5476648279 in 10 evaluations" in capsys.readouterr().out
+    assert main(["validate", "--mode", "cs", "--set", "alpha=1e-5"]) == 1
+    assert ("[FAIL] cs_steady_level: H table on [0, 1.0] (trailing coefficient 5.115e-03 > "
+            "1e-14): not converged at 1024 nodes") in capsys.readouterr().out
+    assert main(["validate", "--set", "alpha=1e-5"]) == 0
+    assert "cs_steady_level" not in capsys.readouterr().out
+
+
 def test_validate_gamma_one_redirects(capsys):
     rc = main(["validate", "--set", "gamma=1.0"])
     out = capsys.readouterr().out
@@ -343,6 +355,12 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
       "--set", "m0=nan"], "error: m0 = nan"),
     (["simulate", "--process", "surplus", "--n-paths", "2", "--set", "b=inf"],
      "error: b = inf"),
+    # an infinite wealth: no value = -0 and no NaN path rows
+    (["solve", "--x", "inf"], "error: wealth must be positive and finite, got x = inf"),
+    (["solve", "--mode", "unit_eis", "--x", "inf"], "error: wealth must be positive and finite"),
+    (["solve", "--mode", "cs", "--x", "inf"], "error: wealth must be positive and finite"),
+    (["simulate", "--process", "wealth", "--strategy", "riskless", "--n-paths", "2",
+      "--x0", "inf"], "error: x0 must be positive and finite, got inf"),
     # one path has no standard error, so the mc check has no z-score
     (["verify", "--suite", "mc", "--n-paths", "1"],
      "error: n_paths = 1: the mc check's standard error needs at least two paths"),
@@ -353,7 +371,8 @@ def test_simulate_wealth_rejects_empty_horizon(capsys):
         "nan-m-cs", "nan-t-exact", "nan-t-unit", "nan-t-cs", "samples-negative",
         "nan-sigma", "nan-delta", "inf-r", "nan-sigma-sweep", "nan-beta-unit", "nan-r-table2",
         "nan-beta-fd", "inf-T-solve", "inf-T-simulate", "inf-T-verify-mc", "nan-dt-simulate",
-        "nan-m0-factor", "nan-m0-riskless", "inf-b-surplus", "mc-one-path", "mc-no-path"])
+        "nan-m0-factor", "nan-m0-riskless", "inf-b-surplus", "inf-x-exact", "inf-x-unit",
+        "inf-x-cs", "inf-x0-riskless", "mc-one-path", "mc-no-path"])
 def test_typed_refusals_reach_the_cli(capsys, argv, message):
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith(message)

@@ -153,7 +153,7 @@ def test_value_sign_and_scaling(base_params):
                          ids=["exact", "unit_eis", "cs"])
 def test_nonpositive_wealth_rejected(base_params, mode, method):
     solver = mode(base_params)
-    for x in (0.0, -1.0):
+    for x in (0.0, -1.0, math.inf, np.array([1.0, math.inf])):
         with pytest.raises(NonpositiveWealth):
             getattr(solver, method)(0.5, x, 0.0)
 
@@ -296,6 +296,27 @@ def test_coeff_A_reads_the_kernel_series(base_params, T):
     for t, s in ((0.0, 1.001 * T), (0.5, 0.4), (math.nan, 0.5)):
         with pytest.raises(InadmissibleParameter):
             coeff_A(t, s, co)
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_chebyshev_rule_is_one_read_only_record(n):
+    # one record per node count, every array of it read-only, at_zero the
+    # basis row at lag 0 (theta = pi) and the nodes the first-kind points
+    rule = exact_mod._rule(n)
+    assert exact_mod._rule(n) is rule
+    shapes = {"theta": (n,), "unit_nodes": (n,), "to_coef": (n, n), "basis": (n, n + 1),
+              "eye": (n, n), "antiderivative": (n + 1, n), "at_zero": (n + 1,)}
+    for field in dataclasses.fields(rule):
+        array = getattr(rule, field.name)
+        assert array.shape == shapes.pop(field.name)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] = 0.0
+    assert not shapes
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rule.eye = np.eye(n)
+    assert np.array_equal(rule.at_zero, (-1.0) ** np.arange(n + 1))
+    assert np.array_equal(rule.at_zero, exact_mod._lag_basis(0.0, 1.0, n + 1))
+    assert np.array_equal(exact_mod._lag_nodes(2.0, n), rule.unit_nodes)
 
 
 def test_kernel_coefficients_are_the_zero_discount_reduction():

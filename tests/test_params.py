@@ -16,6 +16,7 @@ from ricsolver import (
     NonadmissibleValueSign,
     NonpositiveWealth,
     QuadratureBudgetExceeded,
+    SolverError,
     derive_coeffs,
     derive_k_phi,
     exact_coeffs,
@@ -30,7 +31,7 @@ from ricsolver import (
     validate,
     wealth_offset,
 )
-from ricsolver.riccati import riccati_linear_zero_ic, riccati_zero_ic, riccati_zero_ic_integral
+from ricsolver.riccati import riccati_pair, riccati_zero_ic, riccati_zero_ic_integral
 from ricsolver.uniteis import coeff_G, coeff_H, coeff_L
 from ricsolver.verify import _bound_constants
 
@@ -222,9 +223,10 @@ def test_validate_never_raises_on_junk():
     # which divide by sigma
     for junk in (dict(sigma=-1.0, delta=-0.1, gamma=-2.0),
                  dict(sigma=0.0, delta=-0.1, theta1=-1.0)):
-        report = validate(repl(ModelParams(), **junk))
-        assert not report.ok
-        assert len(report.hard_failures) >= 3
+        for mode in ("exact", "cs"):  # cs runs the steady-level root as well
+            report = validate(repl(ModelParams(), **junk), mode=mode)
+            assert not report.ok
+            assert len(report.hard_failures) >= 3
     # the coefficients divide by mu2 and raise delta to phi; validate must
     # report these inputs, not evaluate them
     for junk in (dict(mu2=0.0), dict(mu2=-1.0), dict(delta=0.0, gamma=3.0),
@@ -232,6 +234,25 @@ def test_validate_never_raises_on_junk():
         assert not validate(repl(ModelParams(), **junk)).ok, junk
     # k_bar <= 0 only warns, and the window that divides by it is skipped
     assert validate(dataclasses.replace(ModelParams(), k_bar=0.0)).ok
+
+
+_SOLVERS = {"exact": ExactSolver, "unit_eis": UnitEisSolver, "cs": CsSolver}
+
+
+@pytest.mark.parametrize("mode", _SOLVERS)
+@pytest.mark.parametrize("kw", [
+    dict(alpha=1e-5), dict(alpha=0.0), dict(gamma=0.2000001, Phi=0.8, rho1=-0.5),
+    dict(rho1=1.5), dict(T=math.inf), dict(sigma=math.nan), dict(gamma=1.0),
+], ids=["alpha-1e-5", "alpha-0", "unit-band", "rho1-1.5", "inf-T", "nan-sigma", "gamma-1"])
+def test_construction_refusal_fails_validate(kw, mode):
+    # where a solver's construction raises, validate in its mode is not ok;
+    # at alpha = 1e-5 only the cs root refuses (its trial level's H table
+    # does not converge at 1024 nodes), and only the cs_steady_level row sees it
+    params = repl(ModelParams(), **kw)
+    try:
+        _SOLVERS[mode](params)
+    except SolverError:
+        assert not validate(params, mode=mode).ok
 
 
 def test_validate_bad_horizon_keeps_discriminant_row():
@@ -305,16 +326,17 @@ def _riskless_wealth(params, x0=1.0):
     (dict(), lambda p: coeff_L(math.nan, unit_coeffs(p)), InadmissibleParameter),
     (dict(), lambda p: coeff_H(math.nan, unit_coeffs(p)), InadmissibleParameter),
     (dict(), lambda p: coeff_B(0.6, 0.5, exact_coeffs(p)), InadmissibleParameter),
-    # a NaN initial wealth and a pinned cs level that is not positive
+    # a NaN or infinite wealth and a pinned cs level that is not positive
     (dict(), lambda p: _riskless_wealth(p, math.nan), NonpositiveWealth),
+    (dict(), lambda p: _riskless_wealth(p, math.inf), NonpositiveWealth),
     (dict(), lambda p: CsSolver(p, w=-1.0), InadmissibleParameter),
     (dict(), lambda p: CsSolver(p, w=math.nan), InadmissibleParameter),
     # the exported Riccati closed forms at a negative or NaN lag
     (dict(), lambda p: riccati_zero_ic(-0.1, -0.1, -10.0, 0.1), InadmissibleParameter),
     (dict(), lambda p: riccati_zero_ic_integral(math.nan, -0.1, -10.0, 0.1),
      InadmissibleParameter),
-    (dict(), lambda p: riccati_linear_zero_ic(np.array([0.2, math.nan]), -0.1, -10.0, 0.1,
-                                              5.0, 0.2, -0.1), InadmissibleParameter),
+    (dict(), lambda p: riccati_pair(np.array([0.2, math.nan]), -0.1, -10.0, 0.1, 5.0, 0.2,
+                                    -0.1), InadmissibleParameter),
     # the wealth offset at a time past T, NaN or before 0
     (dict(), lambda p: wealth_offset(1.0, 1.5, p), InadmissibleParameter),
     (dict(), lambda p: wealth_offset(1.0, math.nan, p), InadmissibleParameter),
@@ -341,7 +363,7 @@ def _riskless_wealth(params, x0=1.0):
         "lambda-wealth", "m-exact", "m-unit", "m-cs", "overflow-exact", "overflow-cs",
         "rho1-exact", "rho1-unit", "rho1-cs", "rho1-factor", "rho1-wealth",
         "nan-t-exact", "nan-t-cs", "nan-t-unit", "past-T-G", "nan-t-L", "nan-t-H",
-        "reversed-lag-B", "nan-x0-wealth", "negative-w-cs", "nan-w-cs",
+        "reversed-lag-B", "nan-x0-wealth", "inf-x0-wealth", "negative-w-cs", "nan-w-cs",
         "negative-tau-riccati", "nan-tau-integral", "nan-tau-linear", "past-T-offset",
         "nan-t-offset", "negative-t-offset", "nan-sigma-exact", "nan-delta-exact",
         "inf-r-exact", "nan-beta-unit", "nan-r-cs", "inf-T-exact", "inf-T-factor",

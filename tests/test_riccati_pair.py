@@ -1,8 +1,9 @@
 """riccati_pair against the two closed forms it replaces, bit for bit.
 
 The reference below is the pair of formulas as they stood before G and L
-were taken in one pass: riccati_zero_ic for y and riccati_linear_zero_ic for
-z, each with its own tau check, theta, E and denominator P + Q E.
+were taken in one pass: riccati_zero_ic for y and the since-retired
+riccati_linear_zero_ic for z, each with its own tau check, theta, E and
+denominator P + Q E.
 """
 
 import math

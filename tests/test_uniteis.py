@@ -310,16 +310,17 @@ def test_h_table_solve_matches_numpy_solve(base_params, n):
             co = _reduction(_with(base_params, T=T, delta=delta), mode)
             tau = exact_mod._lag_nodes(T, n)
             src = co.source(*exact_mod._lag_GL(tau, co)) + co.p0
-            Q = T * exact_mod._antiderivative(n)
-            system, rhs = exact_mod._eye(n) + co.disc * Q[:-1], src @ exact_mod._to_coef_exact(n)
+            rule = exact_mod._rule(n)
+            Q = T * rule.antiderivative
+            system, rhs = rule.eye + co.disc * Q[:-1], src @ rule.to_coef
             assert exact_mod._solve1(system, rhs).tobytes() == np.linalg.solve(system, rhs).tobytes()
 
 
 def test_singular_h_table_system_is_typed(base_params, monkeypatch):
     # a singular I + disc Q (here the zero-discount reduction with the
     # identity patched to zero) raises by name: no raw LinAlgError, no NaN
-    co = exact_coeffs(base_params).lag
-    exact_mod._antiderivative(exact_mod._TABLE_MIN_NODES)  # cached before the patch
-    monkeypatch.setattr(exact_mod, "_eye", lambda n: np.zeros((n, n)))
+    co, rule = exact_coeffs(base_params).lag, exact_mod._rule
+    monkeypatch.setattr(exact_mod, "_rule",
+                        lambda n: dataclasses.replace(rule(n), eye=np.zeros((n, n))))
     with pytest.raises(SingularLinearSystem, match=r"H table on \[0, 1.0\]: I \+ disc Q is singular"):
         co.h_table
